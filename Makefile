@@ -14,15 +14,20 @@ ifneq ($(CACHE_DIR),)
 export REPRO_CACHE := $(CACHE_DIR)
 endif
 
-.PHONY: test benchmarks bench-wallclock bench-smoke cache-stats \
-	cache-clear campaign check clean-results obs-check report \
-	sample-check telemetry-check trace-demo
+.PHONY: test benchmarks bench-suite bench-wallclock bench-smoke \
+	cache-stats cache-clear campaign check clean-results obs-check \
+	report sample-check telemetry-check trace-demo
 
 test:
 	$(PYTHON) -m pytest tests/ -x -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+
+# The repository benchmark (benchmarks/suite/README.md, BENCHMARK.json):
+# every workload's end-to-end metrics plus its correctness gate.
+bench-suite:
+	$(PYTHON) benchmarks/suite/run.py
 
 # Serial-vs-parallel sweep wall-clock; appends to BENCH_sweep.json.
 bench-wallclock:

@@ -62,6 +62,10 @@ EXIT_OK = 0
 EXIT_SIMULATION_ERROR = 1
 EXIT_USAGE_ERROR = 2
 
+#: Sampled-run defaults (docs/SAMPLING.md's validated plan).
+SAMPLE_WARMUP_DEFAULT = 200
+SAMPLES_DEFAULT = 16
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
@@ -101,15 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
                           "detailed instructions per window and "
                           "fast-forward between windows "
                           "(docs/SAMPLING.md)")
-    sim.add_argument("--sample-warmup", type=int, default=200,
+    sim.add_argument("--sample-warmup", type=int, default=None,
                      metavar="N",
                      help="detailed instructions simulated and "
                           "discarded before each measured window "
-                          "(default 200; needs --sample-interval)")
-    sim.add_argument("--samples", type=int, default=16, metavar="K",
-                     help="number of sample windows, one per equal "
-                          "stratum of the run (default 16; needs "
+                          f"(default {SAMPLE_WARMUP_DEFAULT}; needs "
                           "--sample-interval)")
+    sim.add_argument("--samples", type=int, default=None, metavar="K",
+                     help="number of sample windows, one per equal "
+                          "stratum of the run (default "
+                          f"{SAMPLES_DEFAULT}; needs --sample-interval)")
     sim.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                      help="share fast-forward checkpoints for sampled "
                           "runs under this directory (created if "
@@ -309,14 +314,23 @@ def _validate_simulate_args(args) -> None:
 
 
 def _validate_sampling_args(args) -> None:
-    """Bounds-check the sampled-simulation flags (simulate only)."""
+    """Bounds-check the sampled-simulation flags (simulate only).
+
+    A sampling flag without ``--sample-interval`` is a usage error, not
+    silently ignored; with it, unset flags take their defaults here.
+    """
     sample_interval = getattr(args, "sample_interval", None)
     if sample_interval is None:
-        if getattr(args, "checkpoint_dir", None):
-            raise ConfigError(
-                "--checkpoint-dir only applies to sampled runs; add "
-                "--sample-interval")
+        for flag in ("sample_warmup", "samples", "checkpoint_dir"):
+            if getattr(args, flag, None) is not None:
+                raise ConfigError(
+                    f"--{flag.replace('_', '-')} only applies to sampled "
+                    f"runs; add --sample-interval")
         return
+    if args.sample_warmup is None:
+        args.sample_warmup = SAMPLE_WARMUP_DEFAULT
+    if args.samples is None:
+        args.samples = SAMPLES_DEFAULT
     if sample_interval < 1:
         raise ConfigError(
             f"--sample-interval must be >= 1 instruction, "

@@ -26,7 +26,7 @@ everything that used its result, through the normal issue mechanism.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..cluster import Cluster, FUPool, NEVER, NEXT_TRY_IDLE
 from ..errors import ConfigError, SimulationError
@@ -62,6 +62,21 @@ __all__ = ["Processor"]
 _EV_COMPLETE = 0
 _EV_VERIFY = 1
 _EV_VDELIVER = 2
+
+#: Profiler phase of each stage of the cycle loop, in loop order.
+_STAGE_PHASES = ("other", "events", "commit", "issue", "decode", "fetch")
+
+
+def _timed(profiler, phase: str, stage):
+    """*stage* with its host wall-clock added to *profiler*'s *phase*."""
+    seconds = profiler.seconds
+    clock = profiler.clock
+
+    def timed(cycle: int) -> None:
+        start = clock()
+        stage(cycle)
+        seconds[phase] += clock() - start
+    return timed
 
 
 def _build_steerer(config: ProcessorConfig):
@@ -195,12 +210,21 @@ class Processor:
         self._stores_awaiting_data: List[Uop] = []
         self._dports_used = 0
         # Hot-path views, hoisted once: the decode loop reads the map
-        # table and the ready scoreboards for every source operand of
-        # every instruction, so it indexes these directly instead of
-        # chasing renamer -> map_table -> _map (and cluster -> regfile
-        # -> ready) method chains per operand.
-        self._map_rows = self.renamer.map_table._map
+        # table, its mapped-cluster caches, the free lists and the ready
+        # scoreboards for every instruction, so it indexes these
+        # directly instead of chasing renamer -> map_table -> _map (and
+        # cluster -> regfile -> ready) method chains per operand.
+        map_table = self.renamer.map_table
+        self._map_rows = map_table._map
+        self._mapped_lists = map_table._mapped_cache
+        self._mapped_sets = map_table._mapped_sets
+        self._single_lists = map_table._single_lists
+        self._single_sets = map_table._single_sets
+        self._free_lists = self.renamer._free
         self._ready_arrays = [cl.regfile.ready for cl in self.clusters]
+        # With one cluster every operand is local: decode needs no
+        # steering views, steering decision or copies.
+        self._one_cluster = config.n_clusters == 1
         # The zero register's steering view never changes; share one.
         self._zero_view = SourceView(ZERO_REG, False, True, frozenset(),
                                      None, False)
@@ -228,28 +252,35 @@ class Processor:
         finalizes exactly once via :meth:`run`'s tail or
         :meth:`finalize`.
         """
-        if self.profiler is not None:
-            self._run_profiled(max_cycles, max_insts)
-        else:
-            self._run_plain(max_cycles, max_insts)
+        stages = (self._bookkeeping, self._writeback, self._commit,
+                  self._issue, self._decode, self.fetch.tick)
+        profiler = self.profiler
+        if profiler is None:
+            self._cycle_loop(stages, max_cycles, max_insts)
+            return self.stats
+        # Profiling wraps each stage in a timer; the loop is the same.
+        stages = tuple(_timed(profiler, phase, stage)
+                       for phase, stage in zip(_STAGE_PHASES, stages))
+        first_cycle, start = self.cycle, profiler.clock()
+        self._cycle_loop(stages, max_cycles, max_insts)
+        profiler.total_seconds += profiler.clock() - start
+        profiler.cycles += self.cycle - first_cycle
         return self.stats
 
     def finalize(self) -> SimResult:
         """Assemble the result bundle for a :meth:`run_until` caller."""
         return self._finalize()
 
-    def _run_plain(self, max_cycles: Optional[int],
-                   max_insts: Optional[int] = None) -> None:
-        """The uninstrumented (and profiler-free) timing loop.
+    def _cycle_loop(self, stages, max_cycles: Optional[int],
+                    max_insts: Optional[int]) -> None:
+        """The timing loop: one call per stage per cycle.
 
         Per-cycle work is kept to the stage calls themselves; everything
         skippable inside the stages is gated by the event-driven wake
         machinery (``_events``, the queues' ``next_try`` bounds), so an
         idle stage costs one comparison, not a scan.
         """
-        watchdog = self.watchdog
-        metrics = self.metrics
-        interval = metrics.interval if metrics is not None else 0
+        bookkeeping, writeback, commit, issue, decode, fetch_tick = stages
         fetch = self.fetch
         stats = self.stats
         while not (fetch.done and not self.rob):
@@ -258,76 +289,23 @@ class Processor:
                 break
             if max_insts is not None and stats.committed_insts >= max_insts:
                 break
-            if metrics is not None and cycle and cycle % interval == 0:
-                metrics.sample(self, cycle)
-            self._dports_used = 0
-            self._process_events(cycle)
-            self._drain_store_data(cycle)
-            if self._commit(cycle):
-                watchdog.note_commit(cycle)
-            else:
-                watchdog.check(cycle)
-            self._issue(cycle)
-            self._decode(cycle)
-            fetch.tick(cycle)
-            if cycle and cycle % 8192 == 0:
-                self.interconnect.prune(cycle)
+            bookkeeping(cycle)
+            writeback(cycle)
+            commit(cycle)
+            issue(cycle)
+            decode(cycle)
+            fetch_tick(cycle)
             self.cycle = cycle + 1
 
-    def _run_profiled(self, max_cycles: Optional[int],
-                      max_insts: Optional[int] = None) -> None:
-        """The same loop with host wall-clock attribution per stage.
-
-        Stage order and semantics are identical to :meth:`_run_plain`;
-        the only additions are ``perf_counter`` brackets, so the
-        simulated outcome is unchanged.  Kept separate so the common
-        case carries no timing calls at all.
-        """
-        watchdog = self.watchdog
+    def _bookkeeping(self, cycle: int) -> None:
+        """Interval-metric sampling and interconnect record pruning."""
         metrics = self.metrics
-        interval = metrics.interval if metrics is not None else 0
-        profiler = self.profiler
-        seconds = profiler.seconds
-        clock = profiler.clock
-        run_start = clock()
-        while not (self.fetch.done and not self.rob):
-            cycle = self.cycle
-            if max_cycles is not None and cycle >= max_cycles:
-                break
-            if (max_insts is not None
-                    and self.stats.committed_insts >= max_insts):
-                break
-            t0 = clock()
-            if metrics is not None and cycle and cycle % interval == 0:
-                metrics.sample(self, cycle)
-            self._dports_used = 0
-            t1 = clock()
-            seconds["other"] += t1 - t0
-            self._process_events(cycle)
-            self._drain_store_data(cycle)
-            t2 = clock()
-            seconds["events"] += t2 - t1
-            if self._commit(cycle):
-                watchdog.note_commit(cycle)
-            else:
-                watchdog.check(cycle)
-            t3 = clock()
-            seconds["commit"] += t3 - t2
-            self._issue(cycle)
-            t4 = clock()
-            seconds["issue"] += t4 - t3
-            self._decode(cycle)
-            t5 = clock()
-            seconds["decode"] += t5 - t4
-            self.fetch.tick(cycle)
-            t6 = clock()
-            seconds["fetch"] += t6 - t5
-            if cycle and cycle % 8192 == 0:
-                self.interconnect.prune(cycle)
-                seconds["other"] += clock() - t6
-            profiler.note_cycle()
-            self.cycle += 1
-        profiler.total_seconds += clock() - run_start
+        if cycle and metrics is not None and cycle % metrics.interval == 0:
+            metrics.sample(self, cycle)
+        if cycle and cycle % 8192 == 0:
+            # Only reservations departing at cycle + 1 or later are
+            # ever looked up again.
+            self.interconnect.prune(cycle)
 
     def _finalize(self) -> SimResult:
         """Assemble the result bundle after the loop drains or stops."""
@@ -430,20 +408,22 @@ class Processor:
         else:
             queued.append(event)
 
-    def _process_events(self, cycle: int) -> None:
+    def _writeback(self, cycle: int) -> None:
+        """This cycle's scheduled events, then the store-data drain."""
+        self._dports_used = 0
         events = self._events.pop(cycle, None)
-        if not events:
-            return
-        for event in events:
-            kind, uop, generation = event
-            if uop.generation != generation:
-                continue  # stale: the uop was invalidated and will redo
-            if kind == _EV_COMPLETE:
-                self._complete(uop, cycle)
-            elif kind == _EV_VERIFY:
-                self._run_verifications(uop, cycle)
-            else:  # _EV_VDELIVER
-                self._deliver_mismatch(uop, cycle)
+        if events:
+            for kind, uop, generation in events:
+                if uop.generation != generation:
+                    continue  # stale: the uop was invalidated and will redo
+                if kind == _EV_COMPLETE:
+                    self._complete(uop, cycle)
+                elif kind == _EV_VERIFY:
+                    self._run_verifications(uop, cycle)
+                else:  # _EV_VDELIVER
+                    self._deliver_mismatch(uop, cycle)
+        if self._stores_awaiting_data:
+            self._drain_store_data(cycle)
 
     def _complete(self, uop: Uop, cycle: int) -> None:
         if uop.state != STATE_ISSUED:
@@ -554,7 +534,7 @@ class Processor:
 
     # ---------------------------------------------------------------- commit --
 
-    def _commit(self, cycle: int) -> int:
+    def _commit(self, cycle: int) -> None:
         rob = self.rob
         retired = 0
         budget = self.config.retire_width
@@ -597,7 +577,10 @@ class Processor:
                 self.stats.committed_copies += 1
             else:
                 self.stats.committed_vcopies += 1
-        return retired
+        if retired:
+            self.watchdog.note_commit(cycle)
+        else:
+            self.watchdog.check(cycle)
 
     # ----------------------------------------------------------------- issue --
 
@@ -629,8 +612,6 @@ class Processor:
 
     def _drain_store_data(self, cycle: int) -> None:
         """Complete address-generated stores whose data value arrived."""
-        if not self._stores_awaiting_data:
-            return
         still_waiting: List[Uop] = []
         for store in self._stores_awaiting_data:
             if store.state != STATE_ISSUED:
@@ -665,14 +646,16 @@ class Processor:
         The per-uop issue attempt (operand readiness, parking on the
         register-file waiter lists, per-kind resource checks) is inlined
         here: it runs several times per simulated instruction and the
-        call overhead dominated the host profile.  An operand-blocked
-        uop is parked with ``wake_cycle`` = a lower bound on its next
-        possible issue cycle (finite scheduled ready cycles bound
-        directly; unscheduled registers park it on the waiter list and
-        ``set_ready`` lowers the bound later); a resource-blocked uop
-        (width/FU capacity, D-cache port, interconnect path, load
-        disambiguation) retries next cycle.  Parking consumes no shared
-        resource, so it cannot perturb any other uop's issue.
+        call overhead dominated the host profile.  Each visited uop ends
+        with ``wake``, the earliest cycle it could issue, or 0 once it
+        has issued.  An operand-blocked uop is parked with
+        ``wake_cycle`` = a lower bound on its next possible issue cycle
+        (finite scheduled ready cycles bound directly; unscheduled
+        registers park it on the waiter list and ``set_ready`` lowers
+        the bound later); a resource-blocked uop (width/FU capacity,
+        D-cache port, interconnect path, load disambiguation) retries
+        next cycle.  Parking consumes no shared resource, so it cannot
+        perturb any other uop's issue.
 
         Functional-unit pools are reset lazily (first use per cycle):
         an idle cluster's pool costs nothing.
@@ -689,20 +672,23 @@ class Processor:
         free_copies = config.free_copy_issue
         dcache_ports = config.dcache_ports
         interconnect = self.interconnect
+        n_clusters = config.n_clusters
         cycle1 = cycle + 1
         for cluster in self.clusters:
             cid = cluster.cluster_id
-            occupancy[cid] += cluster.occupancy
-            regfile = cluster.regfile
-            ready = regfile.ready
-            waiters = regfile.waiters
-            producers = regfile.producer
-            fupool = cluster.fupool
-            for int_side in (True, False):
-                queue = cluster.iq_int if int_side else cluster.iq_fp
+            iq_int = cluster.iq_int
+            iq_fp = cluster.iq_fp
+            occupancy[cid] += len(iq_int._entries) + len(iq_fp._entries)
+            for queue in (iq_int, iq_fp):
                 entries = queue._entries
                 if not entries or queue.next_try > cycle:
                     continue
+                int_side = queue is iq_int
+                regfile = cluster.regfile
+                ready = regfile.ready
+                waiters = regfile.waiters
+                producers = regfile.producer
+                fupool = cluster.fupool
                 if fupool._cycle != cycle:
                     fupool.begin_cycle(cycle)
                 # Reset the bound before scanning: a uop issuing during
@@ -718,261 +704,189 @@ class Processor:
                 # entry list untouched.
                 kept: Optional[List[Uop]] = None
                 for i, uop in enumerate(entries):
+                    mi = uop.min_issue_cycle
+                    wake = uop.wake_cycle
                     if uop.state != STATE_WAITING:
                         # Defensive (queues only hold WAITING uops in
                         # steady state): retry next cycle.
-                        if kept is not None:
-                            kept.append(uop)
-                        if cycle1 < bound:
-                            bound = cycle1
-                        continue
-                    mi = uop.min_issue_cycle
-                    wc = uop.wake_cycle
-                    if mi > cycle or wc > cycle:
-                        if kept is not None:
-                            kept.append(uop)
-                        b = mi if mi > wc else wc
-                        if b < bound:
-                            bound = b
-                        continue
-                    # ---- operand readiness (park when blocked) ----
-                    if uop.is_store:
-                        # Address generation needs only the base operand
-                        # (srcs are (value, base)); the data value is
-                        # collected in the store queue afterwards (§2.4:
-                        # "loads may execute when prior store addresses
-                        # are known").
-                        operand = uop.operands[1]
-                        mode = operand.mode
-                        blocking = None
-                        if mode == MODE_LOCAL:
-                            if ready[operand.preg] > cycle:
-                                blocking = (operand,)
-                        elif mode == MODE_FWD:
-                            if operand.ready_override > cycle:
-                                blocking = (operand,)
+                        wake = cycle1
+                    elif mi > cycle or wake > cycle:
+                        if mi > wake:
+                            wake = mi
                     else:
-                        blocking = None
-                        for operand in uop.operands:
+                        # ---- operand readiness (park when blocked) ----
+                        # A store's address generation needs only the
+                        # base operand (srcs are (value, base)); the data
+                        # value is collected in the store queue
+                        # afterwards (§2.4: "loads may execute when
+                        # prior store addresses are known").
+                        wake = 0
+                        for operand in (uop.operands[1:] if uop.is_store
+                                        else uop.operands):
                             mode = operand.mode
                             if mode == MODE_LOCAL:
-                                if ready[operand.preg] > cycle:
-                                    if blocking is None:
-                                        blocking = [operand]
-                                    else:
-                                        blocking.append(operand)
-                            elif mode == MODE_FWD:
-                                if operand.ready_override > cycle:
-                                    if blocking is None:
-                                        blocking = [operand]
-                                    else:
-                                        blocking.append(operand)
-                    if blocking is not None:
-                        b = cycle1
-                        for operand in blocking:
-                            if operand.mode == MODE_LOCAL:
                                 preg = operand.preg
                                 r = ready[preg]
-                                w = waiters.get(preg)
-                                if w is None:
-                                    waiters[preg] = [uop]
-                                elif w[-1] is not uop:
-                                    w.append(uop)
-                                if r > b:
-                                    b = r
-                            elif operand.ready_override > b:
-                                b = operand.ready_override
-                        uop.wake_cycle = b
-                        if kept is not None:
-                            kept.append(uop)
-                        if b < bound:
-                            bound = b
-                        continue
-                    # ---- per-kind resource checks + issue ----
-                    kind = uop.kind
-                    if kind == KIND_INST:
-                        is_load = uop.is_load
-                        if is_load:
-                            if (not self._load_disambiguated(uop)
+                                if r > cycle:
+                                    w = waiters.get(preg)
+                                    if w is None:
+                                        waiters[preg] = [uop]
+                                    elif w[-1] is not uop:
+                                        w.append(uop)
+                                    if r > wake:
+                                        wake = r
+                            elif (mode == MODE_FWD
+                                  and operand.ready_override > cycle
+                                  and operand.ready_override > wake):
+                                wake = operand.ready_override
+                        if wake:
+                            uop.wake_cycle = wake
+                    if not wake:
+                        # ---- per-kind resource checks ----
+                        kind = uop.kind
+                        if kind == KIND_INST:
+                            if uop.is_load and (
+                                    not self._load_disambiguated(uop)
                                     or ((forward := self._forwarding_store(
                                         uop)) is not None
                                         and forward.state != STATE_DONE)
                                     or self._dports_used >= dcache_ports):
                                 # Disambiguation / same-address store
-                                # data / D-cache port: retry next cycle.
-                                if kept is not None:
-                                    kept.append(uop)
-                                if cycle1 < bound:
-                                    bound = cycle1
-                                continue
-                        opclass = uop.opclass
-                        if not fupool.try_issue(opclass):
-                            if kept is not None:
-                                kept.append(uop)
-                            if cycle1 < bound:
-                                bound = cycle1
-                            if int_side:
-                                if leftover_int is None:
-                                    leftover_int = [0] * config.n_clusters
-                                leftover_int[cid] += 1
-                            else:
-                                if leftover_fp is None:
-                                    leftover_fp = [0] * config.n_clusters
-                                leftover_fp[cid] += 1
-                            continue
-                        # -- _issue_inst, inlined against the scan locals
-                        # (regfile/ready/producers ARE this uop's cluster
-                        # state; `forward` reuses the guard's lookup, which
-                        # is pure).  Side-effect order matches the original
-                        # helper: latency, mark-issued, store/dest wiring.
-                        dyn = uop.dyn
-                        latency = fupool.latencies[opclass]
-                        if is_load:
-                            self._dports_used += 1
-                            if forward is not None:
-                                latency += 1  # store buffer forward
-                                forward.readers.append(uop)
-                            else:
-                                latency += data_latency(dyn.mem_addr)
-                        uop.state = STATE_ISSUED
-                        uop.issue_cycle = cycle
-                        stats.issued_uops += 1
-                        issued_per_cluster[cid] += 1
-                        if tracer is not None:
-                            tracer.counts[EV_ISSUE] += 1
-                            tracer.emit((cycle, EV_ISSUE, uop.order,
-                                         KIND_INST, cid, uop.reissue_count))
-                        # Register with local producers for the
-                        # selective-reissue walk.
-                        for operand in uop.operands:
-                            if operand.mode == MODE_LOCAL:
-                                producer = producers[operand.preg]
-                                if (producer is not None
-                                        and producer is not uop
-                                        and producer.state
-                                        != STATE_COMMITTED):
-                                    producer.readers.append(uop)
-                        event = (_EV_COMPLETE, uop, uop.generation)
-                        if uop.is_store:
-                            self._pending_store_addrs.discard(dyn.seq)
-                            inflight = self._inflight_stores
-                            addr_stores = inflight.get(dyn.mem_addr)
-                            if addr_stores is None:
-                                inflight[dyn.mem_addr] = [uop]
-                            else:
-                                addr_stores.append(uop)
-                            operand = uop.operands[0]
-                            mode = operand.mode
-                            if mode == MODE_LOCAL:
-                                data_ready = ready[operand.preg] <= cycle
-                            elif mode == MODE_FWD:
-                                data_ready = operand.ready_override <= cycle
-                            else:
-                                data_ready = True  # MODE_PRED / MODE_ZERO
-                            if not data_ready:
-                                # Address generated; park until the data
-                                # value arrives (drained once per cycle).
-                                self._stores_awaiting_data.append(uop)
-                            else:
-                                when = cycle + latency
-                                queued = events.get(when)
-                                if queued is None:
-                                    events[when] = [event]
+                                # data / D-cache port.
+                                wake = cycle1
+                            elif not fupool.try_issue(uop.opclass):
+                                wake = cycle1
+                                if int_side:
+                                    if leftover_int is None:
+                                        leftover_int = [0] * n_clusters
+                                    leftover_int[cid] += 1
                                 else:
-                                    queued.append(event)
-                        else:
-                            dest = uop.dest_preg
-                            if dest is not None:
-                                regfile.set_ready(dest, cycle + latency)
-                                producers[dest] = uop
-                            when = cycle + latency
-                            queued = events.get(when)
-                            if queued is None:
-                                events[when] = [event]
-                            else:
-                                queued.append(event)
-                    elif kind == KIND_COPY:
-                        if ((not free_copies
-                             and (fupool.int_width_left() if int_side
-                                  else fupool.fp_width_left()) <= 0)
-                                or not interconnect.try_reserve(
-                                    uop.dest_cluster, cycle1)):
-                            if kept is not None:
-                                kept.append(uop)
-                            if cycle1 < bound:
-                                bound = cycle1
-                            continue
-                        if not free_copies:
-                            fupool.try_issue_copy(not int_side)
-                        self._issue_copy(uop, cycle)
-                    else:  # KIND_VCOPY
-                        if not free_copies and fupool.int_width_left() <= 0:
-                            if kept is not None:
-                                kept.append(uop)
-                            if cycle1 < bound:
-                                bound = cycle1
-                            continue
-                        mismatch = not uop.consumer_operand.correct
-                        if mismatch and not interconnect.try_reserve(
-                                uop.consumer.cluster, cycle1):
-                            if kept is not None:
-                                kept.append(uop)
-                            if cycle1 < bound:
-                                bound = cycle1
-                            continue
-                        if not free_copies:
-                            fupool.try_issue_copy(False)
-                        self._issue_vcopy(uop, cycle, mismatch)
-                    # Issued: drop from the queue.
+                                    if leftover_fp is None:
+                                        leftover_fp = [0] * n_clusters
+                                    leftover_fp[cid] += 1
+                        elif kind == KIND_COPY:
+                            if ((not free_copies
+                                 and (fupool.int_width_left() if int_side
+                                      else fupool.fp_width_left()) <= 0)
+                                    or not interconnect.try_reserve(
+                                        uop.dest_cluster, cycle1)):
+                                wake = cycle1
+                            elif not free_copies:
+                                fupool.try_issue_copy(not int_side)
+                        else:  # KIND_VCOPY
+                            mismatch = not uop.consumer_operand.correct
+                            if ((not free_copies
+                                 and fupool.int_width_left() <= 0)
+                                    or (mismatch
+                                        and not interconnect.try_reserve(
+                                            uop.consumer.cluster, cycle1))):
+                                wake = cycle1
+                            elif not free_copies:
+                                fupool.try_issue_copy(False)
+                    if wake:
+                        if kept is not None:
+                            kept.append(uop)
+                        if wake < bound:
+                            bound = wake
+                        continue
+                    # ---- issued: drop from the queue ----
                     if kept is None:
                         kept = entries[:i]
+                    uop.state = STATE_ISSUED
+                    uop.issue_cycle = cycle
+                    stats.issued_uops += 1
+                    issued_per_cluster[cid] += 1
+                    if tracer is not None:
+                        tracer.counts[EV_ISSUE] += 1
+                        tracer.emit((cycle, EV_ISSUE, uop.order, kind, cid,
+                                     uop.reissue_count))
+                    # Register with the producers of local operands so
+                    # the selective-reissue walk can find this uop while
+                    # it can still be squashed.
+                    for operand in uop.operands:
+                        if operand.mode == MODE_LOCAL:
+                            producer = producers[operand.preg]
+                            if (producer is not None and producer is not uop
+                                    and producer.state != STATE_COMMITTED):
+                                producer.readers.append(uop)
+                    if kind == KIND_COPY:
+                        self._issue_copy(uop, cycle)
+                        continue
+                    if kind == KIND_VCOPY:
+                        self._issue_vcopy(uop, cycle, mismatch)
+                        continue
+                    # -- an instruction: its latency, then the store
+                    # queue or its destination register.
+                    dyn = uop.dyn
+                    when = cycle + fupool.latencies[uop.opclass]
+                    if uop.is_load:
+                        self._dports_used += 1
+                        if forward is not None:
+                            when += 1  # store buffer forward
+                            forward.readers.append(uop)
+                        else:
+                            when += data_latency(dyn.mem_addr)
+                    if uop.is_store:
+                        self._pending_store_addrs.discard(dyn.seq)
+                        inflight = self._inflight_stores
+                        addr_stores = inflight.get(dyn.mem_addr)
+                        if addr_stores is None:
+                            inflight[dyn.mem_addr] = [uop]
+                        else:
+                            addr_stores.append(uop)
+                        operand = uop.operands[0]
+                        mode = operand.mode
+                        if ((mode == MODE_LOCAL
+                             and ready[operand.preg] > cycle)
+                                or (mode == MODE_FWD
+                                    and operand.ready_override > cycle)):
+                            # Address generated; park until the data
+                            # value arrives (drained once per cycle).
+                            self._stores_awaiting_data.append(uop)
+                            continue
+                    else:
+                        dest = uop.dest_preg
+                        if dest is not None:
+                            regfile.set_ready(dest, when)
+                            producers[dest] = uop
+                    event = (_EV_COMPLETE, uop, uop.generation)
+                    queued = events.get(when)
+                    if queued is None:
+                        events[when] = [event]
+                    else:
+                        queued.append(event)
                 if kept is not None:
                     queue._entries = kept
                 if bound < queue.next_try:
                     queue.next_try = bound
-        if leftover_int is None and leftover_fp is None:
-            # Nothing capacity-stuck anywhere: NREADY contributes zero
-            # regardless of idle capacities, so skip computing them.
+        if ((leftover_int is None and leftover_fp is None)
+                or self._one_cluster):
+            # Nothing capacity-stuck, or no other cluster to take it:
+            # NREADY contributes zero, so skip the idle capacities.
             self.nready.record_idle()
             return
-        if leftover_int is None:
-            leftover_int = [0] * config.n_clusters
-        if leftover_fp is None:
-            leftover_fp = [0] * config.n_clusters
         idle_int = []
         idle_fp = []
-        for c in self.clusters:
-            fupool = c.fupool
-            if fupool._cycle != cycle:
-                fupool.begin_cycle(cycle)
-            idle_int.append(fupool.idle_capacity(True))
-            idle_fp.append(fupool.idle_capacity(False))
-        self.nready.record(leftover_int, idle_int, leftover_fp, idle_fp)
-
-    def _mark_issued(self, uop: Uop, cycle: int) -> None:
-        uop.state = STATE_ISSUED
-        uop.issue_cycle = cycle
-        self.stats.issued_uops += 1
-        self.stats.issued_per_cluster[uop.cluster] += 1
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.counts[EV_ISSUE] += 1
-            tracer.emit((cycle, EV_ISSUE, uop.order, uop.kind,
-                         uop.cluster, uop.reissue_count))
-        # Register this uop with the producers of its local operands so
-        # the selective-reissue walk can find it while it can still be
-        # squashed.
-        producers = self.clusters[uop.cluster].regfile.producer
-        for operand in uop.operands:
-            if operand.mode == MODE_LOCAL:
-                producer = producers[operand.preg]
-                if (producer is not None and producer is not uop
-                        and producer.state != STATE_COMMITTED):
-                    producer.readers.append(uop)
+        for cluster in self.clusters:
+            pool = cluster.fupool
+            if pool._cycle != cycle:
+                pool.begin_cycle(cycle)
+            # FUPool.idle_capacity, per side: the remaining width,
+            # bounded by the units left (never negative).
+            width = pool.int_width - pool._int_issued
+            units = pool.int_units - pool._idiv_busy_now - pool._int_units_used
+            idle = width if width < units else units
+            idle_int.append(idle if idle > 0 else 0)
+            width = pool.fp_width - pool._fp_issued
+            units = pool.fp_units - pool._fdiv_busy_now - pool._fp_units_used
+            idle = width if width < units else units
+            idle_fp.append(idle if idle > 0 else 0)
+        zeros = [0] * n_clusters
+        self.nready.record(leftover_int or zeros, idle_int,
+                           leftover_fp or zeros, idle_fp)
 
     def _issue_copy(self, uop: Uop, cycle: int) -> None:
         """A copy drives the interconnect the cycle after it issues."""
-        self._mark_issued(uop, cycle)
         self.stats.communications += 1
         arrival = self.interconnect.arrival_cycle(cycle + 1)
         tracer = self._tracer
@@ -987,7 +901,6 @@ class Processor:
 
     def _issue_vcopy(self, uop: Uop, cycle: int, mismatch: bool) -> None:
         """Local compare; forward (and reissue the consumer) on mismatch."""
-        self._mark_issued(uop, cycle)
         tracer = self._tracer
         if tracer is not None:
             tracer.counts[EV_VCOPY_VERIFY] += 1
@@ -1003,96 +916,97 @@ class Processor:
     # ---------------------------------------------------------------- decode --
 
     def _decode(self, cycle: int) -> None:
-        budget = self.config.decode_width
-        decoded = 0
-        while decoded < budget:
-            fetched = self.fetch.peek_decodable(cycle)
-            if fetched is None:
-                break
-            if not self._decode_one(fetched, cycle):
-                break
-            self.fetch.pop_one()
-            decoded += 1
+        """Dispatch up to ``decode_width`` fetched instructions in order.
 
-    def _decode_one(self, fetched: FetchedInst, cycle: int) -> bool:
-        """Steer+rename+dispatch one instruction; False on a stall.
-
-        The per-slot work — value prediction, steering view, operand
-        plan, resource check — is fused into straight-line passes here:
-        decode dominates host time, and the per-slot helper calls this
-        replaced used to cost more than the work they did.
-
-        Plan entries (consumed by ``_check_resources``/``_dispatch``):
-          ("zero",)
-          ("local", preg)                      value ready or will be, here
-          ("pred_local", preg, correct, injected)  speculate; producer
-                                                   verifies
-          ("copy", logical, src_cluster)       demand-generated copy
-          ("copy_dup", logical, first_slot)    second read of a copied reg
-          ("vcopy", logical, src_cluster, correct, injected)
-                                               predicted remote operand
+        Decoding stops at the first instruction that cannot dispatch
+        this cycle, and its stall cause is counted.
         """
-        dyn = fetched.dyn
-        if len(self.rob) >= self.config.rob_size:
-            # Any dispatch needs at least one ROB slot, whatever cluster
-            # steering would pick: stall before paying for prediction
-            # and steering work that cannot be used this cycle.  (The
-            # prediction cache keeps predictor state per-instruction
-            # exact across the deferral.)
-            stats = self.stats
-            stats.decode_stalls["rob"] = stats.decode_stalls.get("rob", 0) + 1
-            return False
-        srcs = dyn.srcs
-        # Value predictions: computed exactly once per DynInst (stall
-        # retries reuse the cached entries so predictor state and the
-        # accuracy stats advance once per instruction).  Entries are
-        # None or (value, correct, injected) triples; *injected* marks
-        # a prediction corrupted by the fault harness.
-        predictions = self._vp_cache.get(dyn.seq)
-        if predictions is None:
-            predictions = []
-            if not self._vp_enabled:
-                for _ in srcs:
-                    predictions.append(None)
+        fetch = self.fetch
+        rob = self.rob
+        rob_size = self.config.rob_size
+        decode_one = (self._decode_local if self._one_cluster
+                      else self._decode_one)
+        for _ in range(self.config.decode_width):
+            fetched = fetch.peek_decodable(cycle)
+            if fetched is None:
+                return
+            if len(rob) >= rob_size:
+                # Any dispatch needs at least one ROB slot, whatever
+                # cluster steering would pick: stall before paying for
+                # prediction and steering work that cannot be used this
+                # cycle.  (The prediction cache keeps predictor state
+                # per-instruction exact across the deferral.)
+                stall = "rob"
             else:
-                injector = self._injector
-                srcs_fp = dyn.srcs_fp
-                src_values = dyn.src_values
-                predict_update = self.vp.predict_update
-                pc = dyn.pc
-                for slot, logical in enumerate(srcs):
-                    if logical == ZERO_REG or srcs_fp[slot]:
-                        predictions.append(None)
-                        continue
-                    actual = src_values[slot]
-                    value, confident = predict_update(pc, slot, actual)
-                    if not confident:
-                        predictions.append(None)
-                        continue
-                    injected = False
-                    if injector is not None:
-                        corrupted = injector.corrupt_prediction(pc, slot,
-                                                                actual)
-                        if corrupted is not None:
-                            value, injected = corrupted, True
-                    predictions.append((value, value == actual, injected))
-            self._vp_cache[dyn.seq] = predictions
-        # Steering views: one pass over the slots.  A single-mapped
-        # operand (the overwhelmingly common case) needs no tournament.
+                stall = decode_one(fetched, cycle)
+            if stall is not None:
+                stalls = self.stats.decode_stalls
+                stalls[stall] = stalls.get(stall, 0) + 1
+                return
+            fetch.pop_one()
+
+    def _predictions(self, dyn: DynInst) -> list:
+        """Per-slot value predictions: None or (value, correct, injected).
+
+        Computed exactly once per DynInst: stall retries reuse the
+        cached entries, so predictor state and the accuracy stats
+        advance once per instruction.  *injected* marks a prediction
+        corrupted by the fault harness.
+        """
+        if not self._vp_enabled:
+            return [None] * len(dyn.srcs)
+        predictions = self._vp_cache.get(dyn.seq)
+        if predictions is not None:
+            return predictions
+        predictions = []
+        injector = self._injector
+        srcs_fp = dyn.srcs_fp
+        src_values = dyn.src_values
+        predict_update = self.vp.predict_update
+        pc = dyn.pc
+        for slot, logical in enumerate(dyn.srcs):
+            if logical == ZERO_REG or srcs_fp[slot]:
+                predictions.append(None)
+                continue
+            actual = src_values[slot]
+            value, confident = predict_update(pc, slot, actual)
+            if not confident:
+                predictions.append(None)
+                continue
+            injected = False
+            if injector is not None:
+                corrupted = injector.corrupt_prediction(pc, slot, actual)
+                if corrupted is not None:
+                    value, injected = corrupted, True
+            predictions.append((value, value == actual, injected))
+        self._vp_cache[dyn.seq] = predictions
+        return predictions
+
+    def _source_views(self, dyn: DynInst, predictions: list,
+                      cycle: int) -> List[SourceView]:
+        """Steering's decode-time view of each source operand (§2.3.1).
+
+        Mapped clusters come straight from the map table's caches; a
+        single-mapped operand (the overwhelmingly common case) needs no
+        tournament for the cluster producing it soonest.
+        """
         map_table = self.renamer.map_table
-        mapped_clusters = map_table.mapped_clusters
-        mapped_set = map_table.mapped_set
+        mapped_lists = self._mapped_lists
+        mapped_sets = self._mapped_sets
         map_rows = self._map_rows
         ready_arrays = self._ready_arrays
         srcs_fp = dyn.srcs_fp
-        views: List[SourceView] = []
-        soonest: List[Optional[int]] = []
-        for slot, logical in enumerate(srcs):
+        views = []
+        for slot, logical in enumerate(dyn.srcs):
             if logical == ZERO_REG:
                 views.append(self._zero_view)
-                soonest.append(None)
                 continue
-            mapped = mapped_clusters(logical)
+            mapped = mapped_lists[logical]
+            if mapped is None:
+                mapped = map_table.mapped_clusters(logical)
+            mapped_set = mapped_sets[logical]
+            if mapped_set is None:
+                mapped_set = map_table.mapped_set(logical)
             row = map_rows[logical]
             if len(mapped) == 1:
                 best = mapped[0]
@@ -1115,200 +1029,250 @@ class Processor:
                         if producer is not None and producer.kind == KIND_INST:
                             best = cluster_id
             views.append(SourceView(logical, srcs_fp[slot],
-                                    best_ready <= cycle, mapped_set(logical),
-                                    best, predictions[slot] is not None))
-            soonest.append(best)
-        cluster_id = self.steerer.choose(views, self.dcount, pc=dyn.pc)
+                                    best_ready <= cycle, mapped_set, best,
+                                    predictions[slot] is not None))
+        return views
+
+    def _decode_one(self, fetched: FetchedInst, cycle: int) -> Optional[str]:
+        """Predict, steer, plan and dispatch one instruction.
+
+        Returns the stall cause when it cannot dispatch this cycle.
+        The operand plan (§2.1/§2.2) builds each source's
+        :class:`Operand`: a local register read, a local speculation
+        the producer verifies, a demand-generated copy, or a remote
+        speculation a verification-copy verifies.  ``specials`` lists,
+        in slot order, the operands whose rename work waits for
+        dispatch, as (operand, logical, source cluster): copies and
+        verification-copies read the source cluster, a second read of
+        a copied register has none.
+        """
+        dyn = fetched.dyn
+        predictions = self._predictions(dyn)
+        views = self._source_views(dyn, predictions, cycle)
+        cluster_id = self.steerer.choose(views, self.dcount, dyn.pc)
         if self._injector is not None:
             cluster_id = self._injector.flip_steering(
                 cluster_id, self.config.n_clusters, dyn.pc)
-        # Operand plan (see §2.1/§2.2), fused with the slot loop above
-        # gone: decide the handling of each source operand.
-        ready = ready_arrays[cluster_id]
-        plan: List[tuple] = []
-        copy_planned = None                 # logical -> slot of first copy
-        helpers_needed = False
-        for slot, logical in enumerate(srcs):
+        map_rows = self._map_rows
+        ready = self._ready_arrays[cluster_id]
+        clusters = self.clusters
+        operands = []
+        specials = None
+        copied = None               # logical registers copied so far
+        helper_queues = None        # issue queue of each (v)copy
+        for slot, logical in enumerate(dyn.srcs):
             if logical == ZERO_REG:
-                plan.append(("zero",))
-                continue
-            if copy_planned is not None and logical in copy_planned:
-                # Same logical register twice: one copy serves both reads.
-                plan.append(("copy_dup", logical, copy_planned[logical]))
+                operands.append(Operand(MODE_ZERO, None, True, slot))
                 continue
             prediction = predictions[slot]
-            if cluster_id in views[slot].mapped:
-                preg = map_rows[logical][cluster_id]
-                if prediction is not None and ready[preg] > cycle:
-                    # §2.2: source not yet available and confident ->
-                    # dispatch speculatively; the producer verifies.
-                    plan.append(("pred_local", preg, prediction[1],
-                                 prediction[2]))
-                else:
-                    plan.append(("local", preg))
-            elif prediction is not None:
-                # §2.2 extension: operand not mapped here -> predict it
-                # regardless of availability, verify with a vcopy.
-                plan.append(("vcopy", logical, soonest[slot],
-                             prediction[1], prediction[2]))
-                helpers_needed = True
+            preg = map_rows[logical][cluster_id]
+            if preg is not None:
+                if prediction is None or ready[preg] <= cycle:
+                    operands.append(Operand(MODE_LOCAL, preg, True, slot))
+                    continue
+                # §2.2: source not yet available and confident ->
+                # dispatch speculatively; the producer verifies.
+                operand = Operand(MODE_PRED, preg, prediction[1], slot,
+                                  prediction[2])
+                src_cluster = cluster_id
+            elif copied is not None and logical in copied:
+                # Same logical register twice: one copy serves both.
+                operand = Operand(MODE_LOCAL, None, True, slot)
+                src_cluster = None
             else:
-                plan.append(("copy", logical, soonest[slot]))
-                helpers_needed = True
-                if copy_planned is None:
-                    copy_planned = {}
-                copy_planned[logical] = slot
-        # Resource check: inline fast path when only the instruction
-        # itself needs resources; the general accounting lives in
-        # _check_resources.
-        stats = self.stats
-        if helpers_needed:
-            stall = self._check_resources(dyn, cluster_id, plan)
+                src_cluster = views[slot].soonest_cluster
+                source = clusters[src_cluster]
+                if prediction is not None:
+                    # §2.2 extension: operand not mapped here -> predict
+                    # it regardless of availability, verify with a vcopy.
+                    operand = Operand(MODE_PRED, None, prediction[1], slot,
+                                      prediction[2])
+                    queue = source.iq_int
+                else:
+                    operand = Operand(MODE_LOCAL, None, True, slot)
+                    queue = (source.iq_fp if is_fp_reg(logical)
+                             else source.iq_int)
+                    if copied is None:
+                        copied = []
+                    copied.append(logical)
+                if helper_queues is None:
+                    helper_queues = []
+                helper_queues.append(queue)
+            operands.append(operand)
+            if specials is None:
+                specials = []
+            specials.append((operand, logical, src_cluster))
+        cluster = clusters[cluster_id]
+        own_queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
+        if helper_queues is not None:
+            stall = self._check_resources(dyn, cluster_id, specials,
+                                          [own_queue] + helper_queues)
+            if stall is not None:
+                return stall
         else:
-            stall = None
-            if len(self.rob) >= self.config.rob_size:
-                stall = "rob"
-            else:
-                dest = dyn.dest
-                if (dest is not None and dest != ZERO_REG
-                        and not self.renamer.free_count(
-                            cluster_id,
-                            FP_BANK if dyn.dest_fp else INT_BANK)):
-                    stall = "pregs"
-                else:
-                    cluster = self.clusters[cluster_id]
-                    queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
-                    if len(queue._entries) >= queue.capacity:
-                        stall = "iq"
-        if stall is not None:
-            stats.decode_stalls[stall] = (
-                stats.decode_stalls.get(stall, 0) + 1)
-            return False
-        self._dispatch(fetched, cluster_id, plan, cycle)
-        return True
+            dest = dyn.dest
+            if (dest is not None and dest != ZERO_REG
+                    and not self._free_lists[cluster_id][
+                        FP_BANK if dyn.dest_fp else INT_BANK]._free):
+                return "pregs"
+            if len(own_queue._entries) >= own_queue.capacity:
+                return "iq"
+        self._dispatch(fetched, cluster_id, operands, specials, cycle)
+        return None
+
+    def _decode_local(self, fetched: FetchedInst,
+                      cycle: int) -> Optional[str]:
+        """:meth:`_decode_one` for a one-cluster machine.
+
+        Every operand is mapped in the only cluster, so there are no
+        steering views, no steering decision and no copies: each
+        source reads its local register or speculates on a prediction.
+        """
+        dyn = fetched.dyn
+        predictions = self._predictions(dyn)
+        map_rows = self._map_rows
+        ready = self._ready_arrays[0]
+        operands = []
+        specials = None
+        for slot, logical in enumerate(dyn.srcs):
+            if logical == ZERO_REG:
+                operands.append(Operand(MODE_ZERO, None, True, slot))
+                continue
+            preg = map_rows[logical][0]
+            prediction = predictions[slot]
+            if prediction is None or ready[preg] <= cycle:
+                operands.append(Operand(MODE_LOCAL, preg, True, slot))
+                continue
+            operand = Operand(MODE_PRED, preg, prediction[1], slot,
+                              prediction[2])
+            operands.append(operand)
+            if specials is None:
+                specials = []
+            specials.append((operand, logical, 0))
+        dest = dyn.dest
+        if (dest is not None and dest != ZERO_REG
+                and not self._free_lists[0][
+                    FP_BANK if dyn.dest_fp else INT_BANK]._free):
+            return "pregs"
+        cluster = self.clusters[0]
+        queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
+        if len(queue._entries) >= queue.capacity:
+            return "iq"
+        if self._tracer is not None:
+            # The decision is trivial; the steerer is asked only for
+            # the reason the steer event reports.
+            self.steerer.choose(self._source_views(dyn, predictions, cycle),
+                                self.dcount, dyn.pc)
+        self._dispatch(fetched, 0, operands, specials, cycle)
+        return None
 
     def _check_resources(self, dyn: DynInst, cluster_id: int,
-                         plan: Sequence[tuple]) -> Optional[str]:
-        copies = [entry for entry in plan if entry[0] == "copy"]
-        vcopies = [entry for entry in plan if entry[0] == "vcopy"]
-        if not copies and not vcopies:
-            # Fast path: only the instruction itself needs resources —
-            # the overwhelmingly common case once operands are local or
-            # predicted.
-            if len(self.rob) >= self.config.rob_size:
-                return "rob"
-            dest = dyn.dest
-            if dest is not None and dest != ZERO_REG:
-                bank = FP_BANK if dyn.dest_fp else INT_BANK
-                if not self.renamer.free_count(cluster_id, bank):
-                    return "pregs"
-            cluster = self.clusters[cluster_id]
-            queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
-            if len(queue._entries) >= queue.capacity:
-                return "iq"
-            return None
-        rob_needed = 1 + len(copies) + len(vcopies)
-        if len(self.rob) + rob_needed > self.config.rob_size:
+                         specials: list, queues: list) -> Optional[str]:
+        """Stall cause when the instruction and its (v)copies do not fit.
+
+        *queues* holds the issue queue of the instruction and of each
+        copy and verification-copy.
+        """
+        if len(self.rob) + len(queues) > self.config.rob_size:
             return "rob"
         # Free physical registers, per bank, in the consumer cluster
         # (copy replicas land there too).
-        pregs_needed = [0, 0]
-        for entry in copies:
-            pregs_needed[RenameUnit.bank_of(entry[1])] += 1
+        needed = [0, 0]
         if dyn.dest is not None and dyn.dest != ZERO_REG:
-            pregs_needed[RenameUnit.bank_of(dyn.dest)] += 1
-        for bank in (0, 1):
-            if (pregs_needed[bank]
-                    and self.renamer.free_count(cluster_id, bank)
-                    < pregs_needed[bank]):
-                return "pregs"
+            needed[FP_BANK if dyn.dest_fp else INT_BANK] += 1
+        for operand, logical, src_cluster in specials:
+            if operand.mode == MODE_LOCAL and src_cluster is not None:
+                needed[RenameUnit.bank_of(logical)] += 1
+        free = self._free_lists[cluster_id]
+        if (len(free[INT_BANK]._free) < needed[INT_BANK]
+                or len(free[FP_BANK]._free) < needed[FP_BANK]):
+            return "pregs"
         # Issue-queue space: the instruction in its cluster/side, each
         # (v)copy in its source cluster on the value's side.
-        iq_needed: Dict[Tuple[int, bool], int] = {}
-        own = (cluster_id, dyn.is_int)
-        iq_needed[own] = 1
-        for entry in copies:
-            key = (entry[2], not is_fp_reg(entry[1]))
-            iq_needed[key] = iq_needed.get(key, 0) + 1
-        for entry in vcopies:
-            key = (entry[2], True)
-            iq_needed[key] = iq_needed.get(key, 0) + 1
-        for (cid, int_side), count in iq_needed.items():
-            if self.clusters[cid].iq_for(int_side).space_left() < count:
+        for queue in queues:
+            if queue.capacity - len(queue._entries) < queues.count(queue):
                 return "iq"
         return None
 
     def _dispatch(self, fetched: FetchedInst, cluster_id: int,
-                  plan: Sequence[tuple], cycle: int) -> None:
+                  operands: list, specials: Optional[list],
+                  cycle: int) -> None:
+        """Rename and dispatch a planned instruction and its helpers."""
         dyn = fetched.dyn
         min_issue = cycle + 1 + self.config.extra_rename_cycles
-        uop = Uop(KIND_INST, dyn, 0, cluster_id, dyn.is_int, dyn.opclass)
-        uop.min_issue_cycle = min_issue
+        uop = Uop(KIND_INST, dyn, 0, cluster_id, dyn.is_int, dyn.opclass,
+                  operands, min_issue)
         uop.mispredicted_branch = fetched.mispredicted
-        operands = uop.operands
         stats = self.stats
-        helpers = None
-        for slot, entry in enumerate(plan):
-            kind = entry[0]
-            if kind == "local":
-                operands.append(Operand(MODE_LOCAL, entry[1], slot=slot))
-            elif kind == "zero":
-                operands.append(Operand(MODE_ZERO, slot=slot))
-            elif kind == "pred_local":
-                _, preg, correct, injected = entry
-                operand = Operand(MODE_PRED, preg, correct, slot=slot,
-                                  injected=injected)
-                operands.append(operand)
-                if injected:
-                    self._injector.note_value_injected(dyn.pc, slot)
-                stats.speculative_operands += 1
-                if not correct:
-                    stats.mispredicted_operands += 1
-                if self._oracle:
-                    operand.verified = True
-                else:
-                    uop.unverified += 1
-                    self._register_verification(cluster_id, preg, uop,
-                                                operand, cycle)
-            elif kind == "copy":
-                _, logical, src_cluster = entry
-                if helpers is None:
-                    helpers = []
-                helpers.append(self._make_copy(logical, src_cluster,
-                                               cluster_id, uop, slot,
-                                               min_issue))
-            elif kind == "copy_dup":
-                # Second read of a logical register already being copied
-                # by this instruction: share the replica.
-                _, logical, first_slot = entry
-                operands.append(Operand(
-                    MODE_LOCAL, operands[first_slot].preg, slot=slot))
-            else:  # vcopy
-                _, logical, src_cluster, correct, injected = entry
-                operand = Operand(MODE_PRED, None, correct, slot=slot,
-                                  injected=injected)
-                operands.append(operand)
-                if injected:
-                    self._injector.note_value_injected(dyn.pc, slot)
-                stats.speculative_operands += 1
-                if not correct:
-                    stats.mispredicted_operands += 1
-                if self._oracle:
-                    operand.verified = True
-                else:
-                    uop.unverified += 1
-                    if helpers is None:
-                        helpers = []
-                    helpers.append(self._make_vcopy(logical, src_cluster,
-                                                    uop, operand, min_issue))
         clusters = self.clusters
-        # Destination rename (Figure 1).
-        if dyn.dest is not None and dyn.dest != ZERO_REG:
-            preg, previous = self.renamer.define_dest(dyn.dest, cluster_id)
+        map_rows = self._map_rows
+        helpers = None
+        # The rename work planned at decode, in slot order: speculative
+        # operands are verified by their producer (local) or by a
+        # verification-copy (remote); copies get their replica here.
+        for operand, logical, src_cluster in specials or ():
+            if operand.mode == MODE_PRED:
+                if operand.injected:
+                    self._injector.note_value_injected(dyn.pc, operand.slot)
+                stats.speculative_operands += 1
+                if not operand.correct:
+                    stats.mispredicted_operands += 1
+                if self._oracle:
+                    operand.verified = True
+                    continue
+                uop.unverified += 1
+                if operand.preg is not None:
+                    self._register_verification(cluster_id, operand.preg,
+                                                uop, operand, cycle)
+                    continue
+                helper = Uop(KIND_VCOPY, dyn, 0, src_cluster, True, None)
+                helper.consumer = uop
+                helper.consumer_operand = operand
+                stats.dispatched_vcopies += 1
+            elif src_cluster is None:
+                # Second read of a register this instruction copies:
+                # share the replica.
+                operand.preg = map_rows[logical][cluster_id]
+                continue
+            else:
+                helper = Uop(KIND_COPY, dyn, 0, src_cluster,
+                             not is_fp_reg(logical), None)
+                replica = self.renamer.alloc_replica(logical, cluster_id)
+                operand.preg = helper.dest_preg = replica
+                helper.dest_cluster = cluster_id
+                clusters[cluster_id].regfile.set_pending(replica, helper)
+                stats.dispatched_copies += 1
+            helper.min_issue_cycle = min_issue
+            helper.operands.append(Operand(
+                MODE_LOCAL, map_rows[logical][src_cluster], True,
+                operand.slot))
+            if helpers is None:
+                helpers = []
+            helpers.append(helper)
+        # Destination rename (Figure 1), RenameUnit.define_dest inlined:
+        # a free register of the bank becomes the only valid mapping,
+        # and the previous mapping set is freed when this one commits.
+        dest = dyn.dest
+        if dest is not None and dest != ZERO_REG:
+            bank = FP_BANK if dyn.dest_fp else INT_BANK
+            free = self._free_lists[cluster_id][bank]
+            index = free._free.popleft()
+            free._allocated[index] = True
+            preg = index + bank * self.config.pregs_per_cluster
+            row = map_rows[dest]
+            previous = []
+            for c, mapped in enumerate(row):
+                if mapped is not None:
+                    previous.append((c, mapped))
+                    row[c] = None
+            row[cluster_id] = preg
+            self._mapped_lists[dest] = self._single_lists[cluster_id]
+            self._mapped_sets[dest] = self._single_sets[cluster_id]
             uop.dest_preg = preg
             uop.dest_cluster = cluster_id
             uop.free_on_commit = previous
-            clusters[cluster_id].regfile.set_pending(preg, uop)
+            self._ready_arrays[cluster_id][preg] = NEVER
+            clusters[cluster_id].regfile.producer[preg] = uop
         # Helpers precede the instruction in dispatch (and ROB) order.
         # Issue-queue insertion is IssueQueue.dispatch() inlined: append
         # plus a next_try lower-bound update.
@@ -1324,8 +1288,8 @@ class Processor:
                 queue = hcluster.iq_int if helper.int_side else hcluster.iq_fp
                 helper.iq = queue
                 queue._entries.append(helper)
-                if helper.min_issue_cycle < queue.next_try:
-                    queue.next_try = helper.min_issue_cycle
+                if min_issue < queue.next_try:
+                    queue.next_try = min_issue
                 if tracer is not None:
                     tracer.counts[EV_DISPATCH] += 1
                     tracer.emit((cycle, EV_DISPATCH, helper.order,
@@ -1379,30 +1343,3 @@ class Processor:
             # the verification ourselves.
             self._schedule(max(cycle + 1, producer.complete_cycle + 1),
                            (_EV_VERIFY, producer, producer.generation))
-
-    def _make_copy(self, logical: int, src_cluster: int, dst_cluster: int,
-                   consumer: Uop, slot: int, min_issue: int) -> Uop:
-        src_preg = self.renamer.mapping(logical, src_cluster)
-        replica = self.renamer.alloc_replica(logical, dst_cluster)
-        int_side = not is_fp_reg(logical)
-        copy = Uop(KIND_COPY, consumer.dyn, 0, src_cluster, int_side, None)
-        copy.min_issue_cycle = min_issue
-        copy.operands.append(Operand(MODE_LOCAL, src_preg, slot=slot))
-        copy.dest_preg = replica
-        copy.dest_cluster = dst_cluster
-        self.clusters[dst_cluster].regfile.set_pending(replica, copy)
-        consumer.operands.append(Operand(MODE_LOCAL, replica, slot=slot))
-        self.stats.dispatched_copies += 1
-        return copy
-
-    def _make_vcopy(self, logical: int, src_cluster: int, consumer: Uop,
-                    operand: Operand, min_issue: int) -> Uop:
-        src_preg = self.renamer.mapping(logical, src_cluster)
-        vcopy = Uop(KIND_VCOPY, consumer.dyn, 0, src_cluster, True, None)
-        vcopy.min_issue_cycle = min_issue
-        vcopy.operands.append(Operand(MODE_LOCAL, src_preg,
-                                      slot=operand.slot))
-        vcopy.consumer = consumer
-        vcopy.consumer_operand = operand
-        self.stats.dispatched_vcopies += 1
-        return vcopy

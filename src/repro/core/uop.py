@@ -117,7 +117,9 @@ class Uop:
 
     def __init__(self, kind: int, dyn: Optional[DynInst], order: int,
                  cluster: int, int_side: bool,
-                 opclass: Optional[OpClass]) -> None:
+                 opclass: Optional[OpClass],
+                 operands: Optional[List[Operand]] = None,
+                 min_issue_cycle: int = 0) -> None:
         self.kind = kind
         self.dyn = dyn
         self.order = order
@@ -131,14 +133,15 @@ class Uop:
             self.is_load = False
             self.is_store = False
         self.iq = None
-        self.operands: List[Operand] = []
+        self.operands: List[Operand] = ([] if operands is None
+                                         else operands)
         self.dest_preg: Optional[int] = None
         self.dest_cluster: Optional[int] = None
         self.state = STATE_WAITING
         self.generation = 0
         self.issue_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
-        self.min_issue_cycle = 0
+        self.min_issue_cycle = min_issue_cycle
         self.unverified = 0
         self.readers: List["Uop"] = []
         self.verify_list: List[Tuple["Uop", Operand]] = []

@@ -12,7 +12,7 @@ and attributes the elapsed time to one of the phases:
 ``issue``    per-cluster wakeup/select and NREADY metering
 ``decode``   value prediction, steering, rename, dispatch
 ``fetch``    front-end buffer refill
-``other``    per-cycle bookkeeping (FU pool reset, pruning, sampling)
+``other``    per-cycle bookkeeping (interval sampling, pruning)
 
 With no profiler installed the run loop contains no timing calls at
 all — the disabled path costs nothing.
@@ -41,9 +41,6 @@ class PhaseProfiler:
 
     def add(self, phase: str, seconds: float) -> None:
         self.seconds[phase] += seconds
-
-    def note_cycle(self) -> None:
-        self.cycles += 1
 
     @property
     def attributed_seconds(self) -> float:

@@ -93,6 +93,8 @@ class ValuePredictor:
 
         Semantically identical to ``predict`` followed by ``update``;
         implementations may override it to do both in one table walk.
+        The core only unpacks the result as ``(value, confident)``, so
+        an override may return a plain tuple.
         """
         prediction = self.predict(pc, slot, actual)
         self.update(pc, slot, actual)

@@ -25,6 +25,8 @@ configurations of Figure 5.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..errors import ConfigError
 from .base import Prediction, ValuePredictor
 
@@ -93,11 +95,15 @@ class StridePredictor(ValuePredictor):
         self._prev_stride[index] = new_stride
         self._last[index] = actual
 
-    def predict_update(self, pc: int, slot: int, actual: int) -> Prediction:
+    def predict_update(self, pc: int, slot: int,
+                       actual: int) -> Tuple[int, bool]:
         """Fused lookup + two-delta training in a single table walk.
 
         Exactly ``predict`` followed by ``update`` (the two read the
-        same entry), folded together for the decode hot path.
+        same entry), folded together for the decode hot path, which
+        unpacks the result: it is a plain ``(value, confident)`` tuple,
+        because building a :class:`Prediction` costs about as much as
+        the table walk.
         """
         index = (((pc >> 2) << 1) | (slot & 1)) & self._mask
         last = self._last[index]
@@ -128,7 +134,7 @@ class StridePredictor(ValuePredictor):
                 self._counter[index] = counter - 1
         self._prev_stride[index] = new_stride
         self._last[index] = actual
-        return Prediction(predicted, confident)
+        return predicted, confident
 
     def trainer(self, pc: int, slot: int):
         """A pre-bound ``train(actual)`` closure for one static operand.

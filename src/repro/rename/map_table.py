@@ -32,6 +32,10 @@ class MapTable:
         self._mapped_cache: List[Optional[List[int]]] = [None] * n_logical
         self._mapped_sets: List[Optional[FrozenSet[int]]] = (
             [None] * n_logical)
+        # A freshly defined register is mapped in one cluster only; its
+        # views are these shared entries, so no define leaves a miss.
+        self._single_lists = [[c] for c in range(n_clusters)]
+        self._single_sets = [frozenset((c,)) for c in range(n_clusters)]
 
     # -- queries --------------------------------------------------------------
 
@@ -87,8 +91,8 @@ class MapTable:
         for c in range(self.n_clusters):
             row[c] = None
         row[cluster] = preg
-        self._mapped_cache[logical] = None
-        self._mapped_sets[logical] = None
+        self._mapped_cache[logical] = self._single_lists[cluster]
+        self._mapped_sets[logical] = self._single_sets[cluster]
         return previous
 
     def add_replica(self, logical: int, cluster: int, preg: int) -> None:

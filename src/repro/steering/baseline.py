@@ -29,7 +29,7 @@ Thresholds come from the paper: Baseline rule 1 uses DCOUNT=32 / 16 for
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .base import SourceView, Steerer
 from .metrics import DCountTracker
@@ -94,7 +94,7 @@ class RMBSSteerer(Steerer):
     # -- rule 2 -----------------------------------------------------------------
 
     def _communication_candidates(self, sources: Sequence[SourceView],
-                                  mod2: bool) -> Tuple[List[int], str]:
+                                  mod2: bool) -> Tuple[Collection[int], str]:
         """Rule-2 candidate set plus the decision class that produced it.
 
         Reasons: "pending" (rule 2.1), "mapped" (rule 2.2),
@@ -106,7 +106,8 @@ class RMBSSteerer(Steerer):
         tallies collapse to closed forms — two pending votes agree or
         tie, two mapped sets vote for their intersection when it is
         non-empty and their union otherwise — so the decode hot path
-        runs allocation-light set arithmetic instead of vote dicts.
+        runs allocation-light set arithmetic instead of vote dicts, and
+        hands the map table's cached sets to rule 3 without copying.
         The candidate *order* may differ from the dict tally, which is
         immaterial: rule 3's least-loaded pick is order-invariant.
         """
@@ -141,25 +142,24 @@ class RMBSSteerer(Steerer):
                         pend_b = soonest
         if pend_a is not None:
             if pend_b is None or pend_b == pend_a:
-                return [pend_a], "pending"
-            return [pend_a, pend_b], "pending"
+                return (pend_a,), "pending"
+            return (pend_a, pend_b), "pending"
         if map_a is not None:
             if map_b is None:
-                return list(map_a), "mapped"
-            inter = map_a & map_b
-            return list(inter if inter else map_a | map_b), "mapped"
+                return map_a, "mapped"
+            return (map_a & map_b) or (map_a | map_b), "mapped"
         if relevant and not mod2_applies:
             # Operands exist but none is mapped anywhere useful (only
             # possible for always-available zero-register operands,
             # which carry no mapping): no constraint.
-            return list(self.all_clusters()), "unconstrained"
+            return self.all_clusters(), "unconstrained"
         # Rule 2.3 (no sources), or every operand released by mod 2.
-        return list(self.all_clusters()), (
+        return self.all_clusters(), (
             "mod2-all" if mod2_applies else "no-sources")
 
     def _communication_candidates_general(
             self, sources: Sequence[SourceView],
-            mod2: bool) -> Tuple[List[int], str]:
+            mod2: bool) -> Tuple[Collection[int], str]:
         """Dict-tally fallback for hypothetical >2-operand sources."""
         # Plain dicts, not Counters: vote keys arrive in first-vote
         # order either way (Counter is a dict subclass), and Counter's
@@ -187,8 +187,8 @@ class RMBSSteerer(Steerer):
         if relevant and mapped_votes:
             return self._argmax(mapped_votes), "mapped"
         if relevant and not mapped_votes and not mod2_applies:
-            return list(self.all_clusters()), "unconstrained"
-        return list(self.all_clusters()), (
+            return self.all_clusters(), "unconstrained"
+        return self.all_clusters(), (
             "mod2-all" if mod2_applies else "no-sources")
 
     @staticmethod

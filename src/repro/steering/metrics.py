@@ -13,7 +13,7 @@ we.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 __all__ = ["DCountTracker", "NReadyMeter"]
 
@@ -68,12 +68,19 @@ class DCountTracker:
                 best = c
         return best
 
-    def least_loaded_among(self, candidates: Sequence[int]) -> int:
-        """Least-loaded cluster restricted to *candidates*."""
-        if len(candidates) == 1:
-            return candidates[0]
+    def least_loaded_among(self, candidates: Iterable[int]) -> int:
+        """Least-loaded cluster restricted to *candidates* (ties break
+        to the lowest id; any order of a non-empty iterable)."""
         counters = self._raw
-        return min(candidates, key=lambda c: (counters[c], c))
+        best = -1
+        best_count = 0
+        for c in candidates:
+            count = counters[c]
+            if (best < 0 or count < best_count
+                    or (count == best_count and c < best)):
+                best = c
+                best_count = count
+        return best
 
 
 class NReadyMeter:
@@ -111,12 +118,14 @@ class NReadyMeter:
 
     @staticmethod
     def _match(leftover: Sequence[int], idle: Sequence[int]) -> int:
-        stuck = sum(leftover)
-        if not stuck:
-            return 0
-        usable_idle = sum(idle[c] for c in range(len(idle))
-                          if leftover[c] == 0)
-        return min(stuck, usable_idle)
+        stuck = 0
+        usable_idle = 0
+        for c, left in enumerate(leftover):
+            if left:
+                stuck += left
+            else:
+                usable_idle += idle[c]
+        return stuck if stuck < usable_idle else usable_idle
 
     @property
     def average(self) -> float:

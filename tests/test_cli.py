@@ -283,6 +283,8 @@ class TestSampledSimulateCli:
         ["--sample-interval", "100", "--sample-warmup", "100"],
         ["--sample-interval", "500", "--samples", "0"],
         ["--checkpoint-dir", "/tmp/x"],          # without sampling
+        ["--samples", "4", "--sample-warmup", "50"],
+        ["--sample-warmup", "50"],
     ])
     def test_bad_sampling_flags_are_usage_errors(self, extra, capsys):
         code = main(["simulate", "cjpeg", "--length", "40000"] + extra)

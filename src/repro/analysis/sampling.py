@@ -1,14 +1,14 @@
 """SimPoint/SMARTS-style interval sampling over the detailed model.
 
-The detailed loop retires ~20k insts/s (PERFORMANCE.md); honest
-million-instruction runs therefore cannot simulate every instruction
-in detail.  This module stitches whole-run estimates out of short
-detailed windows:
+The detailed loop retires ~18-46k insts/s, depending on the
+configuration (docs/PERFORMANCE.md); honest million-instruction runs
+therefore cannot simulate every instruction in detail.  This module
+stitches whole-run estimates out of short detailed windows:
 
-1. **Fast-forward** — the functional executor's compiled ``skip`` path
-   advances architectural state (registers + memory) at several
-   million insts/s, >100× detailed speed, without building
-   :class:`DynInst` records.
+1. **Fast-forward** — the functional executor's ``skip`` path, compiled
+   one basic block at a time, advances architectural state (registers
+   + memory) at ~4-6 million insts/s, ~100× detailed speed, without
+   building :class:`DynInst` records.
 2. **Functional warming** (``warm_predictors=True``, the default) —
    one set of value-predictor / branch-predictor / BTB / cache
    objects is shared by every sample window *and trained continuously
@@ -87,9 +87,9 @@ class SamplingConfig:
         warm_predictors: train one shared set of predictor/BTB/cache
             objects continuously during fast-forward (and across
             windows), so every window opens with the state an
-            uninterrupted run would have.  Costs ~4-6× plain
-            fast-forward speed and forgoes checkpoint *reuse*; turning
-            it off trades IPC accuracy for cross-configuration
+            uninterrupted run would have.  Makes fast-forward ~3-5×
+            slower per instruction and forgoes checkpoint *reuse*;
+            turning it off trades IPC accuracy for cross-configuration
             checkpoint sharing.
     """
 
@@ -306,12 +306,13 @@ class _WarmState:
     One value predictor, direction predictor, BTB, and memory
     hierarchy are built from the processor configuration, trained
     continuously during fast-forward (through the executor's compiled
-    hooks) and *adopted* by each window's processor in place of its
-    own cold instances.  The stream these components observe —
-    fast-forward training between windows, real front-end/decode
-    traffic inside them — is the same committed instruction stream an
-    uninterrupted detailed run would have shown them, so each window
-    opens with faithfully warmed microarchitectural state.
+    hooks) and handed to each window's processor
+    (``Processor(..., shared=...)``) in place of the cold instances it
+    would build.  The stream these components observe — fast-forward
+    training between windows, real front-end/decode traffic inside
+    them — is the same committed instruction stream an uninterrupted
+    detailed run would have shown them, so each window opens with
+    faithfully warmed microarchitectural state.
     """
 
     def __init__(self, config: ProcessorConfig) -> None:
@@ -329,21 +330,10 @@ class _WarmState:
         executor.set_train_hooks(
             value=self.vp.update, branch=self.bpred.update,
             target=self.btb.update if self.btb is not None else None,
-            mem=self.memory.data_latency,
-            code=self.memory.fetch_latency,
+            mem=self.memory.l1d.access,
+            code=self.memory.l1i.access,
             value_factory=getattr(self.vp, "trainer", None),
             branch_factory=getattr(self.bpred, "trainer", None))
-
-    def adopt(self, processor: Processor) -> None:
-        """Swap this shared state into a freshly built *processor*."""
-        processor.vp = self.vp
-        processor.bpred = self.bpred
-        processor.btb = self.btb
-        processor.memory = self.memory
-        fetch = processor.fetch
-        fetch._bpred = self.bpred
-        fetch._btb = self.btb
-        fetch._icache_access = self.memory.fetch_latency
 
 
 def _seeded_golden(executor: FunctionalExecutor, config: ProcessorConfig):
@@ -438,10 +428,9 @@ def simulate_sampled(workload, config: ProcessorConfig,
             break
 
         golden = _seeded_golden(executor, config) if check else None
-        processor = Processor(config, executor.run(), golden=golden)
+        processor = Processor(config, executor.run(), golden=golden,
+                              shared=warm)
         processor.trace_executor = executor
-        if warm is not None:
-            warm.adopt(processor)
 
         base_insts = processor.stats.committed_insts
         processor.run_until(max_insts=sampling.warmup)

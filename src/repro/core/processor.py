@@ -135,6 +135,11 @@ class Processor:
             stages emit typed events into it (docs/OBSERVABILITY.md).
         profiler: optional :class:`~repro.obs.PhaseProfiler`; the run
             loop attributes host wall-clock to its pipeline stages.
+        shared: optional object whose ``vp``, ``bpred``, ``btb`` and
+            ``memory`` replace the cold value predictor, branch
+            predictor, BTB and memory hierarchy this processor would
+            build; sampled simulation passes the state its functional
+            warming trains (:mod:`repro.analysis.sampling`).
 
     All three observers are strictly read-only: with any combination
     installed, the committed instruction stream and every ``SimStats``
@@ -143,7 +148,7 @@ class Processor:
 
     def __init__(self, config: ProcessorConfig, trace, *,
                  golden=None, injector=None, tracer=None,
-                 profiler=None) -> None:
+                 profiler=None, shared=None) -> None:
         config.validate()
         if injector is not None and config.predictor == "perfect":
             raise ConfigError(
@@ -162,10 +167,17 @@ class Processor:
         self.stats.dispatch_per_cluster = [0] * config.n_clusters
         self.stats.issued_per_cluster = [0] * config.n_clusters
         self.stats.iq_occupancy_sum = [0] * config.n_clusters
-        self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
-        self.bpred = CombinedPredictor()
-        self.btb = (BranchTargetBuffer(config.btb_entries)
-                    if config.btb_entries else None)
+        if shared is None:
+            self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
+            self.bpred = CombinedPredictor()
+            self.btb = (BranchTargetBuffer(config.btb_entries)
+                        if config.btb_entries else None)
+            self.vp = _build_predictor(config)
+        else:
+            self.memory = shared.memory
+            self.bpred = shared.bpred
+            self.btb = shared.btb
+            self.vp = shared.vp
         self.fetch = FetchEngine(trace, self.memory.fetch_latency,
                                  self.bpred, width=config.fetch_width,
                                  buffer_capacity=config.fetch_buffer,
@@ -186,7 +198,6 @@ class Processor:
                                          config.comm_paths_per_cluster,
                                          fault_injector=injector)
         self.interconnect.tracer = tracer
-        self.vp = _build_predictor(config)
         self._vp_enabled = config.predictor != "none"
         # The perfect predictor is the paper's idealized upper bound
         # (§3.3): predictions are free and always right, so no
@@ -229,8 +240,7 @@ class Processor:
         self._zero_view = SourceView(ZERO_REG, False, True, frozenset(),
                                      None, False)
         self.cycle = 0
-        self.watchdog = PipelineWatchdog(config.deadlock_cycles,
-                                         self.pipeline_snapshot)
+        self.watchdog = PipelineWatchdog(config.deadlock_cycles)
 
     # ------------------------------------------------------------------ run --
 
@@ -580,7 +590,7 @@ class Processor:
         if retired:
             self.watchdog.note_commit(cycle)
         else:
-            self.watchdog.check(cycle)
+            self.watchdog.check(cycle, self.pipeline_snapshot)
 
     # ----------------------------------------------------------------- issue --
 

@@ -13,7 +13,6 @@ sequences behave like the Alpha integers the paper's predictor saw.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional
 
 from .instruction import DynInst, Instruction
@@ -36,6 +35,22 @@ class ExecutionError(RuntimeError):
     """Raised when a program misbehaves (bad PC, runaway execution...)."""
 
 
+def _div(a: int, b: int) -> int:
+    """Truncating (C-style) division wrapped to 64 bits; ``x / 0`` is 0."""
+    if not b:
+        return 0
+    q = abs(a) // abs(b)
+    return _wrap64(q if (a < 0) == (b < 0) else -q)
+
+
+def _rem(a: int, b: int) -> int:
+    """Remainder of :func:`_div`, with the dividend's sign; ``x % 0`` is 0."""
+    if not b:
+        return 0
+    r = abs(a) % abs(b)
+    return _wrap64(-r if a < 0 else r)
+
+
 def _int_binops() -> Dict[str, Callable[[int, int], int]]:
     return {
         "add": lambda a, b: _wrap64(a + b),
@@ -51,8 +66,8 @@ def _int_binops() -> Dict[str, Callable[[int, int], int]]:
         "min": lambda a, b: a if a < b else b,
         "max": lambda a, b: a if a > b else b,
         "mul": lambda a, b: _wrap64(a * b),
-        "div": lambda a, b: _wrap64(int(a / b)) if b else 0,
-        "rem": lambda a, b: _wrap64(a - int(a / b) * b) if b else 0,
+        "div": _div,
+        "rem": _rem,
     }
 
 
@@ -142,18 +157,17 @@ class FunctionalExecutor:
         self.seq: int = 0
         self.halted: bool = False
         self._int_ops = _int_binops()
-        self._compiled: Optional[List[Callable[[], int]]] = None
         self._train_hooks: Optional[tuple] = None
-        self._trained: Optional[List[Callable[[], int]]] = None
+        self._code: Optional[_BlockCode] = None
 
     # -- pickling -------------------------------------------------------------
 
     #: Derived attributes rebuilt on restore: the binop table holds
-    #: lambdas, the compiled fast-forward tables close over the live
-    #: register lists, and the training hooks reference external
-    #: predictor objects — none pickle, all are rebuilt (or, for hooks,
-    #: reinstalled by the caller) after restore.
-    _UNPICKLED = ("_int_ops", "_compiled", "_train_hooks", "_trained")
+    #: lambdas, the compiled fast-forward blocks are generated code over
+    #: the live register lists, and the training hooks reference
+    #: external predictor objects — none pickle, all are rebuilt (or,
+    #: for hooks, reinstalled by the caller) after restore.
+    _UNPICKLED = ("_int_ops", "_train_hooks", "_code")
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -164,9 +178,8 @@ class FunctionalExecutor:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._int_ops = _int_binops()
-        self._compiled = None
         self._train_hooks = None
-        self._trained = None
+        self._code = None
 
     # -- register helpers ------------------------------------------------------
 
@@ -278,7 +291,7 @@ class FunctionalExecutor:
             self.seq = seq + 1
             self.pc = next_pc
             yield DynInst(seq, pc, op, dest, srcs, src_values, result,
-                          mem_addr, taken, target)
+                          mem_addr, taken, target, inst)
             seq += 1
             pc = next_pc
 
@@ -290,37 +303,47 @@ class FunctionalExecutor:
 
         Architectural effects (registers, memory, ``pc``/``seq``) are
         bit-identical to consuming the same instructions from
-        :meth:`run`; no :class:`DynInst` records are built, which is
-        what makes this the ≥10×-detailed fast-forward engine behind
-        sampled simulation.  Stops early at ``halt`` or the
-        ``max_instructions`` cap, exactly like :meth:`run`.
+        :meth:`run`; no :class:`DynInst` records are built.  Every basic
+        block that fits in the remaining count runs as one compiled
+        function (:class:`_BlockCode`); mid-block resumes, the tail,
+        ``halt`` and off-segment PCs single-step through one-instruction
+        functions from the same generator.  Stops early at ``halt`` or
+        the ``max_instructions`` cap, exactly like :meth:`run`.
         """
         if self.halted or count <= 0:
             return 0
-        n = min(count, self.max_instructions - self.seq)
-        if n <= 0:
+        left = min(count, self.max_instructions - self.seq)
+        if left <= 0:
             return 0
-        if self._train_hooks is not None:
-            table = self._trained
-            if table is None:
-                table = self._trained = self._compile_train()
-        else:
-            table = self._compiled
-            if table is None:
-                table = self._compiled = self._compile()
+        code = self._code
+        if code is None:
+            code = self._code = _BlockCode(self.program, self.int_regs,
+                                           self.fp_regs, self._train_hooks)
+        lengths, blocks, steps = code.lengths, code.blocks, code.steps
         base = self.program.code_base
         idx = (self.pc - base) // INSTRUCTION_BYTES
-        if not 0 <= idx < len(table):
+        if not 0 <= idx < len(steps):
             raise ExecutionError(f"PC out of code segment: {self.pc:#x}")
-        done = 0
-        while done < n:
-            nxt = table[idx]()
+        todo = left
+        while todo:
+            n = lengths[idx]
+            if 0 < n <= todo:
+                block = blocks[idx]
+                if block is None:
+                    block = blocks[idx] = code.build(idx, idx + n)
+                idx = block()
+                todo -= n
+                continue
+            step = steps[idx]
+            if step is None:
+                step = steps[idx] = code.build(idx, idx + 1)
+            nxt = step()
             if nxt < 0:  # halt: pc stays on the halt instruction
-                idx = -nxt - 1
                 self.halted = True
                 break
             idx = nxt
-            done += 1
+            todo -= 1
+        done = left - todo
         self.pc = base + idx * INSTRUCTION_BYTES
         self.seq += done
         return done
@@ -337,7 +360,8 @@ class FunctionalExecutor:
         stage would, so microarchitectural predictor state can be
         trained continuously at compiled speed (SMARTS-style functional
         warming).  Architectural effects are unchanged — the hooks only
-        read state.
+        read state.  Per instruction they fire in this order: *code*,
+        *value* (slot order), *mem*, *branch*, *target*.
 
         Args:
             value: ``(pc, slot, actual)`` per integer source operand,
@@ -352,7 +376,9 @@ class FunctionalExecutor:
                 touch.
             code: ``(pc)`` on each fetch-line change (the same
                 ``pc >> 5`` granularity the fetch engine tracks), the
-                I-cache touch.
+                I-cache touch.  The line tracker persists across
+                :meth:`skip` calls and is consulted only where a line
+                starts or a cross-line branch or jump lands.
             value_factory: optional ``factory(pc, slot) -> train(actual)``
                 pre-binding the value hook per static operand (e.g.
                 :meth:`repro.predictor.StridePredictor.trainer`); used
@@ -372,338 +398,205 @@ class FunctionalExecutor:
         else:
             self._train_hooks = (value, branch, target, mem, code,
                                  value_factory, branch_factory)
-        self._trained = None
+        self._code = None
 
-    def _compile_train(self) -> List[Callable[[], int]]:
-        """Wrap the compiled table with the installed training hooks.
 
-        Instructions that train nothing (``nop``, fp-only arithmetic)
-        keep their plain closure, so the overhead is paid only where a
-        hook actually fires.  Branches re-evaluate their condition via
-        the shared :data:`_BRANCH_TESTS` table (the same functions
-        :meth:`run` uses), so the trained and plain paths cannot drift.
-        """
-        (value, branch, target, mem, code,
-         value_factory, branch_factory) = self._train_hooks
-        plain = self._compiled
-        if plain is None:
-            plain = self._compiled = self._compile()
-        program = self.program
-        ir = self.int_regs
-        base = program.code_base
-        size = len(program)
-        imin, wrap = _INT_MIN, _WRAP
-        table: List[Callable[[], int]] = []
-        # Fetch-line tracker shared by every closure, mirroring the
-        # fetch engine's ``_last_line``: the I-cache is touched once
-        # per line *transition*, not per instruction.  Every control
-        # transfer in the ISA carries a static target, so the set of
-        # instructions where a transition can *happen* is statically
-        # known — only those pay the runtime line check: an
-        # instruction whose sequential predecessor sits on a different
-        # line, or the target of a cross-line branch/jump.
-        line_cell = [None]
-        needs_line_check = [False] * size
-        prev_line = None
-        for i in range(size):
-            inst = program.at(base + i * INSTRUCTION_BYTES)
+#: Wraps the temporary ``x`` to signed 64 bits; the range test keeps the
+#: call to :func:`_wrap64` (``w``) off the common in-range path.
+_WRAP_X = "if not -0x8000000000000000 <= x < 0x8000000000000000: x = w(x)"
+
+#: Register-writing operations as source expressions over the operands
+#: ``{a}``/``{b}`` (``{b}`` is the immediate for immediate forms), and
+#: whether the result wraps to 64 bits: :meth:`FunctionalExecutor.run`'s
+#: semantics, written out for the block compiler.
+_EXPRS = {
+    "add": ("{a} + {b}", True), "sub": ("{a} - {b}", True),
+    "mul": ("{a} * {b}", True), "sll": ("{a} << ({b} & 63)", True),
+    "and": ("{a} & {b}", False), "or": ("{a} | {b}", False),
+    "xor": ("{a} ^ {b}", False),
+    "srl": ("({a} % 0x10000000000000000) >> ({b} & 63)", False),
+    "sra": ("{a} >> ({b} & 63)", False),
+    "slt": ("1 if {a} < {b} else 0", False),
+    "sltu": ("1 if {a} % 0x10000000000000000 < {b} % 0x10000000000000000"
+             " else 0", False),
+    "min": ("{a} if {a} < {b} else {b}", False),
+    "max": ("{a} if {a} > {b} else {b}", False),
+    "div": ("_div({a}, {b})", False), "rem": ("_rem({a}, {b})", False),
+    "li": ("{b}", False), "la": ("{b}", False),
+    "mov": ("{a}", False), "fmov": ("{a}", False),
+    "fadd": ("{a} + {b}", False), "fsub": ("{a} - {b}", False),
+    "fmul": ("{a} * {b}", False), "fdiv": ("{a} / {b} if {b} else 0.0", False),
+    "feq": ("1 if {a} == {b} else 0", False),
+    "flt": ("1 if {a} < {b} else 0", False),
+    "fle": ("1 if {a} <= {b} else 0", False),
+    "fneg": ("-{a}", False), "cvtif": ("float({a})", False),
+    "cvtfi": ("int({a})", True),
+}
+
+#: Loaded value as an expression over the fetched word ``g(x, 0)``.
+_LOADS = {"lw": ("int(g(x, 0))", True), "lb": ("int(g(x, 0)) & 0xFF", False),
+          "flw": ("float(g(x, 0))", False)}
+
+_BRANCH_CMP = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
+
+
+def _reg(rid: int) -> str:
+    """Source expression naming register *rid* in generated code."""
+    return f"r[{rid}]" if rid < FP_BASE else f"f[{rid - FP_BASE}]"
+
+
+class _BlockCode:
+    """One executor's fast-forward code for one hook set, built lazily.
+
+    ``lengths[i]`` is the length of the basic block that starts at
+    static index ``i``: 0 inside a block, at ``halt`` and at the
+    off-segment sentinel ``size``.  Blocks end after a branch or jump,
+    before a branch target, and before ``halt``.  ``blocks[i]`` holds
+    that block's compiled function once it has run, ``steps[i]``
+    instruction ``i``'s one-instruction function; each returns the next
+    static index (``-1 - i`` for a ``halt``).  Every function is
+    compiled on first use from its own source, so only code that runs
+    is compiled and no compile call covers more than one block.
+
+    Generated code applies, per instruction, the installed hooks in
+    :meth:`FunctionalExecutor.set_train_hooks` order and then the
+    architectural write.  Its globals (``ns``) are the live register
+    lists, the memory image, the hooks, per-site trainers and the
+    fetch-line tracker ``L``; the compiled functions themselves are
+    popped out of ``ns`` so it never references them (a namespace
+    holding its own functions is a reference cycle that keeps the hook
+    targets alive until a full garbage collection).
+    """
+
+    __slots__ = ("insts", "base", "lengths", "blocks", "steps", "ns",
+                 "targets", "line_checks", "value_factory",
+                 "branch_factory")
+
+    def __init__(self, program: Program, int_regs: list, fp_regs: list,
+                 hooks: Optional[tuple]) -> None:
+        (value, branch, target, mem, code, self.value_factory,
+         self.branch_factory) = hooks or (None,) * 7
+        self.insts = insts = program.instructions
+        self.base = base = program.code_base
+        size = len(insts)
+        memory = program.memory._mem
+        self.ns = {"r": int_regs, "f": fp_regs, "m": memory,
+                   "g": memory.get, "w": _wrap64, "_div": _div, "_rem": _rem,
+                   "L": None,
+                   "V": value, "B": branch, "T": target, "D": mem,
+                   "C": code}
+        leader = [False] * (size + 1)
+        leader[0] = True
+        # Branch targets as static indices; an off-segment target goes
+        # to the sentinel, which raises like run() would.
+        self.targets = targets = [size] * size
+        # Sites of the I-cache line check: where a fetch line starts and
+        # where a cross-line branch or jump lands.  Only these can
+        # change the line, so only these consult the tracker.
+        self.line_checks = checks = [False] * size
+        for i, inst in enumerate(insts):
             pc = base + i * INSTRUCTION_BYTES
-            if prev_line is None or pc >> 5 != prev_line:
-                needs_line_check[i] = True
-            prev_line = pc >> 5
-            if inst.target is not None and inst.target >> 5 != pc >> 5:
-                t_idx = (inst.target - base) // INSTRUCTION_BYTES
-                if 0 <= t_idx < size:
-                    needs_line_check[t_idx] = True
-
-        # Per-site trainers: a factory resolves table indices once per
-        # static operand/branch at compile time; without one, the
-        # generic hook is pre-bound with functools.partial so every
-        # closure variant below deals in uniform ``train(actual)`` /
-        # ``train(taken)`` callables.
-        if value_factory is not None:
-            make_value = value_factory
-        elif value is not None:
-            def make_value(pc, slot, value=value):
-                return partial(value, pc, slot)
-        else:
-            make_value = None
-        if branch_factory is not None:
-            make_branch = branch_factory
-        elif branch is not None:
-            def make_branch(pc, branch=branch):
-                return partial(branch, pc)
-        else:
-            make_branch = None
-
-        for i in range(size):
-            inst: Instruction = program.at(base + i * INSTRUCTION_BYTES)
-            name = inst.op.name
-            step = plain[i]
-            pc = base + i * INSTRUCTION_BYTES
-            imm = inst.imm
-            # Integer source operands in slot order, as decode sees
-            # them: fp-bank registers and r0 never train the value
-            # predictor.
-            vp_trainers = tuple(
-                (make_value(pc, slot), rid)
-                for slot, rid in enumerate(inst.srcs)
-                if rid != ZERO_REG and rid < FP_BASE
-            ) if make_value is not None else ()
-
-            if name in _BRANCH_TESTS:
-                cond = _BRANCH_TESTS[name]
-                tgt = (inst.target - base) // INSTRUCTION_BYTES
-                if not 0 <= tgt < size:
-                    tgt = size
-                a, b = inst.srcs
-                btrain = make_branch(pc) if make_branch is not None \
-                    else None
-
-                def tstep(cond=cond, a=a, b=b, pc=pc, tgt=tgt, nxt=i + 1,
-                          tpc=inst.target, vtr=vp_trainers, btrain=btrain,
-                          target=target):
-                    for train, rid in vtr:
-                        train(ir[rid])
-                    taken = cond(ir[a], ir[b])
-                    if btrain is not None:
-                        btrain(taken)
-                    if taken:
-                        if target is not None:
-                            target(pc, tpc)
-                        return tgt
-                    return nxt
-            elif name == "j" and target is not None:
-                def tstep(step=step, pc=pc, tpc=inst.target,
-                          target=target):
-                    target(pc, tpc)
-                    return step()
-            elif mem is not None and name in ("lw", "lb", "flw",
-                                              "sw", "sb", "fsw"):
-                wr = name in ("sw", "sb", "fsw")
-                a = inst.srcs[1] if wr else inst.srcs[0]
-
-                def tstep(step=step, a=a, imm=imm, wr=wr,
-                          vtr=vp_trainers, mem=mem):
-                    for train, rid in vtr:
-                        train(ir[rid])
-                    mem((ir[a] + imm - imin) % wrap + imin, wr)
-                    return step()
-            elif len(vp_trainers) == 1:
-                (t0, r0), = vp_trainers
-
-                def tstep(step=step, t0=t0, r0=r0):
-                    t0(ir[r0])
-                    return step()
-            elif len(vp_trainers) == 2:
-                (t0, r0), (t1, r1) = vp_trainers
-
-                def tstep(step=step, t0=t0, r0=r0, t1=t1, r1=r1):
-                    t0(ir[r0])
-                    t1(ir[r1])
-                    return step()
-            else:
-                tstep = step  # trains nothing: halt, nop, fp-only ops
-            if code is not None and needs_line_check[i]:
-                inner = tstep
-
-                def tstep(inner=inner, line=pc >> 5, pc=pc,
-                          cell=line_cell, code=code):
-                    if line != cell[0]:
-                        cell[0] = line
-                        code(pc)
-                    return inner()
-            table.append(tstep)
-
-        table.append(plain[size])  # shared off-segment sentinel
-        return table
-
-    def _compile(self) -> List[Callable[[], int]]:
-        """Build the per-static-instruction closure table for ``skip``.
-
-        Each closure applies one instruction's architectural effects and
-        returns the next static index (``-1 - own_index`` for ``halt``).
-        Closures capture the live register lists and the sparse memory
-        dict directly, so there is no per-instruction dispatch beyond
-        one call — this is what lifts fast-forward into the millions of
-        instructions per second.  Index ``len(program)`` holds a
-        sentinel that raises the same :class:`ExecutionError` as
-        :meth:`run` does when execution falls off the code segment.
-        """
-        program = self.program
-        ir = self.int_regs
-        fr = self.fp_regs
-        mem = program.memory._mem
-        base = program.code_base
-        size = len(program)
-        imin, wrap = _INT_MIN, _WRAP
-        int_ops = self._int_ops
-        table: List[Callable[[], int]] = []
-
-        for i in range(size):
-            inst: Instruction = program.at(base + i * INSTRUCTION_BYTES)
-            name = inst.op.name
-            d = inst.dest
-            s = inst.srcs
-            imm = inst.imm
-            nxt = i + 1
-            dead = d == ZERO_REG  # writes to r0 are dropped
-
-            if name in ("beq", "bne", "blt", "bge", "j"):
-                tgt = (inst.target - base) // INSTRUCTION_BYTES
-                if not 0 <= tgt < size:
-                    tgt = size  # sentinel raises, like run() would
-                a, b = (s[0], s[1]) if name != "j" else (0, 0)
-                if name == "j":
-                    step = lambda tgt=tgt: tgt
-                elif name == "beq":
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] == ir[b] else nxt
-                elif name == "bne":
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] != ir[b] else nxt
-                elif name == "blt":
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] < ir[b] else nxt
-                else:  # bge
-                    def step(a=a, b=b, tgt=tgt, nxt=nxt):
-                        return tgt if ir[a] >= ir[b] else nxt
-            elif name == "halt":
-                step = lambda stop=-1 - i: stop
-            elif name == "nop" or (dead and name not in ("sw", "sb", "fsw")):
-                # Pure ops targeting r0 are architectural no-ops: the
-                # result write is dropped and nothing here can fault
-                # (div-by-zero yields 0, loads read the sparse image).
-                step = lambda nxt=nxt: nxt
-            elif name in ("lw", "lb", "flw"):
-                a = s[0]
-                if name == "lw":
-                    def step(a=a, d=d, imm=imm, nxt=nxt):
-                        v = mem.get((ir[a] + imm - imin) % wrap + imin, 0)
-                        ir[d] = (int(v) - imin) % wrap + imin
-                        return nxt
-                elif name == "lb":
-                    def step(a=a, d=d, imm=imm, nxt=nxt):
-                        v = mem.get((ir[a] + imm - imin) % wrap + imin, 0)
-                        ir[d] = int(v) & 0xFF
-                        return nxt
-                else:  # flw
-                    df = d - FP_BASE
-                    def step(a=a, df=df, imm=imm, nxt=nxt):
-                        v = mem.get((ir[a] + imm - imin) % wrap + imin, 0)
-                        fr[df] = float(v)
-                        return nxt
-            elif name in ("sw", "sb", "fsw"):
-                v, a = s[0], s[1]
-                if name == "sw":
-                    def step(v=v, a=a, imm=imm, nxt=nxt):
-                        mem[(ir[a] + imm - imin) % wrap + imin] = ir[v]
-                        return nxt
-                elif name == "sb":
-                    def step(v=v, a=a, imm=imm, nxt=nxt):
-                        mem[(ir[a] + imm - imin) % wrap + imin] = \
-                            int(ir[v]) & 0xFF
-                        return nxt
-                else:  # fsw
-                    vf = v - FP_BASE
-                    def step(vf=vf, a=a, imm=imm, nxt=nxt):
-                        mem[(ir[a] + imm - imin) % wrap + imin] = fr[vf]
-                        return nxt
-            elif name == "add":
-                a, b = s
-                def step(a=a, b=b, d=d, nxt=nxt):
-                    ir[d] = (ir[a] + ir[b] - imin) % wrap + imin
-                    return nxt
-            elif name == "sub":
-                a, b = s
-                def step(a=a, b=b, d=d, nxt=nxt):
-                    ir[d] = (ir[a] - ir[b] - imin) % wrap + imin
-                    return nxt
-            elif name == "mul":
-                a, b = s
-                def step(a=a, b=b, d=d, nxt=nxt):
-                    ir[d] = (ir[a] * ir[b] - imin) % wrap + imin
-                    return nxt
-            elif name == "addi":
-                a = s[0]
-                def step(a=a, d=d, imm=imm, nxt=nxt):
-                    ir[d] = (ir[a] + imm - imin) % wrap + imin
-                    return nxt
-            elif name in ("li", "la"):
-                step = lambda d=d, imm=imm, nxt=nxt: \
-                    (ir.__setitem__(d, imm), nxt)[1]
-            elif name == "mov":
-                a = s[0]
-                step = lambda a=a, d=d, nxt=nxt: \
-                    (ir.__setitem__(d, ir[a]), nxt)[1]
-            elif name in int_ops or name in _IMM_ALIAS:
-                # Remaining integer forms share run()'s lambda table so
-                # the two paths can never drift apart semantically.
-                if name in _IMM_ALIAS:
-                    fn = int_ops[_IMM_ALIAS[name]]
-                    a = s[0]
-                    def step(fn=fn, a=a, d=d, imm=imm, nxt=nxt):
-                        ir[d] = fn(ir[a], imm)
-                        return nxt
-                else:
-                    fn = int_ops[name]
-                    a, b = s
-                    def step(fn=fn, a=a, b=b, d=d, nxt=nxt):
-                        ir[d] = fn(ir[a], ir[b])
-                        return nxt
-            elif name in _FP_BINOPS:
-                fn = _FP_BINOPS[name]
-                af, bf = s[0] - FP_BASE, s[1] - FP_BASE
-                df = d - FP_BASE
-                if name == "fadd":
-                    def step(af=af, bf=bf, df=df, nxt=nxt):
-                        fr[df] = fr[af] + fr[bf]
-                        return nxt
-                elif name == "fmul":
-                    def step(af=af, bf=bf, df=df, nxt=nxt):
-                        fr[df] = fr[af] * fr[bf]
-                        return nxt
-                else:
-                    def step(fn=fn, af=af, bf=bf, df=df, nxt=nxt):
-                        fr[df] = fn(fr[af], fr[bf])
-                        return nxt
-            elif name in _FP_COMPARES:
-                fn = _FP_COMPARES[name]
-                af, bf = s[0] - FP_BASE, s[1] - FP_BASE
-                def step(fn=fn, af=af, bf=bf, d=d, nxt=nxt):
-                    ir[d] = fn(fr[af], fr[bf])
-                    return nxt
-            elif name == "fmov":
-                af, df = s[0] - FP_BASE, d - FP_BASE
-                def step(af=af, df=df, nxt=nxt):
-                    fr[df] = fr[af]
-                    return nxt
-            elif name == "fneg":
-                af, df = s[0] - FP_BASE, d - FP_BASE
-                def step(af=af, df=df, nxt=nxt):
-                    fr[df] = -fr[af]
-                    return nxt
-            elif name == "cvtif":
-                a, df = s[0], d - FP_BASE
-                def step(a=a, df=df, nxt=nxt):
-                    fr[df] = float(ir[a])
-                    return nxt
-            elif name == "cvtfi":
-                af = s[0] - FP_BASE
-                def step(af=af, d=d, nxt=nxt):
-                    ir[d] = (int(fr[af]) - imin) % wrap + imin
-                    return nxt
-            else:  # pragma: no cover - opcode table is closed
-                raise ExecutionError(f"unimplemented opcode {name!r}")
-            table.append(step)
-
+            if i == 0 or pc >> 5 != (pc - INSTRUCTION_BYTES) >> 5:
+                checks[i] = True
+            if inst.op.is_branch:
+                leader[i + 1] = True
+                t = (inst.target - base) // INSTRUCTION_BYTES
+                if 0 <= t < size:
+                    targets[i] = t
+                    leader[t] = True
+                    checks[t] = checks[t] or inst.target >> 5 != pc >> 5
+        # Straight-line run from each index to its block's end; halt
+        # is never part of a block.
+        span = [0] * (size + 1)
+        for i in range(size - 1, -1, -1):
+            op = insts[i].op
+            if op.name != "halt":
+                span[i] = 1 if op.is_branch or leader[i + 1] \
+                    else 1 + span[i + 1]
+        self.lengths = [n if lead else 0 for n, lead in zip(span, leader)]
+        self.blocks: List[Optional[Callable[[], int]]] = [None] * size
         end_pc = base + size * INSTRUCTION_BYTES
 
         def off_segment() -> int:  # pragma: no cover - malformed programs
             raise ExecutionError(f"PC out of code segment: {end_pc:#x}")
 
-        table.append(off_segment)
-        return table
+        self.steps: List[Optional[Callable[[], int]]] = [None] * size
+        self.steps.append(off_segment)
+
+    def build(self, start: int, stop: int) -> Callable[[], int]:
+        """Compile static instructions ``[start, stop)`` into a function."""
+        lines: List[str] = []
+        for i in range(start, stop):
+            lines += self._emit(i)
+        last = self.insts[stop - 1].op
+        if not (last.is_branch or last.name == "halt"):
+            lines.append(f"return {stop}")
+        source = "def block():\n global L\n " + "\n ".join(lines)
+        ns = self.ns
+        exec(compile(source, f"<fast-forward {start}:{stop}>", "exec"), ns)
+        return ns.pop("block")
+
+    def _emit(self, i: int) -> List[str]:
+        """Source lines for static instruction *i*: hooks, then effect."""
+        inst = self.insts[i]
+        name = inst.op.name
+        pc = self.base + i * INSTRUCTION_BYTES
+        ns = self.ns
+        if name == "halt":
+            return [f"return {-1 - i}"]
+        lines = []
+        if self.line_checks[i] and ns["C"] is not None:
+            line = pc >> 5
+            lines += [f"if L != {line}:", f" L = {line}", f" C({pc})"]
+        for slot, rid in enumerate(inst.srcs):
+            if rid == ZERO_REG or rid >= FP_BASE:
+                continue  # decode predicts neither r0 nor fp sources
+            if self.value_factory is not None:
+                trainer = f"v{i}_{slot}"
+                if trainer not in ns:
+                    ns[trainer] = self.value_factory(pc, slot)
+                lines.append(f"{trainer}(r[{rid}])")
+            elif ns["V"] is not None:
+                lines.append(f"V({pc}, {slot}, r[{rid}])")
+        srcs = [_reg(s) for s in inst.srcs]
+        if inst.op.is_branch:
+            taken = [f"T({pc}, {inst.target})"] if ns["T"] is not None \
+                else []
+            taken.append(f"return {self.targets[i]}")
+            if name == "j":
+                return lines + taken
+            cond = f"{srcs[0]} {_BRANCH_CMP[name]} {srcs[1]}"
+            if self.branch_factory is not None:
+                if f"b{i}" not in ns:
+                    ns[f"b{i}"] = self.branch_factory(pc)
+                lines += [f"k = {cond}", f"b{i}(k)"]
+                cond = "k"
+            elif ns["B"] is not None:
+                lines += [f"k = {cond}", f"B({pc}, k)"]
+                cond = "k"
+            return lines + [f"if {cond}:"] + [" " + t for t in taken] \
+                + [f"return {i + 1}"]
+        if inst.op.is_load or inst.op.is_store:
+            address = f"{srcs[-1]} + {inst.imm}" if inst.imm else srcs[-1]
+            lines += [f"x = {address}", _WRAP_X]
+            if ns["D"] is not None:
+                lines.append(f"D(x, {inst.op.is_store})")
+            if inst.op.is_store:
+                value = srcs[0] if name != "sb" else f"int({srcs[0]}) & 0xFF"
+                return lines + [f"m[x] = {value}"]
+            expr, wraps = _LOADS[name]
+        elif name == "nop":
+            return lines
+        else:
+            expr, wraps = _EXPRS[_IMM_ALIAS.get(name, name)]
+            expr = expr.format(a=srcs[0] if srcs else None,
+                               b=srcs[1] if len(srcs) > 1 else inst.imm)
+        dest = inst.dest
+        if dest is None or dest == ZERO_REG:  # writes to r0 are dropped
+            return lines
+        if wraps:
+            return lines + [f"x = {expr}", _WRAP_X, f"{_reg(dest)} = x"]
+        return lines + [f"{_reg(dest)} = {expr}"]
 
 
 def execute(program: Program, max_instructions: int = 1_000_000) -> List[DynInst]:

@@ -29,9 +29,12 @@ class Instruction:
             addresses for ``la``), or ``None``.
         target: resolved branch/jump target PC, or ``None``.
         pc: code address of this instruction (assigned by the builder).
+        srcs_fp: per source, whether it lives in the fp register bank.
+        dest_fp: whether the destination is an fp register.
     """
 
-    __slots__ = ("op", "dest", "srcs", "imm", "target", "pc")
+    __slots__ = ("op", "dest", "srcs", "imm", "target", "pc", "srcs_fp",
+                 "dest_fp")
 
     def __init__(self, op: OpInfo, dest: Optional[int],
                  srcs: Tuple[int, ...], imm: Optional[int],
@@ -42,6 +45,8 @@ class Instruction:
         self.imm = imm
         self.target = target
         self.pc = pc
+        self.srcs_fp = tuple(is_fp_reg(s) for s in srcs)
+        self.dest_fp = dest is not None and is_fp_reg(dest)
 
     def __repr__(self) -> str:
         parts = [self.op.name]
@@ -79,6 +84,9 @@ class DynInst:
     materialized once at construction: the timing core reads them every
     cycle an instruction sits in the window, so they are plain slot
     attributes rather than properties chasing ``self.op`` each access.
+    The register-bank views (``srcs_fp``, ``dest_fp``) are fixed per
+    static instruction: the executor passes its :class:`Instruction` as
+    *static* to share them; without it they are computed here.
     """
 
     __slots__ = ("seq", "pc", "op", "dest", "srcs", "src_values",
@@ -90,7 +98,8 @@ class DynInst:
                  dest: Optional[int], srcs: Tuple[int, ...],
                  src_values: tuple, result,
                  mem_addr: Optional[int],
-                 taken: Optional[bool], target: Optional[int]) -> None:
+                 taken: Optional[bool], target: Optional[int],
+                 static: Optional[Instruction] = None) -> None:
         self.seq = seq
         self.pc = pc
         self.op = op
@@ -108,8 +117,12 @@ class DynInst:
         self.is_store = op.is_store
         self.is_int = op.is_int
         self.opclass = op.opclass
-        self.srcs_fp = tuple(is_fp_reg(s) for s in srcs)
-        self.dest_fp = dest is not None and is_fp_reg(dest)
+        if static is None:
+            self.srcs_fp = tuple(is_fp_reg(s) for s in srcs)
+            self.dest_fp = dest is not None and is_fp_reg(dest)
+        else:
+            self.srcs_fp = static.srcs_fp
+            self.dest_fp = static.dest_fp
 
     def src_is_fp(self, index: int) -> bool:
         """True when source operand *index* lives in the fp register bank.

@@ -14,7 +14,7 @@ pure metadata so that the timing model never imports interpreter code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 __all__ = ["OpClass", "OpInfo", "OPCODES", "opinfo"]
@@ -63,6 +63,8 @@ class OpInfo:
         is_cond_branch: conditional control transfer (direction predicted).
         is_load / is_store: accesses data memory.
         mem_size: access width in bytes for memory ops, else 0.
+        is_int: executes on the integer side (derived from *opclass*
+            once, so per-instruction readers pay no enum hashing).
     """
 
     name: str
@@ -73,6 +75,10 @@ class OpInfo:
     is_load: bool = False
     is_store: bool = False
     mem_size: int = 0
+    is_int: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_int", self.opclass in INT_CLASSES)
 
     @property
     def has_dest(self) -> bool:
@@ -83,11 +89,6 @@ class OpInfo:
     def num_srcs(self) -> int:
         """Number of register source operands."""
         return sum(1 for kind in self.signature if kind == "S")
-
-    @property
-    def is_int(self) -> bool:
-        """True when the opcode executes on the integer side."""
-        return self.opclass in INT_CLASSES
 
 
 def _op(name: str, opclass: OpClass, signature: str, **flags) -> OpInfo:

@@ -61,6 +61,10 @@ class Cache:
         if size_bytes % (assoc * line_bytes):
             raise ValueError(f"{name}: size must be a multiple of "
                              f"assoc * line_bytes")
+        num_sets = size_bytes // (assoc * line_bytes)
+        if num_sets & (num_sets - 1):
+            raise ValueError(f"{name}: the set count ({num_sets}) must be "
+                             f"a power of two")
         self.name = name
         self.size_bytes = size_bytes
         self.assoc = assoc
@@ -68,8 +72,12 @@ class Cache:
         self.hit_time = hit_time
         self.next_level = next_level
         self.memory_latency = memory_latency
-        self.num_sets = size_bytes // (assoc * line_bytes)
+        self.num_sets = num_sets
         self._line_shift = line_bytes.bit_length() - 1
+        # Power-of-two sets: the set index is the line number's low bits
+        # and the tag the rest.
+        self._set_mask = num_sets - 1
+        self._tag_shift = self._line_shift + num_sets.bit_length() - 1
         # sets[i] maps tag -> last-use stamp (LRU via min stamp eviction)
         self._sets = [dict() for _ in range(self.num_sets)]
         self._stamp = 0
@@ -82,28 +90,27 @@ class Cache:
         level; the returned latency is this level's hit time plus the
         next level's latency on a miss.
         """
-        self.stats.accesses += 1
-        line = addr >> self._line_shift
-        tag = line // self.num_sets
-        index = line % self.num_sets
-        cache_set = self._sets[index]
-        self._stamp += 1
+        stats = self.stats
+        stats.accesses += 1
+        cache_set = self._sets[(addr >> self._line_shift) & self._set_mask]
+        tag = addr >> self._tag_shift
+        self._stamp = stamp = self._stamp + 1
         if tag in cache_set:
-            cache_set[tag] = self._stamp
+            cache_set[tag] = stamp
             return self.hit_time
-        self.stats.misses += 1
+        stats.misses += 1
         if len(cache_set) >= self.assoc:
             victim = min(cache_set, key=cache_set.__getitem__)
             del cache_set[victim]
-        cache_set[tag] = self._stamp
+        cache_set[tag] = stamp
         if self.next_level is not None:
             return self.hit_time + self.next_level.access(addr, is_write)
         return self.hit_time + self.memory_latency
 
     def contains(self, addr: int) -> bool:
         """Non-destructive lookup (does not touch LRU or stats)."""
-        line = addr >> self._line_shift
-        return (line // self.num_sets) in self._sets[line % self.num_sets]
+        return (addr >> self._tag_shift) in \
+            self._sets[(addr >> self._line_shift) & self._set_mask]
 
     def flush(self) -> None:
         """Drop all cached lines (stats are kept)."""

@@ -152,8 +152,10 @@ class StridePredictor(ValuePredictor):
         if self.two_delta:
             def train(actual, index=index, last=last, stride=stride,
                       prev=prev, counter=counter):
-                new_stride = (actual - last[index] - _INT_MIN) % _WRAP \
-                    + _INT_MIN
+                new_stride = actual - last[index]
+                if not -0x8000000000000000 <= new_stride \
+                        < 0x8000000000000000:
+                    new_stride = _wrap64(new_stride)
                 if new_stride == stride[index]:
                     c = counter[index]
                     if c < 3:
@@ -170,8 +172,10 @@ class StridePredictor(ValuePredictor):
         else:
             def train(actual, index=index, last=last, stride=stride,
                       prev=prev, counter=counter):
-                new_stride = (actual - last[index] - _INT_MIN) % _WRAP \
-                    + _INT_MIN
+                new_stride = actual - last[index]
+                if not -0x8000000000000000 <= new_stride \
+                        < 0x8000000000000000:
+                    new_stride = _wrap64(new_stride)
                 if new_stride == stride[index]:
                     c = counter[index]
                     if c < 3:

@@ -115,27 +115,33 @@ class PipelineWatchdog:
     """Detects no-forward-progress within a configurable cycle budget.
 
     The processor notifies the watchdog once per cycle via
-    :meth:`check`; the watchdog asks the processor for a snapshot (the
-    ``snapshot_fn`` callback) only when the budget expires, then raises
-    :class:`DeadlockError` carrying it.
+    :meth:`check`; the watchdog calls the ``snapshot_fn`` passed along
+    only when the budget expires, then raises :class:`DeadlockError`
+    carrying the snapshot.  The watchdog keeps no reference to the
+    processor: one stored callback would make the pair a reference
+    cycle, which outlives the run until a full garbage collection —
+    together with everything the processor holds.
     """
 
-    def __init__(self, budget: int, snapshot_fn) -> None:
+    def __init__(self, budget: int) -> None:
         if budget < 1:
             raise ValueError("watchdog budget must be >= 1 cycle")
         self.budget = budget
-        self._snapshot_fn = snapshot_fn
         self.last_commit_cycle = 0
 
     def note_commit(self, cycle: int) -> None:
         """Record that at least one uop retired at *cycle*."""
         self.last_commit_cycle = cycle
 
-    def check(self, cycle: int) -> None:
-        """Raise :class:`DeadlockError` when the budget is exhausted."""
+    def check(self, cycle: int, snapshot_fn) -> None:
+        """Raise :class:`DeadlockError` when the budget is exhausted.
+
+        *snapshot_fn* ``(cycle, last_commit_cycle, budget)`` builds the
+        :class:`PipelineSnapshot` the error carries.
+        """
         if cycle - self.last_commit_cycle <= self.budget:
             return
-        snapshot: PipelineSnapshot = self._snapshot_fn(
+        snapshot: PipelineSnapshot = snapshot_fn(
             cycle, self.last_commit_cycle, self.budget)
         raise DeadlockError(
             f"pipeline made no forward progress for {self.budget} cycles "

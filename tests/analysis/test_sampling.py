@@ -1,10 +1,13 @@
 """Unit tests for interval sampling: window placement, the harmonic
 IPC estimator, validation, and the sampled simulation loop."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
+from repro.analysis import sampling
 from repro.analysis.sampling import (SampledResult, SampleWindow,
                                      SamplingConfig, simulate_sampled)
 from repro.core import make_config, simulate
@@ -166,6 +169,30 @@ class TestSimulateSampled:
                           workload_name="cjpeg")
         assert isinstance(result, SampledResult)
         assert result.total_insts == 20_000
+
+    def test_warm_state_is_freed_on_return(self, monkeypatch):
+        # The warm stride tables are 4 MB at the default size; nothing
+        # built for the run (compiled fast-forward blocks, per-window
+        # processors) may keep them in a reference cycle after return.
+        refs = []
+        build = sampling._WarmState.__init__
+
+        def spy(self, config):
+            build(self, config)
+            refs.append(weakref.ref(self.vp))
+
+        monkeypatch.setattr(sampling._WarmState, "__init__", spy)
+        sc = SamplingConfig(interval=500, warmup=100, samples=4)
+        gc.collect()
+        gc.disable()
+        try:
+            simulate(build_workload("cjpeg"), CONFIG,
+                     max_instructions=20_000, sampling=sc,
+                     workload_name="cjpeg")
+            assert len(refs) == 1
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_trace_input_is_rejected(self):
         sc = SamplingConfig(interval=500, warmup=100, samples=4)

@@ -151,27 +151,28 @@ class TestWatchdogUnit:
             rob_head_unverified=0, rob_head_min_issue=0, fetch_done=False)
 
     def test_quiet_within_budget(self):
-        watchdog = PipelineWatchdog(10, self._snapshot_fn)
+        watchdog = PipelineWatchdog(10)
         watchdog.note_commit(5)
         for cycle in range(6, 16):
-            watchdog.check(cycle)  # gap <= budget: no raise
+            watchdog.check(cycle, self._snapshot_fn)  # gap <= budget
 
     def test_fires_one_cycle_past_budget(self):
-        watchdog = PipelineWatchdog(10, self._snapshot_fn)
+        watchdog = PipelineWatchdog(10)
         watchdog.note_commit(5)
         with pytest.raises(DeadlockError) as exc_info:
-            watchdog.check(16)
+            watchdog.check(16, self._snapshot_fn)
         assert exc_info.value.snapshot.last_commit_cycle == 5
 
     def test_commit_resets_the_budget(self):
-        watchdog = PipelineWatchdog(10, self._snapshot_fn)
+        watchdog = PipelineWatchdog(10)
         watchdog.note_commit(5)
         watchdog.note_commit(14)
-        watchdog.check(24)  # would have fired without the second commit
+        # would have fired without the second commit
+        watchdog.check(24, self._snapshot_fn)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            PipelineWatchdog(0, self._snapshot_fn)
+            PipelineWatchdog(0)
 
     def test_snapshot_render_mentions_key_structures(self):
         snapshot = self._snapshot_fn(100, 80, 15)

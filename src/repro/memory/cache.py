@@ -40,7 +40,8 @@ class Cache:
 
     Args:
         name: label used in statistics.
-        size_bytes: total capacity.
+        size_bytes: total capacity; the set count it implies,
+            ``size_bytes // (assoc * line_bytes)``, must be a power of two.
         assoc: number of ways.
         line_bytes: line size (power of two).
         hit_time: latency of a hit, in cycles.

@@ -30,7 +30,7 @@ from repro.workloads import build_workload, workload_names
 HOOK_SETS = ("none", "generic", "factories", "all")
 
 
-def _halting_loop(seed: int) -> "Program":
+def _halting_loop(seed: int):
     """A branchy loop over a small buffer that halts after ~300 insts."""
     b = ProgramBuilder()
     b.data("buf", [(seed * 7 + i * 13) % 29 for i in range(16)])

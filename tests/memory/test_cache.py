@@ -20,6 +20,8 @@ def test_geometry():
 def test_bad_geometry_rejected():
     with pytest.raises(ValueError):
         Cache("bad", 1000, 3, 32, 1)
+    with pytest.raises(ValueError):   # 3 sets: not a power of two
+        Cache("bad", 3 * 2 * 32, 2, 32, 1)
 
 
 def test_cold_miss_then_hit():

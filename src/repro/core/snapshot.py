@@ -59,7 +59,7 @@ __all__ = ["SNAPSHOT_SCHEMA", "SNAPSHOT_VERSION", "SnapshotError",
 #: mismatch is refused with :class:`SnapshotError` (never a partial or
 #: silently-wrong restore).
 SNAPSHOT_SCHEMA = "repro-snapshot-v1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: First bytes of every snapshot file, before the JSON header.
 _MAGIC = "repro-snapshot"

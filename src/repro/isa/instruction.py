@@ -85,8 +85,8 @@ class DynInst:
     cycle an instruction sits in the window, so they are plain slot
     attributes rather than properties chasing ``self.op`` each access.
     The register-bank views (``srcs_fp``, ``dest_fp``) are fixed per
-    static instruction: the executor passes its :class:`Instruction` as
-    *static* to share them; without it they are computed here.
+    static instruction, so they are shared from *static*, the
+    :class:`Instruction` this record is an execution of.
     """
 
     __slots__ = ("seq", "pc", "op", "dest", "srcs", "src_values",
@@ -99,7 +99,7 @@ class DynInst:
                  src_values: tuple, result,
                  mem_addr: Optional[int],
                  taken: Optional[bool], target: Optional[int],
-                 static: Optional[Instruction] = None) -> None:
+                 static: Instruction) -> None:
         self.seq = seq
         self.pc = pc
         self.op = op
@@ -117,12 +117,8 @@ class DynInst:
         self.is_store = op.is_store
         self.is_int = op.is_int
         self.opclass = op.opclass
-        if static is None:
-            self.srcs_fp = tuple(is_fp_reg(s) for s in srcs)
-            self.dest_fp = dest is not None and is_fp_reg(dest)
-        else:
-            self.srcs_fp = static.srcs_fp
-            self.dest_fp = static.dest_fp
+        self.srcs_fp = static.srcs_fp
+        self.dest_fp = static.dest_fp
 
     def src_is_fp(self, index: int) -> bool:
         """True when source operand *index* lives in the fp register bank.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa.instruction import DynInst
+from repro.isa.instruction import DynInst, Instruction
 from repro.isa.opcodes import opinfo
 
 
@@ -15,8 +15,10 @@ def make_dyn(seq: int, pc: int, op: str = "add", dest=None, srcs=(),
     info = opinfo(op)
     if src_values is None:
         src_values = tuple(0 for _ in srcs)
-    return DynInst(seq, pc, info, dest, tuple(srcs), tuple(src_values),
-                   result, mem_addr, taken, target)
+    srcs = tuple(srcs)
+    static = Instruction(info, dest, srcs, None, target, pc)
+    return DynInst(seq, pc, info, dest, srcs, tuple(src_values),
+                   result, mem_addr, taken, target, static)
 
 
 @pytest.fixture

@@ -142,14 +142,17 @@ def test_incompatible_version_is_refused(tmp_path):
 
     raw = path.read_bytes()
     header, rest = raw.split(b"\n", 1)
-    bad = header.replace(b'"version":1', b'"version":99')
-    assert bad != header
-    (tmp_path / "bad.ckpt").write_bytes(bad + b"\n" + rest)
+    current = b'"version":%d' % SNAPSHOT_VERSION
+    # An older format (what earlier code wrote) and a future one.
+    for other in (SNAPSHOT_VERSION - 1, 99):
+        bad = header.replace(current, b'"version":%d' % other)
+        assert bad != header
+        (tmp_path / "bad.ckpt").write_bytes(bad + b"\n" + rest)
 
-    with pytest.raises(SnapshotError):
-        read_snapshot_meta(str(tmp_path / "bad.ckpt"))
-    with pytest.raises(SnapshotError):
-        restore_executor(str(tmp_path / "bad.ckpt"))
+        with pytest.raises(SnapshotError):
+            read_snapshot_meta(str(tmp_path / "bad.ckpt"))
+        with pytest.raises(SnapshotError):
+            restore_executor(str(tmp_path / "bad.ckpt"))
 
 
 def test_corrupt_payload_is_detected(tmp_path):

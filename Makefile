@@ -87,13 +87,17 @@ trace-demo:
 		--out results/trace_demo.json
 
 # The robustness campaign: seeds x fault kinds under the golden model,
-# report in results/robustness_campaign.txt, exit 1 on any regression.
+# report in results/robustness_campaign.txt (the same campaign as
+# benchmarks/bench_robustness.py), exit 1 on any regression.
 campaign:
-	$(PYTHON) -m repro campaign
+	$(PYTHON) -m repro campaign --length 4000
 
-# The full gate: unit suite plus a small campaign smoke.
+# The full gate: unit suite plus a small campaign smoke.  Its report goes
+# to build/: results/robustness_campaign.txt is the benchmark's campaign
+# (benchmarks/bench_robustness.py), not this smoke's.
 check: test
-	$(PYTHON) -m repro campaign --workloads rawcaudio --length 2000 --seeds 2
+	$(PYTHON) -m repro campaign --workloads rawcaudio --length 2000 --seeds 2 \
+		--output build/check_campaign.txt
 
 clean-results:
 	rm -rf results/

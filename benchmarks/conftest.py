@@ -1,6 +1,7 @@
 """Shared helpers for the figure-reproduction benchmarks.
 
-Each benchmark regenerates one table/figure of the paper and saves the
+Each benchmark regenerates one table/figure of the paper (one
+``bench_figures.py`` case per experiment-table entry) and saves the
 rendered report under ``results/`` (also echoed to stdout, visible with
 ``pytest -s``).  Environment knobs:
 

@@ -1,15 +1,20 @@
-"""Experiment drivers: one function per table/figure of the paper.
+"""The paper's tables and figures as one table of sweep experiments.
 
-Every driver returns a plain-data result object that the report module
-renders and the benchmarks print; EXPERIMENTS.md records the outputs
+Each :class:`Experiment` entry in :data:`EXPERIMENTS` names one table
+of the paper (or one of this repo's ablations and extensions): its
+variant grid, a reducer from the sweep's results to rows of raw values,
+and the layout that renders those rows like the paper's table.  One
+runner (:func:`run_experiment`) crosses the grid with the workload
+subset into :class:`~repro.analysis.parallel.SweepCell` descriptions
+and calls :func:`~repro.analysis.parallel.run_cells` once, so every
+entry fans out across worker processes via ``jobs=`` (or
+``REPRO_JOBS``), uses the result cache and emits sweep telemetry,
+metric-identical to the serial path.  One renderer (:func:`render`)
+formats the rows; :func:`~repro.analysis.export.to_csv` and
+``to_json`` take them as they are.  The ``repro`` CLI exposes every
+entry as a subcommand and ``benchmarks/bench_figures.py`` regenerates
+each ``results/`` file from it; EXPERIMENTS.md records the outputs
 against the paper's numbers.
-
-Each driver decomposes its sweep into independent
-:class:`~repro.analysis.parallel.SweepCell` descriptions and hands the
-whole list to :func:`~repro.analysis.parallel.run_cells`, so any sweep
-can fan out across worker processes via the ``jobs=`` argument (or the
-``REPRO_JOBS`` environment variable) while staying metric-identical to
-the serial path.
 
 Environment knobs (validated once at sweep setup, never read inside
 worker processes):
@@ -25,40 +30,30 @@ worker processes):
 * ``REPRO_CACHE`` — opt-in content-addressed result cache directory
   (see :mod:`repro.analysis.cache`).
 
-Several drivers in one session should share a
+Several experiments in one session should share a
 :class:`~repro.analysis.parallel.WorkerPool` (``with WorkerPool(jobs):``)
-so worker startup is paid once, not per figure.
+so worker startup is paid once, not per table.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core import SimResult, make_config, simulate
+from ..core import SimResult
 from ..errors import WorkloadError
-from ..obs.telemetry import active_monitor
 from ..workloads import workload_names, workload_trace
 from .metrics import mean, pct_change
-from .parallel import (SweepCell, active_pool, is_transient_error,
-                       resolve_jobs, resolve_trace_length, run_cells,
+from .parallel import (SweepCell, resolve_trace_length, run_cells,
                        simulate_sweep_cell)
+from .report import bar, table
 
 __all__ = [
     "trace_length", "selected_workloads", "run_one",
-    "LedgerEntry", "ErrorLedger", "run_one_safe",
-    "GracefulSweepResult", "run_graceful_sweep",
-    "Figure2Result", "run_figure2",
-    "Figure3Result", "run_figure3",
-    "Figure4Result", "run_figure4_latency", "run_figure4_bandwidth",
-    "Figure5Result", "run_figure5",
-    "AblationResult", "run_ablation_modified", "run_ablation_rename2",
-    "run_ablation_predictor", "run_ablation_free_copies",
-    "run_predictor_comparison", "run_ablation_static", "simulate_cell",
-    "ScalingResult", "run_scaling", "run_robustness",
-    "HeadlineResult", "run_headline",
+    "LedgerEntry", "ErrorLedger",
+    "Variant", "Sweep", "Experiment", "EXPERIMENTS", "ABLATIONS",
+    "run_experiment", "render", "average",
 ]
 
 
@@ -68,22 +63,36 @@ def trace_length(default: int = 12_000) -> int:
     A malformed or non-positive override raises
     :class:`~repro.errors.ConfigError` (not a bare ``ValueError``), so
     sweeps fail at setup with an actionable message instead of deep
-    inside a driver loop.
+    inside a sweep.
     """
     return resolve_trace_length(None, default=default)
 
 
-def selected_workloads() -> List[str]:
-    """Suite subset, overridable via ``REPRO_WORKLOADS``."""
-    env = os.environ.get("REPRO_WORKLOADS")
-    if not env:
-        return workload_names()
-    names = [name.strip() for name in env.split(",") if name.strip()]
-    known = set(workload_names())
-    unknown = [name for name in names if name not in known]
+def selected_workloads(subset: Optional[str] = None) -> List[str]:
+    """The workloads a sweep runs, from a comma-separated list.
+
+    *subset* (the CLI's ``--workloads``) wins; otherwise
+    ``REPRO_WORKLOADS`` is read; with neither, the whole suite runs.
+    An unknown name, or a list naming no workload at all (``","``),
+    raises :class:`~repro.errors.WorkloadError`.
+    """
+    source = "--workloads"
+    if subset is None:
+        subset, source = os.environ.get("REPRO_WORKLOADS"), "REPRO_WORKLOADS"
+        if not subset:
+            return workload_names()
+    names = [name.strip() for name in subset.split(",") if name.strip()]
+    return _known_workloads(names, source)
+
+
+def _known_workloads(names: List[str], source: str) -> List[str]:
+    if not names:
+        raise WorkloadError(f"{source} names no workload; choose from "
+                            f"{workload_names()}")
+    unknown = [name for name in names if name not in workload_names()]
     if unknown:
-        raise WorkloadError(
-            f"unknown workloads in REPRO_WORKLOADS: {unknown}")
+        raise WorkloadError(f"unknown workloads in {source}: {unknown}; "
+                            f"choose from {workload_names()}")
     return names
 
 
@@ -96,25 +105,6 @@ def run_one(workload: str, n_clusters: int, predictor: str = "none",
                      length=resolve_trace_length(length), seed=seed,
                      overrides=SweepCell.pack_overrides(overrides))
     return simulate_sweep_cell(cell)
-
-
-def _cells_for(names: Sequence[str], specs: Sequence[tuple],
-               length: int) -> List[SweepCell]:
-    """Cross *names* with (n_clusters, predictor, steering, overrides)
-    tuples into cells keyed ``(name,) + spec[:3]``-style by the caller.
-
-    *specs* entries are ``(key_suffix, n_clusters, predictor, steering,
-    overrides_dict)``; the cell key becomes ``(name, key_suffix)``.
-    """
-    cells: List[SweepCell] = []
-    for name in names:
-        for key_suffix, n_clusters, predictor, steering, overrides in specs:
-            cells.append(SweepCell(
-                key=(name, key_suffix), workload=name,
-                n_clusters=n_clusters, predictor=predictor,
-                steering=steering, length=length,
-                overrides=SweepCell.pack_overrides(overrides)))
-    return cells
 
 
 # --------------------------------------------------- graceful degradation --
@@ -141,14 +131,11 @@ class ErrorLedger:
     A multi-hour sweep must not lose every finished cell to one bad
     (workload, configuration) pair, but it must not lose the *failure*
     either — each one lands here with enough context to replay it.
+    ``run_cells(cells, ledger=ErrorLedger())`` is the graceful sweep:
+    failed cells are ledgered and omitted from its results.
     """
 
     entries: List[LedgerEntry] = field(default_factory=list)
-
-    def record(self, workload: str, config: str, attempt: int,
-               error: BaseException) -> None:
-        self.record_failure(workload, config, attempt,
-                            type(error).__name__, str(error))
 
     def record_failure(self, workload: str, config: str, attempt: int,
                        error_type: str, message: str) -> None:
@@ -156,7 +143,7 @@ class ErrorLedger:
 
         Worker processes report failures as (type name, message) pairs —
         exception objects do not survive pickling reliably — so this is
-        the form the parallel runner records.
+        the form the sweep runner records.
         """
         self.entries.append(LedgerEntry(
             workload, config, attempt, error_type, message))
@@ -185,664 +172,544 @@ class ErrorLedger:
         return "\n".join(lines)
 
 
-def run_one_safe(workload: str, n_clusters: int, predictor: str = "none",
-                 steering: str = "baseline", length: Optional[int] = None,
-                 ledger: Optional[ErrorLedger] = None, retries: int = 1,
-                 **overrides) -> Optional[SimResult]:
-    """:func:`run_one` that degrades gracefully instead of aborting.
+# ------------------------------------------------------- the experiment --
 
-    A cell failing with a *transient* error is retried up to *retries*
-    more times (an injected-fault run tripping a watchdog, a flaky
-    harness — these can pass on replay); a cell failing with a
-    *deterministic* error (bad config, unknown workload, divergence,
-    deadlock — see
-    :data:`~repro.analysis.parallel.DETERMINISTIC_ERRORS`) is ledgered
-    immediately, because the simulator is deterministic and the replay
-    would fail identically, doubling the cost of the slowest failures.
-    Every failed attempt is recorded in *ledger*.  Returns ``None``
-    when no attempt succeeded.
-    """
-    label = f"{n_clusters}cl/{predictor}/{steering}"
-    for attempt in range(1 + max(0, retries)):
-        try:
-            return run_one(workload, n_clusters, predictor=predictor,
-                           steering=steering, length=length, **overrides)
-        except Exception as error:  # noqa: BLE001 - the sweep must survive
-            if ledger is not None:
-                ledger.record(workload, label, attempt + 1, error)
-            if not is_transient_error(error):
-                return None  # deterministic: replay would fail identically
-    return None
+@dataclass(frozen=True)
+class Variant:
+    """One configuration of an experiment's grid, run on every workload.
 
-
-@dataclass
-class GracefulSweepResult:
-    """Completed cells plus the ledger of the ones that failed."""
-
-    ipc: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    ledger: ErrorLedger = field(default_factory=ErrorLedger)
-
-    @property
-    def completed(self) -> int:
-        return len(self.ipc)
-
-
-def run_graceful_sweep(workloads: Sequence[str] = None,
-                       configs: Sequence[Tuple[int, str, str]] = (
-                           (4, "none", "baseline"), (4, "stride", "vpb")),
-                       length: Optional[int] = None,
-                       retries: int = 1,
-                       jobs: Optional[int] = None) -> GracefulSweepResult:
-    """Sweep (workload x config) cells, never aborting on a bad cell.
-
-    The robustness harness's answer to a poisoned workload or a
-    pathological configuration: every healthy cell still produces its
-    IPC, and every failure is in ``result.ledger``.  With ``jobs > 1``
-    the cells fan out across worker processes; ledger entries and
-    results are collected in cell order on both paths, so the outcome
-    is identical regardless of worker count.
-    """
-    length = resolve_trace_length(length)
-    pool = active_pool()
-    if jobs is None and pool is not None:
-        jobs = pool.jobs
-    jobs = resolve_jobs(jobs)
-    names = list(workloads or selected_workloads())
-    result = GracefulSweepResult()
-    cells = [SweepCell(key=(name, f"{n}cl/{predictor}/{steering}"),
-                       workload=name, n_clusters=n, predictor=predictor,
-                       steering=steering, length=length)
-             for name in names for n, predictor, steering in configs]
-    if jobs <= 1:
-        # Serial path: route through run_one_safe (same classification,
-        # same ledger shape) so in-process harness hooks apply.  It
-        # bypasses run_cells, so the sweep telemetry is emitted here —
-        # the same event sequence, with sweep_done in a finally block
-        # (crash-flush).
-        monitor = active_monitor()
-        if monitor is not None:
-            monitor.sweep_start("graceful-sweep", cells, jobs=1,
-                                chunksize=1)
-        try:
-            for index, cell in enumerate(cells):
-                if monitor is not None:
-                    monitor.cell_start(index)
-                already = len(result.ledger.entries)
-                start = time.perf_counter()
-                sim = run_one_safe(cell.workload, cell.n_clusters,
-                                   predictor=cell.predictor,
-                                   steering=cell.steering, length=length,
-                                   ledger=result.ledger, retries=retries)
-                if monitor is not None:
-                    for entry in result.ledger.entries[already:]:
-                        monitor.cell_retry(index, entry.attempt,
-                                           entry.error_type)
-                    monitor.cell_done(
-                        index, seconds=time.perf_counter() - start,
-                        ok=sim is not None)
-                if sim is not None:
-                    result.ipc[cell.key] = sim.ipc
-        finally:
-            if monitor is not None:
-                monitor.sweep_done()
-        return result
-    sims = run_cells(cells, jobs=jobs, ledger=result.ledger,
-                     retries=retries, label="graceful-sweep")
-    result.ipc = {key: sim.ipc for key, sim in sims.items()}
-    return result
-
-
-# --------------------------------------------------------------- Figure 2 --
-
-class Figure2Result:
-    """IPC of 1/2/4 clusters with and without value prediction (Fig. 2).
-
-    ``ipc[benchmark][(n_clusters, predict)]`` plus suite averages.
+    ``length`` and ``dataset`` are set only by entries that sweep them;
+    ``length=None`` takes the sweep's trace length.  A ``static``
+    steering variant gets the one override computed from the workload:
+    a perfect profile of the very trace it runs.
     """
 
-    CONFIGS: List[Tuple[int, bool]] = [
-        (1, False), (1, True), (2, False), (2, True), (4, False), (4, True)]
-
-    def __init__(self) -> None:
-        self.ipc: Dict[str, Dict[Tuple[int, bool], float]] = {}
-
-    def average(self, key: Tuple[int, bool]) -> float:
-        return mean(row[key] for row in self.ipc.values())
-
-    def prediction_gain_pct(self, n_clusters: int) -> float:
-        """Average IPC gain of value prediction at a cluster count."""
-        return pct_change(self.average((n_clusters, False)),
-                          self.average((n_clusters, True)))
+    key: Any
+    n_clusters: int
+    predictor: str = "none"
+    steering: str = "baseline"
+    overrides: Tuple[Tuple[str, Any], ...] = ()
+    length: Optional[int] = None
+    dataset: str = "test"
 
 
-def run_figure2(workloads: Sequence[str] = None,
-                length: Optional[int] = None,
-                jobs: Optional[int] = None) -> Figure2Result:
-    """IPC for the 6 configurations of Figure 2, per benchmark."""
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    specs = [((n_clusters, predict), n_clusters,
-              "stride" if predict else "none", "baseline", {})
-             for n_clusters, predict in Figure2Result.CONFIGS]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="figure2")
-    result = Figure2Result()
-    for name in names:
-        result.ipc[name] = {config: sims[(name, config)].ipc
-                            for config in Figure2Result.CONFIGS}
-    return result
+class Sweep:
+    """An experiment's results, indexed by (workload, variant key)."""
+
+    def __init__(self, names: Sequence[str], keys: Sequence,
+                 sims: Dict[Any, SimResult]):
+        self.names = list(names)
+        self.keys = list(keys)
+        self.sims = sims
+
+    def mean(self, key, metric: str = "ipc") -> float:
+        """Suite mean of one metric (see :data:`METRICS`) of a variant."""
+        read = METRICS[metric]
+        return mean(read(self.sims[(name, key)]) for name in self.names)
+
+    def ipcr(self, key, reference) -> float:
+        """Suite-mean IPCR of a variant against a reference variant."""
+        return mean(self.sims[(name, key)].ipc
+                    / self.sims[(name, reference)].ipc
+                    for name in self.names)
+
+    def at(self, part) -> "Sweep":
+        """The variants keyed ``(part, key)``, re-keyed by ``key``."""
+        return Sweep(self.names,
+                     [key for head, key in self.keys if head == part],
+                     {(name, key[1]): sim
+                      for (name, key), sim in self.sims.items()
+                      if key[0] == part})
 
 
-# --------------------------------------------------------------- Figure 3 --
+#: Per-cell metrics the reducers average over the suite.
+METRICS: Dict[str, Callable[[SimResult], float]] = {
+    "ipc": lambda sim: sim.ipc,
+    "comm": lambda sim: sim.comm_per_inst,
+    "imbalance": lambda sim: sim.imbalance,
+    "hit_ratio": lambda sim: sim.vp_stats.get("hit_ratio", 0.0),
+    "confident": lambda sim: sim.vp_stats.get("confident_fraction", 0.0),
+}
 
-#: The four schemes compared in Figure 3, in bar order.
-FIGURE3_SCHEMES = [
-    ("baseline-nopredict", "none", "baseline"),
-    ("baseline-predict", "stride", "baseline"),
-    ("vpb-predict", "stride", "vpb"),
-    ("vpb-perfect", "perfect", "vpb"),
-]
+
+#: A rendered column: (header, row key, value -> text).
+Column = Tuple[str, Any, Callable[[Any], str]]
 
 
-class Figure3Result:
-    """Workload imbalance, communications/instruction and IPCR (Fig. 3).
+def _table(exp: "Experiment", rows: List[dict]) -> str:
+    """The generic layout: the entry's columns, then its note."""
+    text = table([header for header, _, _ in exp.columns],
+                 [[fmt(row[key]) for _, key, fmt in exp.columns]
+                  for row in rows], exp.title)
+    return text + "\n" + exp.note if exp.note else text
 
-    Indexed ``metric[n_clusters][scheme]`` with per-benchmark detail in
-    ``per_benchmark``.
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper table: its grid, its reducer and its layout.
+
+    ``name`` is the sweep's telemetry label and the CLI subcommand;
+    ``result`` is the ``results/`` file stem the benchmark writes (and
+    ``csv``, when set, the stem of the rows' CSV beside it).
     """
 
-    def __init__(self) -> None:
-        self.imbalance: Dict[int, Dict[str, float]] = {}
-        self.comm: Dict[int, Dict[str, float]] = {}
-        self.ipcr: Dict[int, Dict[str, float]] = {}
-        self.per_benchmark: Dict[Tuple[int, str, str], Dict[str, float]] = {}
+    name: str
+    result: str
+    title: str
+    note: str
+    variants: Tuple[Variant, ...]
+    reduce: Callable[[Sweep], List[dict]]
+    columns: Tuple[Column, ...] = ()
+    layout: Callable[["Experiment", List[dict]], str] = _table
+    csv: str = ""
 
 
-def run_figure3(workloads: Sequence[str] = None,
-                length: Optional[int] = None,
-                cluster_counts: Sequence[int] = (2, 4),
-                jobs: Optional[int] = None) -> Figure3Result:
-    """The 4-scheme comparison of Figure 3 for 2 and 4 clusters."""
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    # 1-cluster reference cells (IPCR denominators) plus every scheme
-    # cell, submitted as one flat sweep.
-    specs = [(("ref", predictor), 1, predictor, "baseline", {})
-             for predictor in ("none", "stride", "perfect")]
-    specs += [((n_clusters, scheme), n_clusters, predictor, steering, {})
-              for n_clusters in cluster_counts
-              for scheme, predictor, steering in FIGURE3_SCHEMES]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="figure3")
-    result = Figure3Result()
-    for n_clusters in cluster_counts:
-        imb: Dict[str, float] = {}
-        comm: Dict[str, float] = {}
-        ipcr: Dict[str, float] = {}
-        for scheme, predictor, steering in FIGURE3_SCHEMES:
-            per_imb, per_comm, per_ipcr = [], [], []
-            for name in names:
-                sim = sims[(name, (n_clusters, scheme))]
-                reference = sims[(name, ("ref", predictor))]
-                ratio = sim.ipc / reference.ipc
-                per_imb.append(sim.imbalance)
-                per_comm.append(sim.comm_per_inst)
-                per_ipcr.append(ratio)
-                result.per_benchmark[(n_clusters, scheme, name)] = {
-                    "ipc": sim.ipc, "ipcr": ratio,
-                    "comm": sim.comm_per_inst,
-                    "imbalance": sim.imbalance}
-            imb[scheme] = mean(per_imb)
-            comm[scheme] = mean(per_comm)
-            ipcr[scheme] = mean(per_ipcr)
-        result.imbalance[n_clusters] = imb
-        result.comm[n_clusters] = comm
-        result.ipcr[n_clusters] = ipcr
-    return result
+def average(rows: List[dict], metric: str, **where) -> float:
+    """Mean of ``row[metric]`` over the rows matching every *where*."""
+    return mean(row[metric] for row in rows
+                if all(row[key] == value for key, value in where.items()))
 
 
-# --------------------------------------------------------------- Figure 4 --
+def run_experiment(exp: Experiment, workloads: Sequence[str] = None,
+                   length: Optional[int] = None,
+                   jobs: Optional[int] = None) -> List[dict]:
+    """Run one entry's grid over the workloads and reduce it to rows.
 
-class Figure4Result:
-    """IPC vs communication latency (4a) or bandwidth (4b).
-
-    ``ipc[(n_clusters, predict)][x]`` where x is the swept value.
-    """
-
-    def __init__(self, xlabel: str, xvalues: List) -> None:
-        self.xlabel = xlabel
-        self.xvalues = xvalues
-        self.ipc: Dict[Tuple[int, bool], Dict[object, float]] = {}
-
-    def degradation_pct(self, key: Tuple[int, bool]) -> float:
-        """IPC loss from the first to the last swept point, percent."""
-        series = self.ipc[key]
-        first, last = series[self.xvalues[0]], series[self.xvalues[-1]]
-        return -pct_change(first, last)
-
-
-def _run_figure4(names: List[str], length: int, jobs: Optional[int],
-                 result: Figure4Result, override_name: str,
-                 points: Sequence[Tuple[object, object]],
-                 label: str = "figure4") -> Figure4Result:
-    """Shared Figure 4 sweep: *points* is (x key, override value) pairs."""
-    specs = [((n_clusters, predict, key), n_clusters,
-              "stride" if predict else "none",
-              "vpb" if predict else "baseline",
-              {override_name: value})
-             for n_clusters in (2, 4)
-             for predict in (False, True)
-             for key, value in points]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label=label)
-    for n_clusters in (2, 4):
-        for predict in (False, True):
-            result.ipc[(n_clusters, predict)] = {
-                key: mean(sims[(name, (n_clusters, predict, key))].ipc
-                          for name in names)
-                for key, _ in points}
-    return result
-
-
-def run_figure4_latency(workloads: Sequence[str] = None,
-                        length: Optional[int] = None,
-                        latencies: Sequence[int] = (1, 2, 4),
-                        jobs: Optional[int] = None) -> Figure4Result:
-    """Figure 4(a): IPC vs inter-cluster latency, 2/4 clusters, ±VP."""
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    result = Figure4Result("communication latency (cycles)", list(latencies))
-    return _run_figure4(names, length, jobs, result, "comm_latency",
-                        [(latency, latency) for latency in latencies],
-                        label="figure4a")
-
-
-def run_figure4_bandwidth(workloads: Sequence[str] = None,
-                          length: Optional[int] = None,
-                          bandwidths: Sequence[Optional[int]] = (1, 2, None),
-                          jobs: Optional[int] = None) -> Figure4Result:
-    """Figure 4(b): IPC vs paths/cluster (None = unbounded)."""
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    xvalues = [b if b is not None else "unbounded" for b in bandwidths]
-    result = Figure4Result("paths per cluster", xvalues)
-    points = [(b if b is not None else "unbounded", b) for b in bandwidths]
-    return _run_figure4(names, length, jobs, result,
-                        "comm_paths_per_cluster", points,
-                        label="figure4b")
-
-
-# --------------------------------------------------------------- Figure 5 --
-
-class Figure5Result:
-    """IPC and predictor accuracy vs value-predictor table size (Fig. 5)."""
-
-    def __init__(self, sizes: List[int]) -> None:
-        self.sizes = sizes
-        self.ipc: Dict[int, float] = {}
-        self.confident_fraction: Dict[int, float] = {}
-        self.hit_ratio: Dict[int, float] = {}
-
-    def ipc_degradation_pct(self) -> float:
-        """IPC loss from the largest to the smallest table, percent."""
-        return -pct_change(self.ipc[self.sizes[-1]], self.ipc[self.sizes[0]])
-
-
-def run_figure5(workloads: Sequence[str] = None,
-                length: Optional[int] = None,
-                sizes: Sequence[int] = (64, 256, 1024, 4096, 16384, 131072),
-                jobs: Optional[int] = None) -> Figure5Result:
-    """Figure 5: sweep the stride predictor table (4 clusters, VPB).
-
-    The paper sweeps 1K..128K on full Mediabench binaries (tens of
-    thousands of static instructions).  The stand-ins' working set of
-    static instructions is ~50x smaller, so the aliasing regime the
-    paper's 1K point sits in corresponds to the 64-256-entry points
-    here; the sweep includes them to expose the same curve shape.
-    """
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    specs = [(size, 4, "stride", "vpb", {"vp_entries": size})
-             for size in sizes]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="figure5")
-    result = Figure5Result(list(sizes))
-    for size in sizes:
-        cells = [sims[(name, size)] for name in names]
-        result.ipc[size] = mean(sim.ipc for sim in cells)
-        result.confident_fraction[size] = mean(
-            sim.vp_stats["confident_fraction"] for sim in cells)
-        result.hit_ratio[size] = mean(
-            sim.vp_stats["hit_ratio"] for sim in cells)
-    return result
-
-
-# -------------------------------------------------------------- ablations --
-
-class AblationResult:
-    """A labelled set of (ipcr/ipc, comm, imbalance) rows."""
-
-    def __init__(self) -> None:
-        self.rows: Dict[str, Dict[str, float]] = {}
-
-
-def run_ablation_modified(workloads: Sequence[str] = None,
-                          length: Optional[int] = None,
-                          jobs: Optional[int] = None) -> AblationResult:
-    """§3.2: the ungated Modified scheme vs Baseline vs VPB (4 clusters).
-
-    The paper found Modified ≈ Baseline (imbalance drops but
-    communication does not), motivating VPB's threshold gate.
-    """
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    specs = [("ref", 1, "stride", "baseline", {})]
-    specs += [(label, 4, "stride", steering, {})
-              for label, steering in (("baseline", "baseline"),
-                                      ("modified", "modified"),
-                                      ("vpb", "vpb"))]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="ablation-modified")
-    result = AblationResult()
-    for label in ("baseline", "modified", "vpb"):
-        cells = [sims[(name, label)] for name in names]
-        result.rows[label] = {
-            "ipcr": mean(sims[(name, label)].ipc / sims[(name, "ref")].ipc
-                         for name in names),
-            "comm": mean(sim.comm_per_inst for sim in cells),
-            "imbalance": mean(sim.imbalance for sim in cells)}
-    return result
-
-
-def run_ablation_rename2(workloads: Sequence[str] = None,
-                         length: Optional[int] = None,
-                         jobs: Optional[int] = None) -> AblationResult:
-    """§3.3: a 2-cycle rename/steer stage costs <2% IPC (4c, VPB)."""
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    labels = (("rename-1-cycle", 0), ("rename-2-cycle", 1))
-    specs = [(label, 4, "stride", "vpb", {"extra_rename_cycles": extra})
-             for label, extra in labels]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="ablation-rename2")
-    result = AblationResult()
-    for label, _ in labels:
-        result.rows[label] = {
-            "ipc": mean(sims[(name, label)].ipc for name in names)}
-    return result
-
-
-# --------------------------------------------------------------- headline --
-
-class HeadlineResult:
-    """The paper's summary numbers, paper-vs-measured."""
-
-    def __init__(self) -> None:
-        self.measured: Dict[str, float] = {}
-        #: Paper values for the same metrics (§1, §3.3, §6).
-        self.paper: Dict[str, float] = {
-            "ipcr4_baseline_nopredict": 0.65,
-            "ipcr4_vpb": 0.77,
-            "ipcr4_gain_pct": 18.0,
-            "ipcr2_baseline_nopredict": 0.85,
-            "ipcr2_vpb": 0.89,
-            "comm4_nopredict": 0.22,
-            "comm4_vpb": 0.11,
-            "ipc_gain_pct_1c": 2.0,
-            "ipc_gain_pct_2c": 8.0,
-            "ipc_gain_pct_4c": 21.0,
-        }
-
-
-def run_headline(workloads: Sequence[str] = None,
-                 length: Optional[int] = None,
-                 jobs: Optional[int] = None) -> HeadlineResult:
-    """Compute every §6 headline metric on the stand-in suite."""
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    cells_spec = [(1, "none", "baseline"), (1, "stride", "baseline"),
-                  (2, "none", "baseline"), (2, "stride", "vpb"),
-                  (4, "none", "baseline"), (4, "stride", "vpb")]
-    specs = [(cell, cell[0], cell[1], cell[2], {}) for cell in cells_spec]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="headline")
-    result = HeadlineResult()
-
-    def _mean(cell):
-        return mean(sims[(name, cell)].ipc for name in names)
-
-    def _comm(cell):
-        return mean(sims[(name, cell)].comm_per_inst for name in names)
-
-    measured = result.measured
-    measured["ipcr4_baseline_nopredict"] = (
-        _mean((4, "none", "baseline")) / _mean((1, "none", "baseline")))
-    measured["ipcr4_vpb"] = (
-        _mean((4, "stride", "vpb")) / _mean((1, "stride", "baseline")))
-    measured["ipcr4_gain_pct"] = pct_change(
-        measured["ipcr4_baseline_nopredict"], measured["ipcr4_vpb"])
-    measured["ipcr2_baseline_nopredict"] = (
-        _mean((2, "none", "baseline")) / _mean((1, "none", "baseline")))
-    measured["ipcr2_vpb"] = (
-        _mean((2, "stride", "vpb")) / _mean((1, "stride", "baseline")))
-    measured["comm4_nopredict"] = _comm((4, "none", "baseline"))
-    measured["comm4_vpb"] = _comm((4, "stride", "vpb"))
-    measured["ipc_gain_pct_1c"] = pct_change(
-        _mean((1, "none", "baseline")), _mean((1, "stride", "baseline")))
-    measured["ipc_gain_pct_2c"] = pct_change(
-        _mean((2, "none", "baseline")), _mean((2, "stride", "vpb")))
-    measured["ipc_gain_pct_4c"] = pct_change(
-        _mean((4, "none", "baseline")), _mean((4, "stride", "vpb")))
-    return result
-
-
-def run_ablation_predictor(workloads: Sequence[str] = None,
-                           length: Optional[int] = None,
-                           jobs: Optional[int] = None) -> AblationResult:
-    """Predictor-design ablation: 2-delta vs naive stride update.
-
-    DESIGN.md §6.1: the literal replace-on-mismatch update mispredicts
-    twice per loop restart while confident; 2-delta (the paper's
-    reference [19]) keeps one-off breaks from poisoning the stride.
-    Measured at 4 clusters with VPB steering.
-    """
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    labels = (("two-delta", True), ("naive", False))
-    specs = [(label, 4, "stride", "vpb", {"vp_two_delta": two_delta})
-             for label, two_delta in labels]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="ablation-predictor")
-    result = AblationResult()
-    for label, _ in labels:
-        cells = [sims[(name, label)] for name in names]
-        result.rows[label] = {
-            "ipc": mean(sim.ipc for sim in cells),
-            "comm": mean(sim.comm_per_inst for sim in cells),
-            "hit_ratio": mean(sim.vp_stats["hit_ratio"] for sim in cells),
-            "confident": mean(sim.vp_stats["confident_fraction"]
-                              for sim in cells)}
-    return result
-
-
-def run_ablation_free_copies(workloads: Sequence[str] = None,
-                             length: Optional[int] = None,
-                             jobs: Optional[int] = None) -> AblationResult:
-    """§2.1 extension: dedicated copy-out hardware.
-
-    The paper notes a real implementation could avoid charging copies
-    to the issue width ("specific hardware that avoids generating copy
-    instructions. However, we have not assumed any of these
-    optimizations").  This ablation measures that headroom at 4
-    clusters, with and without value prediction.
-    """
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    variants = (("paper, no VP", "none", "baseline", False),
-                ("free copies, no VP", "none", "baseline", True),
-                ("paper, VPB", "stride", "vpb", False),
-                ("free copies, VPB", "stride", "vpb", True))
-    specs = [(label, 4, predictor, steering, {"free_copy_issue": free})
-             for label, predictor, steering, free in variants]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="ablation-free-copies")
-    result = AblationResult()
-    for label, _, _, _ in variants:
-        cells = [sims[(name, label)] for name in names]
-        result.rows[label] = {
-            "ipc": mean(sim.ipc for sim in cells),
-            "comm": mean(sim.comm_per_inst for sim in cells)}
-    return result
-
-
-def run_predictor_comparison(workloads: Sequence[str] = None,
-                             length: Optional[int] = None,
-                             jobs: Optional[int] = None
-                             ) -> AblationResult:
-    """§6 future work: "the results will likely be better with more
-    complex and effective predictors".
-
-    Compares the paper's stride predictor against the context (FCM) and
-    hybrid tournament predictors from the Sazeides-Smith family the
-    paper cites, plus the perfect upper bound, at 4 clusters with VPB.
-    """
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    labels = ("none", "stride", "context", "hybrid", "perfect")
-    specs = [(label, 4, label,
-              "vpb" if label != "none" else "baseline", {})
-             for label in labels]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="predictor-comparison")
-    result = AblationResult()
-    for label in labels:
-        cells = [sims[(name, label)] for name in names]
-        result.rows[label] = {
-            "ipc": mean(sim.ipc for sim in cells),
-            "comm": mean(sim.comm_per_inst for sim in cells),
-            "hit_ratio": mean(sim.vp_stats.get("hit_ratio", 0.0)
-                              for sim in cells),
-            "confident": mean(sim.vp_stats.get("confident_fraction", 0.0)
-                              for sim in cells)}
-    return result
-
-
-def run_ablation_static(workloads: Sequence[str] = None,
-                        length: Optional[int] = None,
-                        jobs: Optional[int] = None) -> AblationResult:
-    """§5 related-work claim: dynamic steering beats static partitioning.
-
-    The static scheme gets the best possible conditions — it is profiled
-    on the *same* trace it then runs (a perfect-profile compiler) — and
-    still loses to dynamic steering because every dynamic instance of an
-    instruction is pinned to one cluster regardless of run-time balance.
-
-    Profiles are computed in the parent process (the profile is a plain
-    PC→cluster dict) and shipped to workers as explicit per-cell config,
-    like every other override.
+    *workloads* defaults to :func:`selected_workloads`; *length* to
+    ``REPRO_TRACE_LEN`` or 12000, for every variant that does not fix
+    its own.
     """
     from ..steering import profile_static_assignment
-    names = list(workloads or selected_workloads())
+    names = (selected_workloads() if workloads is None
+             else _known_workloads(list(workloads), "workloads"))
     length = resolve_trace_length(length)
     cells: List[SweepCell] = []
     for name in names:
-        trace = workload_trace(name, length)
-        assignment = profile_static_assignment(trace, 4)
-        cells.append(SweepCell(
-            key=(name, "static"), workload=name, n_clusters=4,
-            steering="static", length=length,
-            overrides=SweepCell.pack_overrides(
-                {"static_assignment": assignment})))
-        cells.append(SweepCell(key=(name, "baseline"), workload=name,
-                               n_clusters=4, length=length))
-        cells.append(SweepCell(key=(name, "vpb"), workload=name,
-                               n_clusters=4, predictor="stride",
-                               steering="vpb", length=length))
-    sims = run_cells(cells, jobs=jobs, label="ablation-static")
-    result = AblationResult()
-    for label, suffix in (("static (perfect profile)", "static"),
-                          ("baseline (dynamic)", "baseline"),
-                          ("vpb (dynamic + VP)", "vpb")):
-        row = [sims[(name, suffix)] for name in names]
-        result.rows[label] = {
-            "ipc": mean(c.ipc for c in row),
-            "comm": mean(c.comm_per_inst for c in row),
-            "imbalance": mean(c.imbalance for c in row)}
-    return result
+        for variant in exp.variants:
+            n = variant.length or length
+            overrides = variant.overrides
+            if variant.steering == "static":
+                # Profiled in the parent: the PC -> cluster dict ships to
+                # workers as explicit per-cell config like any override.
+                trace = workload_trace(name, n, dataset=variant.dataset)
+                overrides += (("static_assignment", profile_static_assignment(
+                    trace, variant.n_clusters)),)
+            cells.append(SweepCell(
+                key=(name, variant.key), workload=name,
+                n_clusters=variant.n_clusters, predictor=variant.predictor,
+                steering=variant.steering, length=n,
+                dataset=variant.dataset,
+                overrides=SweepCell.pack_overrides(dict(overrides))))
+    sims = run_cells(cells, jobs=jobs, label=exp.name)
+    return exp.reduce(Sweep(names, [v.key for v in exp.variants], sims))
 
 
-def simulate_cell(trace, n_clusters: int = 4, predictor: str = "none",
-                  steering: str = "baseline", **overrides):
-    """Simulate a pre-built trace on one 4-cluster configuration."""
-    config = make_config(n_clusters, predictor=predictor,
-                         steering=steering, **overrides)
-    return simulate(list(trace), config)
+def render(exp: Experiment, rows: List[dict]) -> str:
+    """Format an entry's rows like the paper's table."""
+    return exp.layout(exp, rows)
 
 
-class ScalingResult:
-    """IPC/IPCR/comm vs cluster count, with and without prediction."""
+# ---------------------------------------------------------- the entries --
 
-    def __init__(self, counts: List[int]) -> None:
-        self.counts = counts
-        #: metric[(n_clusters, predict)] suite averages
-        self.ipc: Dict[Tuple[int, bool], float] = {}
-        self.ipcr: Dict[Tuple[int, bool], float] = {}
-        self.comm: Dict[Tuple[int, bool], float] = {}
-
-    def vp_gain_pct(self, n_clusters: int) -> float:
-        return pct_change(self.ipc[(n_clusters, False)],
-                          self.ipc[(n_clusters, True)])
+def _fixed(digits: int) -> Callable[[float], str]:
+    return f"{{:.{digits}f}}".format
 
 
-def run_scaling(workloads: Sequence[str] = None,
-                length: Optional[int] = None,
-                counts: Sequence[int] = (1, 2, 4, 8),
-                jobs: Optional[int] = None) -> ScalingResult:
-    """Extension: extrapolate the paper's thesis to deeper clustering.
+def _cols(fmt: Callable, *keys) -> Tuple[Column, ...]:
+    return tuple((key, key, fmt) for key in keys)
 
-    §5 frames the contribution as a design "with an arbitrary number of
-    homogeneous clusters"; Table 1's structure-scaling rule extends
-    naturally (see ``derive_preset``).  The paper's thesis predicts the
-    value-prediction benefit keeps growing with the degree of
-    clustering, because the communication penalty it removes does.
-    """
-    names = list(workloads or selected_workloads())
-    length = resolve_trace_length(length)
-    specs = [(("ref", predict), 1,
-              "stride" if predict else "none",
-              "vpb" if predict else "baseline", {})
-             for predict in (False, True)]
-    specs += [((n_clusters, predict), n_clusters,
-               "stride" if predict else "none",
-               "vpb" if predict else "baseline", {})
-              for n_clusters in counts for predict in (False, True)]
-    sims = run_cells(_cells_for(names, specs, length), jobs=jobs,
-                     label="scaling")
-    result = ScalingResult(list(counts))
-    for n_clusters in counts:
+
+def _schemes(*metrics: str, reference=None) -> Callable[[Sweep], List[dict]]:
+    """Reducer: one row per variant (bar *reference*) with suite means;
+    the ``ipcr`` metric is taken against *reference*."""
+    def reduce(sweep: Sweep) -> List[dict]:
+        keys = [key for key in sweep.keys if key != reference]
+        return [{"scheme": key, **{
+            metric: (sweep.ipcr(key, reference) if metric == "ipcr"
+                     else sweep.mean(key, metric)) for metric in metrics}}
+                for key in keys]
+    return reduce
+
+
+def _ablation(name: str, result: str, title: str, note: str,
+              variants: Sequence[Variant], *metrics: str,
+              reference=None) -> Experiment:
+    return Experiment(name, result, title, note, tuple(variants),
+                      _schemes(*metrics, reference=reference),
+                      (("scheme", "scheme", str),) + _cols(_fixed(3),
+                                                           *metrics))
+
+
+def _predicted(n_clusters: int, predict: bool, key=None,
+               **overrides) -> Variant:
+    """±VP with the steering that goes with it (VPB with prediction)."""
+    return Variant(key if key is not None else (n_clusters, predict),
+                   n_clusters, "stride" if predict else "none",
+                   "vpb" if predict else "baseline",
+                   SweepCell.pack_overrides(overrides))
+
+
+def _figure2_rows(sweep: Sweep) -> List[dict]:
+    return [{"benchmark": name, "clusters": n, "predict": predict,
+             "ipc": sweep.sims[(name, (n, predict))].ipc}
+            for name in sweep.names for n in (1, 2, 4)
+            for predict in (False, True)]
+
+
+def _figure2_layout(exp: Experiment, rows: List[dict]) -> str:
+    """Per-benchmark IPC for the six configurations, plus the average."""
+    configs = list(dict.fromkeys((row["clusters"], row["predict"])
+                                 for row in rows))
+    avg = {(n, p): average(rows, "ipc", clusters=n, predict=p)
+           for n, p in configs}
+    body = [[name] + [f"{row['ipc']:.2f}" for row in rows
+                      if row["benchmark"] == name]
+            for name in dict.fromkeys(row["benchmark"] for row in rows)]
+    body.append(["AVERAGE"] + [f"{avg[config]:.2f}" for config in configs])
+    gains = ", ".join(
+        f"{n}c: {pct_change(avg[(n, False)], avg[(n, True)]):+.1f}%"
+        for n in (1, 2, 4))
+    headers = ["benchmark"] + [f"{n}c" + ("+vp" if p else "")
+                               for n, p in configs]
+    return (table(headers, body, exp.title)
+            + f"\nvalue-prediction IPC gain ({gains})\n" + exp.note)
+
+
+#: The four schemes compared in Figure 3, in bar order.
+FIGURE3_SCHEMES = (("baseline-nopredict", "none", "baseline"),
+                   ("baseline-predict", "stride", "baseline"),
+                   ("vpb-predict", "stride", "vpb"),
+                   ("vpb-perfect", "perfect", "vpb"))
+
+#: The paper's Figure 3 IPCR bars, per cluster count.
+_FIGURE3_PAPER = {2: "paper: 0.85 / - / 0.89 / 0.96",
+                  4: "paper: 0.65 / 0.74 / 0.77 / 0.90"}
+
+
+def _figure3_rows(sweep: Sweep) -> List[dict]:
+    rows = []
+    for n in (2, 4):
+        for scheme, predictor, _ in FIGURE3_SCHEMES:
+            for name in sweep.names:
+                sim = sweep.sims[(name, (n, scheme))]
+                rows.append({
+                    "clusters": n, "scheme": scheme, "benchmark": name,
+                    "ipc": sim.ipc,
+                    "ipcr": sim.ipc / sweep.sims[(name, ("ref",
+                                                         predictor))].ipc,
+                    "comm": sim.comm_per_inst, "imbalance": sim.imbalance})
+    return rows
+
+
+def _figure3_layout(exp: Experiment, rows: List[dict]) -> str:
+    """Suite-mean bars of imbalance, comm/inst and IPCR per scheme."""
+    sections = [exp.title]
+    for n in (2, 4):
+        for metric, key in (("imbalance", "imbalance"),
+                            ("comm/inst", "comm"), ("IPCR", "ipcr")):
+            values = {scheme: average(rows, key, clusters=n, scheme=scheme)
+                      for scheme, _, _ in FIGURE3_SCHEMES}
+            scale = max(values.values()) or 1.0
+            sections.append(f"-- {n} clusters, {metric} --")
+            sections += [f"  {scheme:<20} {value:7.3f} "
+                         f"{bar(value, scale, 30)}"
+                         for scheme, value in values.items()]
+            if key == "ipcr":
+                sections.append(f"  ({_FIGURE3_PAPER[n]})")
+    return "\n".join(sections)
+
+
+def _comm_sweep(override: str, points) -> Tuple[Variant, ...]:
+    """Figure 4's grid: 2/4 clusters x ±VP x (x label, override value)."""
+    return tuple(_predicted(n, predict, (n, predict, x), **{override: value})
+                 for n in (2, 4) for predict in (False, True)
+                 for x, value in points)
+
+
+def _comm_rows(sweep: Sweep) -> List[dict]:
+    xs = list(dict.fromkeys(key[2] for key in sweep.keys))
+    rows = []
+    for n in (2, 4):
         for predict in (False, True):
-            row = [sims[(name, (n_clusters, predict))] for name in names]
-            key = (n_clusters, predict)
-            result.ipc[key] = mean(sim.ipc for sim in row)
-            result.ipcr[key] = mean(
-                sims[(name, (n_clusters, predict))].ipc
-                / sims[(name, ("ref", predict))].ipc for name in names)
-            result.comm[key] = mean(sim.comm_per_inst for sim in row)
-    return result
+            ipc = [sweep.mean((n, predict, x)) for x in xs]
+            label = "predict" if predict else "no-predict"
+            rows.append({"config": f"{n}c {label}", **dict(zip(xs, ipc)),
+                         "degr%": -pct_change(ipc[0], ipc[-1])})
+    return rows
 
 
-def run_robustness(workloads: Sequence[str] = None,
-                   lengths: Sequence[int] = (6_000, 12_000),
-                   jobs: Optional[int] = None
-                   ) -> Dict[int, HeadlineResult]:
-    """Run the headline metrics at several trace lengths.
+def _comm_columns(xs) -> Tuple[Column, ...]:
+    return ((("config", "config", str),) + _cols(_fixed(2), *xs)
+            + (("degr%", "degr%", _fixed(1)),))
 
-    The reduced-trace methodology is only sound if the directional
-    claims are stable against the window size; this driver (and its
-    benchmark) checks exactly that.  One :class:`WorkerPool` is shared
-    across the per-length sweeps, so worker startup is paid once.
-    """
-    from .parallel import WorkerPool
-    with WorkerPool(jobs):
-        return {length: run_headline(workloads, length, jobs=jobs)
-                for length in lengths}
+
+def _size_label(size: int) -> str:
+    return f"{size // 1024}K" if size >= 1024 else str(size)
+
+
+def _figure5_rows(sweep: Sweep) -> List[dict]:
+    return [{"entries": size, "ipc": sweep.mean(size),
+             "confident_fraction": sweep.mean(size, "confident"),
+             "hit_ratio": sweep.mean(size, "hit_ratio")}
+            for size in sweep.keys]
+
+
+def _figure5_layout(exp: Experiment, rows: List[dict]) -> str:
+    """The generic table, its note led by the largest -> smallest loss."""
+    largest, smallest = rows[-1], rows[0]
+    loss = -pct_change(largest["ipc"], smallest["ipc"])
+    return _table(replace(exp, note=(
+        f"IPC degradation {_size_label(largest['entries'])} -> "
+        f"{_size_label(smallest['entries'])}: {loss:.1f}% {exp.note}")), rows)
+
+
+#: The §1/§3.3/§6 summary numbers as the paper states them.
+HEADLINE_PAPER = {
+    "ipcr4_baseline_nopredict": 0.65, "ipcr4_vpb": 0.77,
+    "ipcr4_gain_pct": 18.0, "ipcr2_baseline_nopredict": 0.85,
+    "ipcr2_vpb": 0.89, "comm4_nopredict": 0.22, "comm4_vpb": 0.11,
+    "ipc_gain_pct_1c": 2.0, "ipc_gain_pct_2c": 8.0, "ipc_gain_pct_4c": 21.0,
+}
+
+_HEADLINE_VARIANTS = (Variant("1c", 1), Variant("1c+vp", 1, "stride"),
+                      _predicted(2, False, "2c"),
+                      _predicted(2, True, "2c+vpb"),
+                      _predicted(4, False, "4c"),
+                      _predicted(4, True, "4c+vpb"))
+
+
+def _headline_rows(sweep: Sweep) -> List[dict]:
+    ipc = {variant.key: sweep.mean(variant.key)
+           for variant in _HEADLINE_VARIANTS}
+    measured = {
+        "ipcr4_baseline_nopredict": ipc["4c"] / ipc["1c"],
+        "ipcr4_vpb": ipc["4c+vpb"] / ipc["1c+vp"],
+        "ipcr2_baseline_nopredict": ipc["2c"] / ipc["1c"],
+        "ipcr2_vpb": ipc["2c+vpb"] / ipc["1c+vp"],
+        "comm4_nopredict": sweep.mean("4c", "comm"),
+        "comm4_vpb": sweep.mean("4c+vpb", "comm"),
+        "ipc_gain_pct_1c": pct_change(ipc["1c"], ipc["1c+vp"]),
+        "ipc_gain_pct_2c": pct_change(ipc["2c"], ipc["2c+vpb"]),
+        "ipc_gain_pct_4c": pct_change(ipc["4c"], ipc["4c+vpb"]),
+    }
+    measured["ipcr4_gain_pct"] = pct_change(
+        measured["ipcr4_baseline_nopredict"], measured["ipcr4_vpb"])
+    return [{"metric": metric, "paper": paper, "measured": measured[metric]}
+            for metric, paper in HEADLINE_PAPER.items()]
+
+
+#: The trace lengths the robustness entry runs the headline at.
+ROBUSTNESS_LENGTHS = (6_000, 12_000)
+
+
+def _robustness_rows(sweep: Sweep) -> List[dict]:
+    return [{"trace length": n, **row}
+            for n in ROBUSTNESS_LENGTHS for row in _headline_rows(sweep.at(n))]
+
+
+def _robustness_layout(exp: Experiment, rows: List[dict]) -> str:
+    """The headline table once per trace length."""
+    return "\n".join(
+        f"--- trace length {n} ---\n" + _table(EXPERIMENTS["headline"], [
+            row for row in rows if row["trace length"] == n])
+        for n in dict.fromkeys(row["trace length"] for row in rows))
+
+
+_SCALING_COUNTS = (1, 2, 4, 8)
+
+
+def _scaling_rows(sweep: Sweep) -> List[dict]:
+    rows = []
+    for n in _SCALING_COUNTS:
+        ipc, ipc_vp = sweep.mean((n, False)), sweep.mean((n, True))
+        rows.append({
+            "clusters": n, "IPC": ipc, "IPC+vp": ipc_vp,
+            "gain%": pct_change(ipc, ipc_vp),
+            "IPCR": sweep.ipcr((n, False), ("ref", False)),
+            "IPCR+vp": sweep.ipcr((n, True), ("ref", True)),
+            "comm": sweep.mean((n, False), "comm"),
+            "comm+vp": sweep.mean((n, True), "comm")})
+    return rows
+
+
+_DATASETS = ("test", "train")
+
+
+def _input_rows(sweep: Sweep) -> List[dict]:
+    rows = []
+    for dataset in _DATASETS:
+        part = sweep.at(dataset)
+        ipc = {key: part.mean(key) for key in ("1c", "4c", "4c-vpb")}
+        rows.append({"dataset": dataset, "IPC 1c": ipc["1c"],
+                     "IPC 4c": ipc["4c"], "IPC 4c+vpb": ipc["4c-vpb"],
+                     "IPCR4": ipc["4c"] / ipc["1c"],
+                     "IPCR4+vpb": ipc["4c-vpb"] / ipc["1c"],
+                     "comm 4c": part.mean("4c", "comm"),
+                     "comm 4c+vpb": part.mean("4c-vpb", "comm")})
+    return rows
+
+
+_ENTRIES = (
+    Experiment(
+        "figure2", "figure2_ipc",
+        "Figure 2 — IPC, baseline steering, +/- value prediction",
+        "(paper: +2% 1c, +5% 2c, +16% 4c)",
+        tuple(Variant((n, predict), n, "stride" if predict else "none")
+              for n in (1, 2, 4) for predict in (False, True)),
+        _figure2_rows, layout=_figure2_layout),
+    Experiment(
+        "figure3", "figure3_steering",
+        "Figure 3 — Baseline/VPB x prediction comparison", "",
+        tuple(Variant(("ref", predictor), 1, predictor)
+              for predictor in ("none", "stride", "perfect"))
+        + tuple(Variant((n, scheme), n, predictor, steering)
+                for n in (2, 4)
+                for scheme, predictor, steering in FIGURE3_SCHEMES),
+        _figure3_rows, layout=_figure3_layout, csv="figure3_per_benchmark"),
+    Experiment(
+        "figure4a", "figure4a_latency",
+        "Figure 4(a) — IPC vs communication latency (cycles)",
+        "(paper 4a: 17% IPC loss 1->4 cycles at 4c with prediction, "
+        "20% without)",
+        _comm_sweep("comm_latency", [(str(x), x) for x in (1, 2, 4)]),
+        _comm_rows, _comm_columns(("1", "2", "4"))),
+    Experiment(
+        "figure4b", "figure4b_bandwidth",
+        "Figure 4(b) — IPC vs paths per cluster",
+        "(paper 4b: ~1% IPC loss with a single path/cluster at 4c)",
+        _comm_sweep("comm_paths_per_cluster",
+                    [("1", 1), ("2", 2), ("unbounded", None)]),
+        _comm_rows, _comm_columns(("1", "2", "unbounded"))),
+    # The stand-ins' static footprint is ~50x smaller than Mediabench's,
+    # so the aliasing regime of the paper's 1K point sits at 64-256 here.
+    Experiment(
+        "figure5", "figure5_vptable",
+        "Figure 5 — value predictor table size (4 clusters, VPB)",
+        "(paper: < 4.5% from 128K to 1K; hit 93.4% -> 90.9%)",
+        tuple(Variant(size, 4, "stride", "vpb", (("vp_entries", size),))
+              for size in (64, 256, 1024, 4096, 16384, 131072)),
+        _figure5_rows,
+        (("entries", "entries", _size_label), ("IPC", "ipc", _fixed(2)),
+         ("confident%", "confident_fraction",
+          lambda value: f"{value * 100:.1f}"),
+         ("hit%", "hit_ratio", lambda value: f"{value * 100:.1f}")),
+        layout=_figure5_layout),
+    Experiment(
+        "headline", "headline", "Headline results — paper vs measured", "",
+        _HEADLINE_VARIANTS, _headline_rows,
+        (("metric", "metric", str),) + _cols(_fixed(2), "paper", "measured")),
+    # The reduced-trace methodology is only sound if the headline's
+    # directional claims are stable against the window size.
+    Experiment(
+        "robustness", "robustness",
+        "Headline stability at trace lengths "
+        + " and ".join(map(str, ROBUSTNESS_LENGTHS)), "",
+        tuple(Variant((n, variant.key), variant.n_clusters,
+                          variant.predictor, variant.steering, length=n)
+                  for n in ROBUSTNESS_LENGTHS
+                  for variant in _HEADLINE_VARIANTS),
+        _robustness_rows, layout=_robustness_layout),
+    # Mediabench ships one input per benchmark; the conclusions must not
+    # hinge on it, so the core comparison reruns on the "train" inputs.
+    Experiment(
+        "input-sensitivity", "input_sensitivity",
+        "Input sensitivity — test vs train datasets", "",
+        tuple(Variant((dataset, key), n, predictor, steering,
+                      dataset=dataset)
+              for dataset in _DATASETS
+              for key, n, predictor, steering in (
+                  ("1c", 1, "none", "baseline"), ("4c", 4, "none", "baseline"),
+                  ("4c-vpb", 4, "stride", "vpb"))),
+        _input_rows,
+        (("dataset", "dataset", str), ("IPC 1c", "IPC 1c", _fixed(2)))
+        + _cols(_fixed(3), "IPCR4", "IPCR4+vpb", "comm 4c", "comm 4c+vpb")),
+    # §5 frames the design for "an arbitrary number of homogeneous
+    # clusters"; Table 1's scaling rule extends to 8 (``derive_preset``).
+    Experiment(
+        "scaling", "scaling",
+        "Cluster-count scaling (Table 1 rule extended, VPB+VP vs no-VP)",
+        "(extension: the VP benefit should grow with the degree of "
+        "clustering)",
+        tuple(_predicted(1, predict, ("ref", predict))
+              for predict in (False, True))
+        + tuple(_predicted(n, predict) for n in _SCALING_COUNTS
+                for predict in (False, True)),
+        _scaling_rows,
+        (("clusters", "clusters", str),)
+        + _cols(_fixed(2), "IPC", "IPC+vp")
+        + (("gain%", "gain%", "{:+.1f}".format),)
+        + _cols(_fixed(2), "IPCR", "IPCR+vp")
+        + _cols(_fixed(3), "comm", "comm+vp")),
+    # §3.2: Modified lowers imbalance but not communication, which is
+    # what motivates VPB's threshold gate.
+    _ablation(
+        "ablation-modified", "ablation_modified",
+        "Section 3.2 — ungated Modified scheme (4 clusters)",
+        "(paper: Modified ~ Baseline IPCR; imbalance -31%; comm flat; "
+        "VPB wins)",
+        [Variant("ref", 1, "stride")]
+        + [Variant(steering, 4, "stride", steering)
+           for steering in ("baseline", "modified", "vpb")],
+        "ipcr", "comm", "imbalance", reference="ref"),
+    _ablation(
+        "ablation-rename2", "ablation_rename2",
+        "Section 3.3 — 2-cycle rename/steer (4 clusters, VPB)",
+        "(paper: < 2% IPC degradation)",
+        [Variant(label, 4, "stride", "vpb", (("extra_rename_cycles", extra),))
+         for label, extra in (("rename-1-cycle", 0), ("rename-2-cycle", 1))],
+        "ipc"),
+    # DESIGN.md §6.1: replace-on-mismatch mispredicts twice per loop
+    # restart; 2-delta (the paper's reference [19]) waits for a repeat.
+    _ablation(
+        "ablation-predictor", "ablation_predictor",
+        "Stride update discipline (4 clusters, VPB)",
+        "(expected: 2-delta predicts more operands at similar accuracy "
+        "and wins IPC)",
+        [Variant(label, 4, "stride", "vpb", (("vp_two_delta", two_delta),))
+         for label, two_delta in (("two-delta", True), ("naive", False))],
+        "ipc", "comm", "hit_ratio", "confident"),
+    # §2.1: "specific hardware that avoids generating copy instructions.
+    # However, we have not assumed any of these optimizations".
+    _ablation(
+        "ablation-free-copies", "ablation_free_copies",
+        "Section 2.1 extension — free copy issue (4 clusters)",
+        "(free copies remove the width cost but not the wire latency; "
+        "value prediction removes both)",
+        [_predicted(4, predict, label, free_copy_issue=free)
+         for label, predict, free in (
+             ("paper, no VP", False, False),
+             ("free copies, no VP", False, True),
+             ("paper, VPB", True, False), ("free copies, VPB", True, True))],
+        "ipc", "comm"),
+    # §5: static partitioning, even profiled on the very trace it runs,
+    # cannot react to run-time imbalance.
+    _ablation(
+        "ablation-static", "ablation_static",
+        "Static vs dynamic partitioning (4 clusters)",
+        "(paper 5: dynamic steering beats static even with perfect "
+        "profiles)",
+        [Variant("static (perfect profile)", 4, steering="static"),
+         Variant("baseline (dynamic)", 4),
+         Variant("vpb (dynamic + VP)", 4, "stride", "vpb")],
+        "ipc", "comm", "imbalance"),
+    # §6: "the results will likely be better with more complex and
+    # effective predictors" — the Sazeides-Smith family it cites.
+    _ablation(
+        "predictor-comparison", "future_predictors",
+        "Value predictor families (4 clusters, VPB)",
+        "(paper 6: better predictors should improve VPB further; "
+        "perfect is the ceiling)",
+        [Variant(predictor, 4, predictor,
+                 "vpb" if predictor != "none" else "baseline")
+         for predictor in ("none", "stride", "context", "hybrid",
+                           "perfect")],
+        "ipc", "comm", "hit_ratio", "confident"),
+)
+
+#: Every entry by name, in the order the CLI and benchmarks list them.
+EXPERIMENTS: Dict[str, Experiment] = {exp.name: exp for exp in _ENTRIES}
+
+#: The entries ``repro ablations`` runs, in order.
+ABLATIONS = ("ablation-modified", "ablation-rename2", "ablation-predictor",
+             "ablation-free-copies", "ablation-static",
+             "predictor-comparison")

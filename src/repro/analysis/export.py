@@ -1,9 +1,9 @@
-"""Export experiment results to JSON/CSV for external plotting.
+"""Export experiment rows to JSON/CSV for external plotting.
 
-The ASCII reports in :mod:`repro.analysis.report` are for eyeballing;
-these exporters produce machine-readable files so the figures can be
-re-plotted with any tool. All exporters accept the corresponding
-``run_*`` result objects.
+The ASCII layouts in :mod:`repro.analysis.experiments` are for
+eyeballing; these exporters write the same rows — the raw values
+:func:`~repro.analysis.experiments.run_experiment` returns — as
+machine-readable files, so the figures can be re-plotted with any tool.
 """
 
 from __future__ import annotations
@@ -13,74 +13,7 @@ import io
 import json
 from typing import Dict
 
-from .experiments import (AblationResult, Figure2Result, Figure3Result,
-                          Figure4Result, Figure5Result, HeadlineResult,
-                          ScalingResult)
-
-__all__ = ["figure2_rows", "figure3_rows", "figure4_rows", "figure5_rows",
-           "ablation_rows", "headline_rows", "interval_rows",
-           "scaling_rows", "to_csv", "to_json"]
-
-
-def figure2_rows(result: Figure2Result) -> list:
-    """Long-format rows: benchmark, clusters, predict, ipc."""
-    rows = []
-    for name, series in result.ipc.items():
-        for (n_clusters, predict), ipc in series.items():
-            rows.append({"benchmark": name, "clusters": n_clusters,
-                         "predict": predict, "ipc": ipc})
-    return rows
-
-
-def figure3_rows(result: Figure3Result) -> list:
-    """Long-format rows: clusters, scheme, metric columns."""
-    rows = []
-    for n_clusters, schemes in result.ipcr.items():
-        for scheme in schemes:
-            rows.append({
-                "clusters": n_clusters, "scheme": scheme,
-                "ipcr": result.ipcr[n_clusters][scheme],
-                "comm_per_inst": result.comm[n_clusters][scheme],
-                "imbalance": result.imbalance[n_clusters][scheme]})
-    return rows
-
-
-def figure4_rows(result: Figure4Result) -> list:
-    rows = []
-    for (n_clusters, predict), series in result.ipc.items():
-        for x, ipc in series.items():
-            rows.append({"clusters": n_clusters, "predict": predict,
-                         result.xlabel: x, "ipc": ipc})
-    return rows
-
-
-def figure5_rows(result: Figure5Result) -> list:
-    return [{"entries": size, "ipc": result.ipc[size],
-             "confident_fraction": result.confident_fraction[size],
-             "hit_ratio": result.hit_ratio[size]}
-            for size in result.sizes]
-
-
-def ablation_rows(result: AblationResult) -> list:
-    return [{"scheme": label, **metrics}
-            for label, metrics in result.rows.items()]
-
-
-def headline_rows(result: HeadlineResult) -> list:
-    return [{"metric": key, "paper": result.paper[key],
-             "measured": result.measured.get(key)}
-            for key in result.paper]
-
-
-def scaling_rows(result: ScalingResult) -> list:
-    rows = []
-    for n_clusters in result.counts:
-        for predict in (False, True):
-            key = (n_clusters, predict)
-            rows.append({"clusters": n_clusters, "predict": predict,
-                         "ipc": result.ipc[key], "ipcr": result.ipcr[key],
-                         "comm_per_inst": result.comm[key]})
-    return rows
+__all__ = ["interval_rows", "to_csv", "to_json"]
 
 
 def interval_rows(metrics) -> list:

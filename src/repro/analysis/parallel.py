@@ -1,6 +1,6 @@
 """Parallel sweep execution with deterministic worker seeding.
 
-Every figure/ablation driver decomposes into independent *cells* — one
+Every experiment-table entry decomposes into independent *cells* — one
 (workload, configuration) simulation each — so a sweep is an
 embarrassingly parallel map.  This module provides that map:
 
@@ -18,12 +18,12 @@ embarrassingly parallel map.  This module provides that map:
   state.
 * :class:`WorkerPool` — a reusable executor shared across sweeps.  A
   4k-instruction cell simulates in a few hundred milliseconds, so
-  paying worker-interpreter startup per figure driver (and one
+  paying worker-interpreter startup per table (and one
   pickle/IPC round-trip per cell, the default ``chunksize=1``) is what
   made ``jobs=2`` *slower* than serial in BENCH_sweep.json.  Enter one
-  pool around a batch of drivers (``with WorkerPool(jobs):``) and every
-  ``run_cells`` inside reuses its warm workers; cells are dispatched in
-  chunks sized by :func:`resolve_chunksize`.
+  pool around a batch of experiments (``with WorkerPool(jobs):``) and
+  every ``run_cells`` inside reuses its warm workers; cells are
+  dispatched in chunks sized by :func:`resolve_chunksize`.
 * :func:`resolve_jobs` / :func:`resolve_trace_length` /
   :func:`resolve_chunksize` — the only places that read the
   ``REPRO_JOBS`` / ``REPRO_TRACE_LEN`` / ``REPRO_CHUNKSIZE``
@@ -37,11 +37,11 @@ opt-in content-addressed result cache (``repro.analysis.cache``):
 misses, and stores their results — hits and misses are counted on the
 cache object and surfaced by the CLI and benchmarks.
 
-Failure handling matches :func:`repro.analysis.experiments.run_one_safe`:
-the simulator is deterministic, so a cell that failed with a
-*deterministic* error (bad configuration, unknown workload, golden-model
-divergence, deadlock) is ledgered immediately — replaying it would fail
-identically and double the wall-clock cost of the slowest failures.
+Failure handling: the simulator is deterministic, so a cell that failed
+with a *deterministic* error (bad configuration, unknown workload,
+golden-model divergence, deadlock) is ledgered immediately — replaying
+it would fail identically and double the wall-clock cost of the slowest
+failures.
 Only errors not known to be deterministic (the transient bucket:
 harness hiccups, injected-fault trips) are retried.
 """
@@ -198,16 +198,16 @@ class WorkerPool:
 
     Creating a :class:`~concurrent.futures.ProcessPoolExecutor` costs a
     Python interpreter startup (plus ``repro`` import) per worker; the
-    figure drivers each ran a sweep of a few seconds, so paying that per
-    driver erased the parallel win.  A ``WorkerPool`` creates its
+    paper tables each run a sweep of a few seconds, so paying that per
+    table erased the parallel win.  A ``WorkerPool`` creates its
     executor lazily on first parallel use and keeps it warm until
     :meth:`close`; used as a context manager it also registers itself as
     the process-wide default, so every ``run_cells`` (and the fault
     campaign) inside the block shares it without parameter threading::
 
         with WorkerPool(jobs=4):
-            fig2 = run_figure2()    # starts the workers
-            fig3 = run_figure3()    # reuses them
+            fig2 = run_experiment(EXPERIMENTS["figure2"])  # starts workers
+            fig3 = run_experiment(EXPERIMENTS["figure3"])  # reuses them
         # workers shut down here
 
     A pool resolved to ``jobs=1`` never spawns processes — every mapped
@@ -331,7 +331,7 @@ class SweepCell:
 
     @property
     def config_label(self) -> str:
-        """The ledger's configuration label (matches ``run_one_safe``)."""
+        """The ledger's configuration label."""
         return f"{self.n_clusters}cl/{self.predictor}/{self.steering}"
 
 
@@ -485,7 +485,7 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
         ledger: an :class:`~repro.analysis.experiments.ErrorLedger`.
             When given, failed cells are recorded there and omitted
             from the result dict; when ``None``, the first failure is
-            re-raised (fail-fast, the figure drivers' behaviour).
+            re-raised (fail-fast, the experiment runner's behaviour).
         retries: extra attempts for cells failing with *transient*
             errors; deterministic failures are never retried.
         timings: optional dict receiving ``{cell.key: seconds}`` —

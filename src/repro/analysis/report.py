@@ -1,22 +1,17 @@
-"""ASCII rendering of experiment results (the "figures" of this repo).
+"""ASCII rendering helpers for the paper's tables (the "figures" of
+this repo).
 
-Each ``format_*`` function takes the matching ``run_*`` result from
-:mod:`repro.analysis.experiments` and returns a printable string laid
-out like the paper's table/figure, so benchmark output can be eyeballed
-against the original.
+:func:`table` lays rows out like the paper's tables and :func:`bar`
+draws Figure 3's bars; :func:`repro.analysis.experiments.render` uses
+them to format every experiment's rows, so benchmark output can be
+eyeballed against the original.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from .experiments import (AblationResult, Figure2Result, Figure3Result,
-                          Figure4Result, Figure5Result, HeadlineResult,
-                          ScalingResult)
-
-__all__ = ["table", "bar", "format_figure2", "format_figure3",
-           "format_figure4", "format_figure5", "format_ablation",
-           "format_headline", "format_scaling"]
+__all__ = ["table", "bar"]
 
 
 def table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -43,120 +38,3 @@ def bar(value: float, scale: float, width: int = 40) -> str:
     filled = max(0, min(width, round(value / scale * width)))
     return "#" * filled
 
-
-def format_figure2(result: Figure2Result) -> str:
-    """Figure 2: per-benchmark IPC for the six configurations."""
-    headers = ["benchmark", "1c", "1c+vp", "2c", "2c+vp", "4c", "4c+vp"]
-    rows: List[List[str]] = []
-    for name, row in result.ipc.items():
-        rows.append([name] + [f"{row[key]:.2f}"
-                              for key in Figure2Result.CONFIGS])
-    rows.append(["AVERAGE"] + [f"{result.average(key):.2f}"
-                               for key in Figure2Result.CONFIGS])
-    gains = ", ".join(
-        f"{n}c: {result.prediction_gain_pct(n):+.1f}%" for n in (1, 2, 4))
-    return (table(headers, rows,
-                  "Figure 2 — IPC, baseline steering, +/- value prediction")
-            + f"\nvalue-prediction IPC gain ({gains})"
-            + "\n(paper: +2% 1c, +5% 2c, +16% 4c)")
-
-
-def format_figure3(result: Figure3Result) -> str:
-    """Figure 3: imbalance / comm / IPCR for the four schemes."""
-    sections = []
-    for n_clusters, metric, data, paper in (
-            (2, "imbalance", result.imbalance, None),
-            (2, "comm/inst", result.comm, None),
-            (2, "IPCR", result.ipcr, "paper: 0.85 / - / 0.89 / 0.96"),
-            (4, "imbalance", result.imbalance, None),
-            (4, "comm/inst", result.comm, None),
-            (4, "IPCR", result.ipcr, "paper: 0.65 / 0.74 / 0.77 / 0.90")):
-        row = data[n_clusters]
-        scale = max(row.values()) or 1.0
-        lines = [f"-- {n_clusters} clusters, {metric} --"]
-        for scheme, value in row.items():
-            lines.append(f"  {scheme:<20} {value:7.3f} "
-                         f"{bar(value, scale, 30)}")
-        if paper:
-            lines.append(f"  ({paper})")
-        sections.append("\n".join(lines))
-    return ("Figure 3 — Baseline/VPB x prediction comparison\n"
-            + "\n".join(sections))
-
-
-def format_figure4(result: Figure4Result, which: str) -> str:
-    """Figure 4(a) or 4(b): IPC series over the swept parameter."""
-    headers = ["config"] + [str(x) for x in result.xvalues] + ["degr%"]
-    rows = []
-    for (n_clusters, predict), series in result.ipc.items():
-        label = f"{n_clusters}c {'predict' if predict else 'no-predict'}"
-        rows.append([label]
-                    + [f"{series[x]:.2f}" for x in result.xvalues]
-                    + [f"{result.degradation_pct((n_clusters, predict)):.1f}"])
-    note = ("(paper 4a: 17% IPC loss 1->4 cycles at 4c with prediction, "
-            "20% without)" if which == "a" else
-            "(paper 4b: ~1% IPC loss with a single path/cluster at 4c)")
-    return table(headers, rows,
-                 f"Figure 4({which}) — IPC vs {result.xlabel}") + "\n" + note
-
-
-def format_figure5(result: Figure5Result) -> str:
-    """Figure 5: IPC and predictor accuracy vs table size."""
-    headers = ["entries", "IPC", "confident%", "hit%"]
-    rows = [[f"{size // 1024}K" if size >= 1024 else str(size),
-             f"{result.ipc[size]:.2f}",
-             f"{result.confident_fraction[size] * 100:.1f}",
-             f"{result.hit_ratio[size] * 100:.1f}"]
-            for size in result.sizes]
-    def label(size):
-        return f"{size // 1024}K" if size >= 1024 else str(size)
-    return (table(headers, rows,
-                  "Figure 5 — value predictor table size (4 clusters, VPB)")
-            + f"\nIPC degradation {label(result.sizes[-1])} -> "
-            f"{label(result.sizes[0])}: "
-            f"{result.ipc_degradation_pct():.1f}% "
-            "(paper: < 4.5% from 128K to 1K; hit 93.4% -> 90.9%)")
-
-
-def format_ablation(result: AblationResult, title: str,
-                    note: str = "") -> str:
-    """Generic ablation table."""
-    if not result.rows:
-        return title + "\n(empty)"
-    metrics = list(next(iter(result.rows.values())).keys())
-    headers = ["scheme"] + metrics
-    rows = [[label] + [f"{values[m]:.3f}" for m in metrics]
-            for label, values in result.rows.items()]
-    out = table(headers, rows, title)
-    return out + ("\n" + note if note else "")
-
-
-def format_headline(result: HeadlineResult) -> str:
-    """The §6 summary, paper vs measured."""
-    headers = ["metric", "paper", "measured"]
-    rows = [[key, f"{result.paper[key]:.2f}",
-             f"{result.measured.get(key, float('nan')):.2f}"]
-            for key in result.paper]
-    return table(headers, rows, "Headline results — paper vs measured")
-
-
-def format_scaling(result: "ScalingResult") -> str:
-    """Cluster-count scaling extension: IPC/IPCR/comm vs N, +/- VP."""
-    headers = ["clusters", "IPC", "IPC+vp", "gain%", "IPCR", "IPCR+vp",
-               "comm", "comm+vp"]
-    rows = []
-    for n in result.counts:
-        rows.append([
-            str(n),
-            f"{result.ipc[(n, False)]:.2f}",
-            f"{result.ipc[(n, True)]:.2f}",
-            f"{result.vp_gain_pct(n):+.1f}",
-            f"{result.ipcr[(n, False)]:.2f}",
-            f"{result.ipcr[(n, True)]:.2f}",
-            f"{result.comm[(n, False)]:.3f}",
-            f"{result.comm[(n, True)]:.3f}"])
-    return (table(headers, rows,
-                  "Cluster-count scaling (Table 1 rule extended, VPB+VP "
-                  "vs no-VP)")
-            + "\n(extension: the VP benefit should grow with the degree "
-              "of clustering)")

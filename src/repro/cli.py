@@ -13,11 +13,14 @@ Commands:
   (docs/SAMPLING.md).
 * ``trace`` — ASCII pipeline diagram of a window of the dynamic
   stream, optionally also writing a Perfetto-loadable trace file.
-* ``figure2`` / ``figure3`` / ``figure4a`` / ``figure4b`` / ``figure5``
-  — regenerate one paper figure as an ASCII report.
-* ``headline`` — the §6 paper-vs-measured summary table.
+* one subcommand per entry of the experiment table
+  (:data:`repro.analysis.experiments.EXPERIMENTS`): ``figure2`` /
+  ``figure3`` / ``figure4a`` / ``figure4b`` / ``figure5``, ``headline``,
+  ``robustness``, ``input-sensitivity``, ``scaling`` and the six
+  ablations — each regenerates one paper table as an ASCII report.
 * ``ablations`` — the §3.2/§3.3 side experiments plus this repo's own
-  predictor and free-copy ablations.
+  predictor, free-copy, static-partitioning and predictor-family
+  ablations, in one run.
 * ``campaign`` — the fault-injection robustness campaign
   (docs/ROBUSTNESS.md), written to ``results/robustness_campaign.txt``.
 * ``cache`` — stats/clear maintenance of the opt-in content-addressed
@@ -50,6 +53,8 @@ import sys
 from typing import List, Optional
 
 from . import analysis
+from .analysis.experiments import (ABLATIONS, EXPERIMENTS, render,
+                                   run_experiment, selected_workloads)
 from .core import make_config, simulate
 from .errors import ConfigError, SimulationError, WorkloadError
 from .validation import FaultPlan, format_campaign, run_fault_campaign
@@ -223,14 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     ck_resume.add_argument("--paths", type=int, default=None)
 
     for name, help_text in (
-            ("figure2", "IPC of 1/2/4 clusters, +/- value prediction"),
-            ("figure3", "Baseline/VPB x prediction comparison"),
-            ("figure4a", "IPC vs communication latency"),
-            ("figure4b", "IPC vs communication bandwidth"),
-            ("figure5", "IPC/accuracy vs predictor table size"),
-            ("headline", "paper-vs-measured summary"),
-            ("ablations", "Modified scheme, 2-cycle rename, predictor "
-                          "and free-copy ablations")):
+            *((exp.name, exp.title) for exp in EXPERIMENTS.values()),
+            ("ablations", "the six ablation tables: "
+                          + ", ".join(ABLATIONS))):
         fig = sub.add_parser(name, help=help_text)
         fig.add_argument("--workloads", default=None,
                          help="comma-separated suite subset")
@@ -272,17 +272,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paths", type=int, default=None,
                         help="interconnect paths per cluster (default: "
                              "unbounded)")
-
-
-def _subset(args) -> Optional[List[str]]:
-    if args.workloads is None:
-        return None
-    names = [n.strip() for n in args.workloads.split(",") if n.strip()]
-    unknown = [n for n in names if n not in SUITE]
-    if unknown:
-        raise SystemExit(f"unknown workloads: {unknown}; "
-                         f"choose from {workload_names()}")
-    return names
 
 
 def _cmd_list_workloads() -> None:
@@ -583,7 +572,9 @@ def _cmd_campaign(args) -> None:
     monitor = _make_monitor(args)
     try:
         with use_monitor(monitor):
-            result = run_fault_campaign(workloads=_subset(args),
+            subset = (None if args.workloads is None
+                      else selected_workloads(args.workloads))
+            result = run_fault_campaign(workloads=subset,
                                         seeds=tuple(range(args.seeds)),
                                         length=args.length, rate=args.rate,
                                         jobs=args.jobs)
@@ -620,19 +611,26 @@ def _cmd_figure(args) -> None:
     from .analysis.cache import resolve_cache, use_cache
     from .analysis.parallel import WorkerPool
     from .obs import use_monitor
+    names = ABLATIONS if args.command == "ablations" else (args.command,)
+    subset = selected_workloads(args.workloads)
     # resolve_cache already folds in the REPRO_CACHE opt-in, so pinning
     # its result via use_cache only makes the command's cache explicit
     # (and gives one object whose hit/miss counters we can report).
     cache = resolve_cache(args.cache_dir)
     monitor = _make_monitor(args)
-    # One pool for the whole command: multi-sweep commands (ablations,
-    # run_robustness) reuse warm workers instead of paying interpreter
-    # startup per driver; one monitor for the whole command, so the
-    # receipt aggregates every sweep the command ran.
+    # One pool for the whole command: the ablations group reuses warm
+    # workers instead of paying interpreter startup per table; one
+    # monitor for the whole command, so the receipt aggregates every
+    # sweep the command ran.
     try:
         with WorkerPool(args.jobs), use_cache(cache), \
                 use_monitor(monitor):
-            _run_figure_command(args)
+            for index, name in enumerate(names):
+                if index:
+                    print()
+                rows = run_experiment(EXPERIMENTS[name], subset,
+                                      args.length, jobs=args.jobs)
+                print(render(EXPERIMENTS[name], rows))
     finally:
         _finish_monitor(args, monitor, cache=cache, label=args.command)
     if cache is not None:
@@ -682,52 +680,6 @@ def _cmd_report(args) -> None:
             raise SimulationError(
                 f"{len(regressions)} throughput regression(s) exceed "
                 f"the {args.threshold:.0%} threshold")
-
-
-def _run_figure_command(args) -> None:
-    subset, length, jobs = _subset(args), args.length, args.jobs
-    if args.command == "figure2":
-        print(analysis.format_figure2(
-            analysis.run_figure2(subset, length, jobs=jobs)))
-    elif args.command == "figure3":
-        print(analysis.format_figure3(
-            analysis.run_figure3(subset, length, jobs=jobs)))
-    elif args.command == "figure4a":
-        print(analysis.format_figure4(
-            analysis.run_figure4_latency(subset, length, jobs=jobs), "a"))
-    elif args.command == "figure4b":
-        print(analysis.format_figure4(
-            analysis.run_figure4_bandwidth(subset, length, jobs=jobs), "b"))
-    elif args.command == "figure5":
-        print(analysis.format_figure5(
-            analysis.run_figure5(subset, length, jobs=jobs)))
-    elif args.command == "headline":
-        print(analysis.format_headline(
-            analysis.run_headline(subset, length, jobs=jobs)))
-    else:  # ablations
-        print(analysis.format_ablation(
-            analysis.run_ablation_modified(subset, length, jobs=jobs),
-            "Section 3.2 — ungated Modified scheme (4 clusters)"))
-        print()
-        print(analysis.format_ablation(
-            analysis.run_ablation_rename2(subset, length, jobs=jobs),
-            "Section 3.3 — 2-cycle rename/steer (4 clusters, VPB)"))
-        print()
-        print(analysis.format_ablation(
-            analysis.run_ablation_predictor(subset, length, jobs=jobs),
-            "Stride update discipline (4 clusters, VPB)"))
-        print()
-        print(analysis.format_ablation(
-            analysis.run_ablation_free_copies(subset, length, jobs=jobs),
-            "Section 2.1 extension — free copy issue (4 clusters)"))
-        print()
-        print(analysis.format_ablation(
-            analysis.run_ablation_static(subset, length, jobs=jobs),
-            "Static vs dynamic partitioning (4 clusters)"))
-        print()
-        print(analysis.format_ablation(
-            analysis.run_predictor_comparison(subset, length, jobs=jobs),
-            "Value predictor families (4 clusters, VPB)"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

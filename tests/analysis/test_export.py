@@ -4,40 +4,30 @@ import csv
 import io
 import json
 
-from repro.analysis import (ablation_rows, figure2_rows, figure5_rows,
-                            headline_rows, run_figure2, run_figure5,
-                            scaling_rows, to_csv, to_json)
-from repro.analysis.experiments import (AblationResult, HeadlineResult,
-                                        ScalingResult)
-
-TINY = ["rawcaudio"]
-LEN = 1500
+from repro.analysis import to_csv, to_json
+from repro.analysis.experiments import HEADLINE_PAPER
 
 
-def test_figure2_long_format():
-    rows = figure2_rows(run_figure2(TINY, LEN))
+def test_figure2_long_format(experiment_rows):
+    rows = experiment_rows("figure2")
     assert len(rows) == 6    # one benchmark x six configs
     assert {row["clusters"] for row in rows} == {1, 2, 4}
     assert all(row["ipc"] > 0 for row in rows)
 
 
-def test_figure5_rows_ordered():
-    rows = figure5_rows(run_figure5(TINY, LEN, sizes=(256, 1024)))
-    assert [row["entries"] for row in rows] == [256, 1024]
+def test_figure5_rows_ordered(experiment_rows):
+    rows = experiment_rows("figure5")
+    assert [row["entries"] for row in rows] == [64, 256, 1024, 4096,
+                                                16384, 131072]
 
 
-def test_ablation_and_headline_and_scaling_rows():
-    ablation = AblationResult()
-    ablation.rows["a"] = {"ipc": 1.0}
-    assert ablation_rows(ablation) == [{"scheme": "a", "ipc": 1.0}]
-    headline = HeadlineResult()
-    headline.measured = {key: 0.0 for key in headline.paper}
-    assert len(headline_rows(headline)) == len(headline.paper)
-    scaling = ScalingResult([1])
-    scaling.ipc = {(1, False): 3.0, (1, True): 3.1}
-    scaling.ipcr = {(1, False): 1.0, (1, True): 1.0}
-    scaling.comm = {(1, False): 0.0, (1, True): 0.0}
-    assert len(scaling_rows(scaling)) == 2
+def test_ablation_and_headline_and_scaling_rows(experiment_rows):
+    rename2 = experiment_rows("ablation-rename2")
+    assert to_csv(rename2).splitlines()[0] == "scheme,ipc"
+    assert len(experiment_rows("headline")) == len(HEADLINE_PAPER)
+    scaling = experiment_rows("scaling")
+    assert [row["clusters"] for row in scaling] == [1, 2, 4, 8]
+    assert json.loads(to_json(scaling)) == scaling
 
 
 def test_json_roundtrip(tmp_path):

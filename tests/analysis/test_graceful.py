@@ -1,30 +1,39 @@
-"""Graceful-degradation runner tests: poisoned cells never kill a sweep."""
+"""Graceful-degradation tests: with a ledger, poisoned cells never kill
+a ``run_cells`` sweep."""
 
 import pytest
 
-from repro.analysis import experiments
-from repro.analysis.experiments import (ErrorLedger, run_graceful_sweep,
-                                        run_one_safe)
+from repro.analysis import experiments, parallel
+from repro.analysis.experiments import ErrorLedger
+from repro.analysis.parallel import SweepCell, run_cells
 from repro.errors import SimulationError, WorkloadError
 
 
-def _poisoned_run_one(poisoned, real=experiments.run_one):
-    """A run_one stand-in that explodes for one workload."""
-    def fake(workload, n_clusters, **kwargs):
-        if workload == poisoned:
+def _poison(monkeypatch, poisoned):
+    """Make every cell of one workload explode in the sweep runner."""
+    real = parallel.simulate_sweep_cell
+
+    def fake(cell):
+        if cell.workload == poisoned:
             raise SimulationError("poisoned workload", cycle=123)
-        return real(workload, n_clusters, length=300, **{
-            k: v for k, v in kwargs.items() if k != "length"})
-    return fake
+        return real(cell)
+    monkeypatch.setattr(parallel, "simulate_sweep_cell", fake)
 
 
-class TestRunOneSafe:
+def _cells(workloads, configs):
+    return [SweepCell(key=(name, f"{n}cl/{predictor}/{steering}"),
+                      workload=name, n_clusters=n, predictor=predictor,
+                      steering=steering, length=300)
+            for name in workloads for n, predictor, steering in configs]
+
+
+class TestCellRetries:
     def test_failure_lands_in_ledger_not_raised(self, monkeypatch):
-        monkeypatch.setattr(experiments, "run_one",
-                            _poisoned_run_one("rawcaudio"))
+        _poison(monkeypatch, "rawcaudio")
         ledger = ErrorLedger()
-        result = run_one_safe("rawcaudio", 4, ledger=ledger, retries=1)
-        assert result is None
+        results = run_cells(_cells(["rawcaudio"], [(4, "none", "baseline")]),
+                            jobs=1, ledger=ledger, retries=1)
+        assert results == {}
         assert len(ledger) == 2  # first attempt + one retry
         entry = ledger.entries[0]
         assert entry.workload == "rawcaudio"
@@ -33,57 +42,58 @@ class TestRunOneSafe:
 
     def test_retry_once_recovers_transient_failures(self, monkeypatch):
         calls = {"n": 0}
-        real = experiments.run_one
+        real = parallel.simulate_sweep_cell
 
-        def flaky(workload, n_clusters, **kwargs):
+        def flaky(cell):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise SimulationError("transient hiccup")
-            return real(workload, n_clusters, length=300)
+            return real(cell)
 
-        monkeypatch.setattr(experiments, "run_one", flaky)
+        monkeypatch.setattr(parallel, "simulate_sweep_cell", flaky)
         ledger = ErrorLedger()
-        result = run_one_safe("rawcaudio", 2, ledger=ledger, retries=1)
-        assert result is not None
+        cells = _cells(["rawcaudio"], [(2, "none", "baseline")])
+        results = run_cells(cells, jobs=1, ledger=ledger, retries=1)
+        assert list(results) == [cells[0].key]
         assert calls["n"] == 2
         assert len(ledger) == 1  # the transient failure is still recorded
+        assert ledger.entries[0].attempt == 1
 
     def test_success_leaves_ledger_clean(self):
         ledger = ErrorLedger()
-        result = run_one_safe("rawcaudio", 1, length=300, ledger=ledger)
-        assert result is not None
+        results = run_cells(_cells(["rawcaudio"], [(1, "none", "baseline")]),
+                            jobs=1, ledger=ledger)
+        assert len(results) == 1
         assert not ledger
 
 
 class TestGracefulSweep:
     def test_poisoned_workload_does_not_abort_sweep(self, monkeypatch):
-        monkeypatch.setattr(experiments, "run_one",
-                            _poisoned_run_one("gsmdec"))
-        result = run_graceful_sweep(workloads=["rawcaudio", "gsmdec"],
-                                    configs=[(2, "stride", "vpb")],
-                                    length=300)
+        _poison(monkeypatch, "gsmdec")
+        ledger = ErrorLedger()
+        results = run_cells(_cells(["rawcaudio", "gsmdec"],
+                                   [(2, "stride", "vpb")]),
+                            jobs=1, ledger=ledger)
         # The healthy cell completed; the poisoned one is ledgered.
-        assert result.completed == 1
-        assert ("rawcaudio", "2cl/stride/vpb") in result.ipc
-        assert result.ledger.failed_cells == [("gsmdec", "2cl/stride/vpb")]
-        assert len(result.ledger) == 2  # attempt + retry
+        assert list(results) == [("rawcaudio", "2cl/stride/vpb")]
+        assert ledger.failed_cells == [("gsmdec", "2cl/stride/vpb")]
+        assert len(ledger) == 2  # attempt + retry
 
     def test_clean_sweep_has_empty_ledger(self):
-        result = run_graceful_sweep(workloads=["rawcaudio"],
-                                    configs=[(1, "none", "baseline")],
-                                    length=300)
-        assert result.completed == 1
-        assert not result.ledger
-        assert "clean" in result.ledger.render()
+        ledger = ErrorLedger()
+        results = run_cells(_cells(["rawcaudio"], [(1, "none", "baseline")]),
+                            jobs=1, ledger=ledger)
+        assert len(results) == 1
+        assert not ledger
+        assert "clean" in ledger.render()
 
     def test_ledger_render_names_every_failure(self, monkeypatch):
-        monkeypatch.setattr(experiments, "run_one",
-                            _poisoned_run_one("rawcaudio"))
-        result = run_graceful_sweep(workloads=["rawcaudio"],
-                                    configs=[(4, "none", "baseline"),
-                                             (4, "stride", "vpb")],
-                                    length=300)
-        text = result.ledger.render()
+        _poison(monkeypatch, "rawcaudio")
+        ledger = ErrorLedger()
+        run_cells(_cells(["rawcaudio"], [(4, "none", "baseline"),
+                                         (4, "stride", "vpb")]),
+                  jobs=1, ledger=ledger)
+        text = ledger.render()
         assert "4cl/none/baseline" in text and "4cl/stride/vpb" in text
         assert "SimulationError" in text
 

@@ -6,8 +6,7 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import (ErrorLedger, run_graceful_sweep,
-                                        run_one_safe)
+from repro.analysis.experiments import ErrorLedger
 from repro.analysis.parallel import (SweepCell, WorkerPool, active_pool,
                                      cell_seed, is_transient_error,
                                      resolve_chunksize, resolve_jobs,
@@ -40,6 +39,18 @@ def _cells(include_failure=False):
         cells.insert(1, SweepCell(key=("nope", 4), workload="nope",
                                   n_clusters=4, length=LEN))
     return cells
+
+
+def _graceful_cells():
+    return [SweepCell(key=(n, predictor), workload="rawcaudio",
+                      n_clusters=n, predictor=predictor, steering=steering,
+                      length=300)
+            for n, predictor, steering in ((1, "none", "baseline"),
+                                           (2, "stride", "vpb"))]
+
+
+def _ipc(results):
+    return {key: sim.ipc for key, sim in results.items()}
 
 
 class TestSerialParallelEquivalence:
@@ -76,13 +87,12 @@ class TestSerialParallelEquivalence:
             run_cells([cells[0], cells[0]], jobs=2)
 
     def test_graceful_sweep_parallel_matches_serial(self):
-        kwargs = dict(workloads=["rawcaudio"], length=300,
-                      configs=[(1, "none", "baseline"),
-                               (2, "stride", "vpb")])
-        serial = run_graceful_sweep(jobs=1, **kwargs)
-        parallel = run_graceful_sweep(jobs=2, **kwargs)
-        assert serial.ipc == parallel.ipc
-        assert serial.ledger.entries == parallel.ledger.entries
+        cells = _graceful_cells()
+        serial_ledger, parallel_ledger = ErrorLedger(), ErrorLedger()
+        serial = run_cells(cells, jobs=1, ledger=serial_ledger)
+        parallel = run_cells(cells, jobs=2, ledger=parallel_ledger)
+        assert _ipc(serial) == _ipc(parallel)
+        assert serial_ledger.entries == parallel_ledger.entries
 
 
 class TestChunkedDispatch:
@@ -184,15 +194,14 @@ class TestWorkerPool:
             pool.map(len, [(1,), (2,)])
 
     def test_graceful_sweep_uses_active_pool(self):
-        kwargs = dict(workloads=["rawcaudio"], length=300,
-                      configs=[(1, "none", "baseline"),
-                               (2, "stride", "vpb")])
-        serial = run_graceful_sweep(jobs=1, **kwargs)
+        cells = _graceful_cells()
+        serial_ledger, pooled_ledger = ErrorLedger(), ErrorLedger()
+        serial = run_cells(cells, jobs=1, ledger=serial_ledger)
         with WorkerPool(jobs=2) as pool:
-            pooled = run_graceful_sweep(**kwargs)
+            pooled = run_cells(cells, ledger=pooled_ledger)
             assert pool.started
-        assert serial.ipc == pooled.ipc
-        assert serial.ledger.entries == pooled.ledger.entries
+        assert _ipc(serial) == _ipc(pooled)
+        assert serial_ledger.entries == pooled_ledger.entries
 
 
 class TestEnvValidation:
@@ -266,19 +275,20 @@ class TestErrorClassification:
         assert is_transient_error(SimulationError("hiccup"))
         assert is_transient_error(RuntimeError("foreign"))
 
-    def test_run_one_safe_does_not_retry_deterministic(self, monkeypatch):
-        from repro.analysis import experiments
+    def test_deterministic_failure_is_not_retried(self, monkeypatch):
+        from repro.analysis import parallel
 
         calls = {"n": 0}
 
-        def poisoned(workload, n_clusters, **kwargs):
+        def poisoned(cell):
             calls["n"] += 1
             raise WorkloadError("deterministically broken")
 
-        monkeypatch.setattr(experiments, "run_one", poisoned)
+        monkeypatch.setattr(parallel, "simulate_sweep_cell", poisoned)
         ledger = ErrorLedger()
-        result = run_one_safe("rawcaudio", 2, ledger=ledger, retries=3)
-        assert result is None
+        cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=2,
+                           length=LEN)]
+        assert run_cells(cells, jobs=1, ledger=ledger, retries=3) == {}
         assert calls["n"] == 1  # no retries: the replay would fail alike
         assert len(ledger) == 1
         assert ledger.entries[0].error_type == "WorkloadError"

@@ -1,8 +1,7 @@
 """Tests of the ASCII report rendering."""
 
-from repro.analysis import (Figure2Result, bar, format_figure2,
-                            format_figure5, format_headline, table)
-from repro.analysis.experiments import Figure5Result, HeadlineResult
+from repro.analysis import EXPERIMENTS, bar, render, table
+from repro.analysis.experiments import HEADLINE_PAPER
 
 
 def test_table_alignment_and_rule():
@@ -25,27 +24,27 @@ def test_bar_scaling():
 
 
 def test_format_figure2_includes_average_row():
-    result = Figure2Result()
-    result.ipc["bench"] = {key: 1.0 for key in Figure2Result.CONFIGS}
-    text = format_figure2(result)
+    rows = [{"benchmark": "bench", "clusters": n, "predict": p, "ipc": 1.0}
+            for n in (1, 2, 4) for p in (False, True)]
+    text = render(EXPERIMENTS["figure2"], rows)
     assert "AVERAGE" in text
     assert "bench" in text
     assert "paper" in text
 
 
 def test_format_figure5_reports_degradation():
-    result = Figure5Result([1024, 131072])
-    result.ipc = {1024: 2.8, 131072: 2.9}
-    result.confident_fraction = {1024: 0.55, 131072: 0.6}
-    result.hit_ratio = {1024: 0.9, 131072: 0.93}
-    text = format_figure5(result)
+    rows = [{"entries": 1024, "ipc": 2.8, "confident_fraction": 0.55,
+             "hit_ratio": 0.9},
+            {"entries": 131072, "ipc": 2.9, "confident_fraction": 0.6,
+             "hit_ratio": 0.93}]
+    text = render(EXPERIMENTS["figure5"], rows)
     assert "1K" in text and "128K" in text
-    assert "degradation" in text
+    assert "degradation 128K -> 1K: 3.4%" in text
 
 
 def test_format_headline_pairs_paper_and_measured():
-    result = HeadlineResult()
-    result.measured = {key: 0.5 for key in result.paper}
-    text = format_headline(result)
+    rows = [{"metric": key, "paper": paper, "measured": 0.5}
+            for key, paper in HEADLINE_PAPER.items()]
+    text = render(EXPERIMENTS["headline"], rows)
     assert "ipcr4_vpb" in text
     assert "paper" in text and "measured" in text

@@ -37,9 +37,29 @@ def test_headline_with_subset(capsys):
     assert "ipcr4_vpb" in capsys.readouterr().out
 
 
-def test_unknown_workload_in_subset_rejected():
-    with pytest.raises(SystemExit, match="unknown workloads"):
-        main(["figure2", "--workloads", "bogus", "--length", "1000"])
+def test_unknown_workload_in_subset_rejected(capsys):
+    assert main(["figure2", "--workloads", "bogus", "--length", "1000"]) == 2
+    assert "unknown workloads in --workloads: ['bogus']" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["headline", "--workloads", ","],
+    ["campaign", "--workloads", "bogus"],
+    ["campaign", "--workloads", ","],
+])
+def test_bad_workload_subset_is_usage_error(argv, capsys):
+    assert main(argv + ["--length", "500"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--workloads" in err
+
+
+def test_empty_env_workload_subset_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_WORKLOADS", ",")
+    assert main(["headline", "--length", "500"]) == 2
+    err = capsys.readouterr().err
+    assert "REPRO_WORKLOADS names no workload" in err
+    assert "Traceback" not in err
 
 
 def test_bad_simulate_workload_rejected():
@@ -48,10 +68,10 @@ def test_bad_simulate_workload_rejected():
 
 
 def test_parser_lists_all_commands():
+    from repro.analysis import EXPERIMENTS
     parser = build_parser()
     text = parser.format_help()
-    for command in ("figure2", "figure3", "figure4a", "figure4b",
-                    "figure5", "headline", "ablations", "simulate"):
+    for command in (*EXPERIMENTS, "ablations", "simulate"):
         assert command in text
 
 

@@ -33,8 +33,11 @@ class RegisterFile:
         #: Issue-stage wakeup: uops parked on a register's readiness.
         #: ``set_ready`` lowers each waiter's ``wake_cycle`` to the new
         #: ready cycle (and its issue queue's ``next_try`` bound through
-        #: the ``Uop.iq`` back-reference) and drops the list; a stale
-        #: entry (the waiter issued or was invalidated meanwhile) only
+        #: the ``Uop.iq`` back-reference).  The list lives until
+        #: ``clear``: selective reissue can reset the register to
+        #: pending and reschedule it *earlier*, and the waiters already
+        #: woken for the old cycle must hear of that too.  A stale entry
+        #: (the waiter issued or was invalidated meanwhile) only
         #: triggers a harmless extra scan, never a wrong skip.
         self.waiters: Dict[int, List[object]] = {}
 
@@ -47,7 +50,7 @@ class RegisterFile:
     def set_ready(self, preg: int, cycle: int) -> None:
         """Value of *preg* becomes usable at *cycle*."""
         self.ready[preg] = cycle
-        waiters = self.waiters.pop(preg, None)
+        waiters = self.waiters.get(preg)
         if waiters:
             for uop in waiters:
                 if cycle < uop.wake_cycle:

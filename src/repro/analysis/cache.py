@@ -1,8 +1,8 @@
 """Content-addressed on-disk cache of sweep simulation results.
 
 The paper's evaluation is a large cross-product sweep (6 configurations
-x 1/2/4 clusters x the Mediabench suite), and every figure driver
-re-simulates cells that earlier drivers already ran — the 1-cluster
+x 1/2/4 clusters x the Mediabench suite), and every experiment
+re-simulates cells that earlier experiments already ran — the 1-cluster
 reference cells alone appear in Figures 2, 3 and the headline table.
 The simulator is deterministic, so a cell's :class:`~repro.core.SimResult`
 is a pure function of its inputs; this module memoizes that function on

@@ -419,11 +419,17 @@ def _figure3_layout(exp: Experiment, rows: List[dict]) -> str:
     return "\n".join(sections)
 
 
-def _comm_sweep(override: str, points) -> Tuple[Variant, ...]:
+def _comm_figure(name: str, result: str, title: str, note: str,
+                 override: str, points) -> Experiment:
     """Figure 4's grid: 2/4 clusters x ±VP x (x label, override value)."""
-    return tuple(_predicted(n, predict, (n, predict, x), **{override: value})
-                 for n in (2, 4) for predict in (False, True)
-                 for x, value in points)
+    variants = tuple(
+        _predicted(n, predict, (n, predict, x), **{override: value})
+        for n in (2, 4) for predict in (False, True) for x, value in points)
+    columns = ((("config", "config", str),)
+               + _cols(_fixed(2), *(x for x, _ in points))
+               + (("degr%", "degr%", _fixed(1)),))
+    return Experiment(name, result, title, note, variants, _comm_rows,
+                      columns)
 
 
 def _comm_rows(sweep: Sweep) -> List[dict]:
@@ -436,11 +442,6 @@ def _comm_rows(sweep: Sweep) -> List[dict]:
             rows.append({"config": f"{n}c {label}", **dict(zip(xs, ipc)),
                          "degr%": -pct_change(ipc[0], ipc[-1])})
     return rows
-
-
-def _comm_columns(xs) -> Tuple[Column, ...]:
-    return ((("config", "config", str),) + _cols(_fixed(2), *xs)
-            + (("degr%", "degr%", _fixed(1)),))
 
 
 def _size_label(size: int) -> str:
@@ -566,20 +567,17 @@ _ENTRIES = (
                 for n in (2, 4)
                 for scheme, predictor, steering in FIGURE3_SCHEMES),
         _figure3_rows, layout=_figure3_layout, csv="figure3_per_benchmark"),
-    Experiment(
+    _comm_figure(
         "figure4a", "figure4a_latency",
         "Figure 4(a) — IPC vs communication latency (cycles)",
         "(paper 4a: 17% IPC loss 1->4 cycles at 4c with prediction, "
         "20% without)",
-        _comm_sweep("comm_latency", [(str(x), x) for x in (1, 2, 4)]),
-        _comm_rows, _comm_columns(("1", "2", "4"))),
-    Experiment(
+        "comm_latency", [("1", 1), ("2", 2), ("4", 4)]),
+    _comm_figure(
         "figure4b", "figure4b_bandwidth",
         "Figure 4(b) — IPC vs paths per cluster",
         "(paper 4b: ~1% IPC loss with a single path/cluster at 4c)",
-        _comm_sweep("comm_paths_per_cluster",
-                    [("1", 1), ("2", 2), ("unbounded", None)]),
-        _comm_rows, _comm_columns(("1", "2", "unbounded"))),
+        "comm_paths_per_cluster", [("1", 1), ("2", 2), ("unbounded", None)]),
     # The stand-ins' static footprint is ~50x smaller than Mediabench's,
     # so the aliasing regime of the paper's 1K point sits at 64-256 here.
     Experiment(

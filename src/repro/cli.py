@@ -29,15 +29,15 @@ Commands:
   ``BENCH_sweep.json`` trajectory plus optional run receipts
   (docs/PERFORMANCE.md).
 
-Every figure command honours ``--workloads``, ``--length``, ``--jobs``
-and ``--cache-dir`` (and the ``REPRO_WORKLOADS`` / ``REPRO_TRACE_LEN``
-/ ``REPRO_JOBS`` / ``REPRO_CHUNKSIZE`` / ``REPRO_CACHE`` environment
-variables).  A figure command holds one shared worker pool for its
-whole run, so multi-sweep commands (``ablations``) pay worker startup
-once.  ``--progress`` streams live sweep progress to stderr,
-``--telemetry-out`` mirrors the typed run events to a JSONL file
-(flushed per event, so an interrupted run keeps its partial log), and
-``--receipt-out`` writes a provenance receipt
+Every experiment command honours ``--workloads``, ``--length``,
+``--jobs`` and ``--cache-dir`` (and the ``REPRO_WORKLOADS`` /
+``REPRO_TRACE_LEN`` / ``REPRO_JOBS`` / ``REPRO_CHUNKSIZE`` /
+``REPRO_CACHE`` environment variables).  An experiment command holds
+one shared worker pool for its whole run, so multi-sweep commands
+(``ablations``) pay worker startup once.  ``--progress`` streams live
+sweep progress to stderr, ``--telemetry-out`` mirrors the typed run
+events to a JSONL file (flushed per event, so an interrupted run keeps
+its partial log), and ``--receipt-out`` writes a provenance receipt
 (docs/OBSERVABILITY.md).
 
 Exit codes: 0 on success, 1 when the simulation itself failed

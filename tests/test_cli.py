@@ -267,7 +267,8 @@ class TestTelemetryCli:
         telemetry = tmp_path / "campaign.jsonl"
         code = main(["campaign", "--workloads", "rawcaudio", "--length",
                      "1000", "--seeds", "1",
-                     "--telemetry-out", str(telemetry)])
+                     "--telemetry-out", str(telemetry),
+                     "--output", str(tmp_path / "campaign.txt")])
         assert code == 0
         assert validate_telemetry_jsonl(str(telemetry)) > 0
         events = telemetry.read_text()

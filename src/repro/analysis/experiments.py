@@ -270,7 +270,8 @@ def average(rows: List[dict], metric: str, **where) -> float:
                 if all(row[key] == value for key, value in where.items()))
 
 
-def run_experiment(exp: Experiment, workloads: Sequence[str] = None,
+def run_experiment(exp: Experiment,
+                   workloads: Optional[Sequence[str]] = None,
                    length: Optional[int] = None,
                    jobs: Optional[int] = None) -> List[dict]:
     """Run one entry's grid over the workloads and reduce it to rows.

@@ -1,6 +1,6 @@
 """Sub-minute smoke gate for the sweep fast paths (``make bench-smoke``).
 
-Three properties, asserted (exit 1 on violation), all on a small sweep
+Four properties, asserted (exit 1 on violation), all on a small sweep
 so the gate stays well under a minute:
 
 1. **Parallel wins** — on a multi-core host, a warm-pool chunked
@@ -10,44 +10,39 @@ so the gate stays well under a minute:
    expectation there is ~1x or below) but still exercise the path.
 2. **Cache works** — a cold-then-warm cache cycle: the warm rerun must
    be all hits (zero simulations dispatched) and faster than cold.
-3. **Nothing drifts** — every variant (parallel, cold cache, warm
-   cache) is metric-identical to the serial, uncached sweep.
+3. **Nothing drifts** — every variant (cold and warm pool, cold and
+   warm cache) is metric-identical to the serial, uncached sweep.
 4. **Single-core throughput holds** — the serial sweep's simulated
-   instructions per second must stay within 20% of the best
-   same-shape ``smoke_guard`` entry in ``BENCH_sweep.json``; every
-   run appends its own entry (with provenance), so the guard tracks
-   the best rate this host has ever demonstrated.  Entries from a
+   instructions per second must stay within
+   :data:`~repro.analysis.perf_report.DEFAULT_THRESHOLD` (20%) of the
+   best same-shape (:func:`~repro.analysis.perf_report.shape_key`)
+   ``smoke_guard`` entry in ``BENCH_sweep.json``; every passing run
+   appends its own entry (with provenance), so the guard tracks the
+   best rate this host has ever demonstrated.  Entries from a
    different trace length, cell count or core count are not
    comparable (shorter traces amortize less trace generation) and are
    ignored.
 
-Run directly or via ``make bench-smoke``; honours ``REPRO_JOBS`` /
-``REPRO_CHUNKSIZE``.  See docs/PERFORMANCE.md.
+The sweep is timed by ``harness.sweep_timings``; a throughput reading
+below the floor is re-measured under ``harness.remeasure``.  Run
+directly or via ``make bench-smoke``; honours ``REPRO_JOBS`` (default:
+all cores) and ``REPRO_CHUNKSIZE``, and exits 2 on a malformed value.
+See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
 import sys
-import tempfile
-import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-
-from bench_wallclock import provenance, rate_of
-from repro.analysis.cache import ResultCache, use_cache
-from repro.analysis.perf_report import (append_entry, infer_shape,
-                                        load_history)
-from repro.analysis.parallel import (SweepCell, WorkerPool,
-                                     resolve_chunksize, resolve_jobs,
-                                     run_cells)
+from harness import (RESULT_PATH, Check, Timing, bench_jobs, cli_errors,
+                     interleaved, record, remeasure, report, sweep_cells,
+                     sweep_timings)
+from repro.analysis.cache import use_cache
+from repro.analysis.parallel import resolve_chunksize, run_cells
+from repro.analysis.perf_report import (DEFAULT_THRESHOLD, load_history,
+                                        shape_key)
 from repro.workloads import clear_trace_cache, workload_names
-
-RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_sweep.json"
 
 #: Small but not trivial: enough cells that chunked dispatch matters,
 #: short enough traces that the whole gate runs in seconds.
@@ -55,160 +50,74 @@ LENGTH = 1_500
 N_WORKLOADS = 8
 CONFIGS = ((2, "stride", "vpb"), (4, "stride", "vpb"))
 
-#: Fractional throughput loss vs the best recorded same-shape run that
-#: fails the gate.
-REGRESSION_BUDGET = 0.20
+
+def throughput(cells, sweep: dict) -> Check:
+    """Gate 4: guard single-core throughput; only a passing run enters
+    the history."""
+    insts = sweep["simulated_insts"]
+    entry = {"benchmark": "smoke_guard", "shape": "serial",
+             "cells": len(cells), "trace_length": LENGTH,
+             "cpu_count": os.cpu_count()}
+    best = max((old["serial_insts_per_second"]
+                for old in load_history(RESULT_PATH)
+                if shape_key(old) == shape_key(entry)
+                and old.get("serial_insts_per_second")), default=None)
+    floor = best * (1.0 - DEFAULT_THRESHOLD) if best else 0.0
+    serial = remeasure(
+        lambda repeats: interleaved(
+            {"serial": lambda: run_cells(cells, jobs=1)}, repeats,
+            setup=clear_trace_cache)["serial"],
+        1, lambda timing: insts / timing.min >= floor,
+        lambda timing: timing.min,
+        reading=Timing((sweep["serial_seconds"],)))
+    rate = insts / serial.min
+    if rate >= floor:
+        record({**entry, "serial_seconds": serial.min,
+                "simulated_insts": insts,
+                "serial_insts_per_second": rate})
+    history = (f"best recorded {best:,.0f}, floor {floor:,.0f}" if best
+               else "no comparable history; guard passes vacuously")
+    return Check(f"serial throughput within {DEFAULT_THRESHOLD:.0%} of "
+                 f"best", rate >= floor, f"{rate:,.0f} insts/s, serial "
+                 f"{serial} ({history})")
 
 
-def build_cells():
-    names = workload_names()[:N_WORKLOADS]
-    return [SweepCell(key=(name, n), workload=name, n_clusters=n,
-                      predictor=predictor, steering=steering,
-                      length=LENGTH)
-            for name in names
-            for n, predictor, steering in CONFIGS]
-
-
-def timed(cells, **kwargs):
-    clear_trace_cache()
-    start = time.perf_counter()
-    results = run_cells(cells, **kwargs)
-    return results, time.perf_counter() - start
-
-
-def identical(a, b) -> bool:
-    return a.keys() == b.keys() and all(
-        a[key].to_dict() == b[key].to_dict() for key in a)
-
-
-def best_comparable_rate(history, n_cells: int, cores: int):
-    """Best serial insts/s among same-shape smoke_guard entries.
-
-    Only entries measured with this gate's own sweep shape on a host
-    with the same core count are rate-comparable; ``None`` when no
-    prior entry qualifies (first run on a host).
-    """
-    rates = [entry.get("serial_insts_per_second") for entry in history
-             if entry.get("benchmark") == "smoke_guard"
-             and infer_shape(entry) == "serial"
-             and entry.get("trace_length") == LENGTH
-             and entry.get("cells") == n_cells
-             and entry.get("cpu_count") == cores
-             and entry.get("serial_insts_per_second")]
-    return max(rates) if rates else None
-
-
-def check_throughput(cells, serial, serial_s: float, cores: int,
-                     failures) -> None:
-    """Gate 4: guard single-core throughput, then record this run.
-
-    Timing noise on a shared (or single-core) host is one-sided — a
-    preempted run only ever reads *slower* — so a reading below the
-    floor is re-measured up to twice and the best observation wins,
-    the same policy the obs-check overhead gate uses.  A genuine
-    regression fails every reading.
-    """
-    insts = sum(result.stats.committed_insts for result in serial.values())
-    rate = rate_of(insts, serial_s)
-    history = load_history(RESULT_PATH)
-    best = best_comparable_rate(history, len(serial), cores)
-    if rate is None:
-        print("throughput    : unmeasurable (zero-duration serial run); "
-              "guard skipped")
-        return
-    if best is None:
-        print(f"throughput    : {rate:,.0f} insts/s serial "
-              "(no comparable history; guard passes vacuously)")
-    else:
-        floor = best * (1.0 - REGRESSION_BUDGET)
-        for _ in range(2):
-            if rate >= floor:
-                break
-            retry, retry_s = timed(cells, jobs=1)
-            retry_rate = rate_of(
-                sum(r.stats.committed_insts for r in retry.values()),
-                retry_s)
-            if retry_rate is not None and retry_rate > rate:
-                rate, serial_s = retry_rate, retry_s
-        print(f"throughput    : {rate:,.0f} insts/s serial "
-              f"(best recorded {best:,.0f}, floor {floor:,.0f})")
-        if rate < floor:
-            failures.append(
-                f"serial throughput {rate:,.0f} insts/s is more than "
-                f"{REGRESSION_BUDGET:.0%} below the best recorded "
-                f"{best:,.0f} insts/s")
-            return  # a failed run must not enter the history
-    append_entry(RESULT_PATH, {
-        "benchmark": "smoke_guard",
-        "shape": "serial",
-        **provenance(),
-        "cpu_count": cores,
-        "cells": len(serial),
-        "trace_length": LENGTH,
-        "serial_seconds": round(serial_s, 3),
-        "simulated_insts": insts,
-        "serial_insts_per_second": rate,
-    })
-
-
+@cli_errors
 def main() -> int:
-    failures = []
-    cells = build_cells()
-    jobs = resolve_jobs(int(os.environ["REPRO_JOBS"])
-                        if "REPRO_JOBS" in os.environ else 0)
+    cells = sweep_cells(CONFIGS, LENGTH, workload_names()[:N_WORKLOADS])
+    jobs = bench_jobs()
     cores = os.cpu_count() or 1
     chunksize = resolve_chunksize(None, len(cells), jobs)
     print(f"smoke sweep: {len(cells)} cells x {LENGTH} instructions; "
           f"jobs={jobs}, chunksize={chunksize}, cpu_count={cores}")
 
     with use_cache(None):
-        serial, serial_s = timed(cells, jobs=1)
-        print(f"serial        : {serial_s:.2f}s")
-        check_throughput(cells, serial, serial_s, cores, failures)
-
-        with WorkerPool(jobs):
-            timed(cells, jobs=jobs)  # cold: pays worker startup
-            parallel, parallel_s = timed(cells, jobs=jobs)  # warm pool
-        print(f"parallel warm : {parallel_s:.2f}s "
-              f"(x{serial_s / parallel_s:.2f})" if parallel_s
-              else "parallel warm : <1ms")
-        if not identical(serial, parallel):
-            failures.append("parallel sweep drifted from serial")
-        if cores >= 2 and jobs >= 2:
-            if parallel_s > serial_s:
-                failures.append(
-                    f"parallel ({parallel_s:.2f}s) slower than serial "
-                    f"({serial_s:.2f}s) on a {cores}-core host")
-        else:
-            print("single-core host (or jobs=1): speedup assertion "
-                  "skipped")
-
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp)
-            cold, cold_s = timed(cells, jobs=1, cache=cache)
-            cold_hits = cache.stats.hits
-            warm, warm_s = timed(cells, jobs=1, cache=cache)
-            warm_hits = cache.stats.hits - cold_hits
-            warm_misses = cache.stats.misses - len(cells)
-            print(f"cache         : {cold_s:.2f}s cold -> {warm_s:.2f}s "
-                  f"warm ({warm_hits} hits)")
-            if warm_hits != len(cells) or warm_misses != 0:
-                failures.append(
-                    f"warm cache rerun simulated: {warm_hits} hits / "
-                    f"{warm_misses} misses over {len(cells)} cells")
-            if warm_s >= cold_s:
-                failures.append(
-                    f"warm cache rerun ({warm_s:.2f}s) not faster than "
-                    f"cold ({cold_s:.2f}s)")
-            if not identical(serial, cold) or not identical(serial, warm):
-                failures.append("cached sweep drifted from serial")
-
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("bench-smoke: all assertions passed")
-    return 0
+        sweep = sweep_timings(cells, jobs)
+        checks = [throughput(cells, sweep)]
+    pool, cache = sweep["pool_reuse"], sweep["cache"]
+    multi_core = cores >= 2 and jobs >= 2
+    parallel = (f"warm pool {sweep['parallel_seconds']:.3f}s vs serial "
+                f"{sweep['serial_seconds']:.3f}s")
+    return report("bench-smoke", checks + [
+        Check("warm-pool parallel no slower than serial",
+              not multi_core
+              or sweep["parallel_seconds"] <= sweep["serial_seconds"],
+              parallel if multi_core else
+              f"skipped on a single-core host (or jobs=1): {parallel}"),
+        Check("parallel metric-identical to serial",
+              pool["metric_identical"]),
+        Check("warm cache rerun simulates nothing",
+              cache["warm_hits"] == len(cells)
+              and cache["warm_misses"] == 0,
+              f"{cache['warm_hits']} hits / {cache['warm_misses']} "
+              f"misses over {len(cells)} cells"),
+        Check("warm cache faster than cold",
+              cache["warm_seconds"] < cache["cold_seconds"],
+              f"cold {cache['cold_seconds']:.3f}s -> warm "
+              f"{cache['warm_seconds']:.3f}s"),
+        Check("cached sweep metric-identical to serial",
+              cache["metric_identical"]),
+    ])
 
 
 if __name__ == "__main__":

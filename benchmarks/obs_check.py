@@ -18,67 +18,30 @@ docs/OBSERVABILITY.md:
    disabled hooks must stay behind their ``is not None`` guards, so
    turning observability off really removes it from the hot loop.
 
-Exit code 0 when every check passes, 1 otherwise.  The tier-1 test
-suite runs :func:`run_checks` directly, so a regression in any of
-these fails ``make test`` as well as ``make obs-check``.
+Exit code 0 when every check passes, 1 otherwise (2 on bad input).
+The tier-1 test suite runs :func:`run_checks` directly, so a regression
+in any of these fails ``make test`` as well as ``make obs-check``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import os
-import pathlib
 import sys
 import tempfile
-import time
 import tracemalloc
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
-
+from harness import (Check, cli_errors, overhead_check, report,
+                     same_results, schema_check)
 from repro.core import make_config, simulate
 from repro.obs import (ChromeTraceSink, EventTracer, JsonlSink,
                        RingBufferSink)
 from repro.obs.events import EV_COMMIT
-from repro.obs.schema import (TraceSchemaError, validate_chrome_trace,
-                              validate_jsonl_trace)
+from repro.obs.schema import validate_chrome_trace, validate_jsonl_trace
 from repro.workloads import workload_trace
 
 #: Wall-clock overhead budget for ring-buffer tracing.
 OVERHEAD_BUDGET = 0.10
-
-
-def _measure_overhead(trace, config, repeats: int):
-    """Min-of-N interleaved timing of untraced vs ring-traced runs.
-
-    The variants are interleaved so host drift hits both equally, and
-    the cyclic collector is paused inside each timed window:
-    collection *frequency* depends on allocation counts, so with it
-    enabled the traced run pays extra whole-heap scans whose cost is
-    really a property of the host's heap, not of the tracer.  Timing
-    noise is one-sided (preemption and cache pollution only ever
-    *add* time), so min-of-N per variant is the estimator — the
-    fastest run is the closest observation of each variant's true
-    cost.
-    """
-    untraced_times, ring_times = [], []
-    for _ in range(repeats):
-        for times, kwargs in ((untraced_times, {}),
-                              (ring_times,
-                               {"tracer":
-                                EventTracer(RingBufferSink())})):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                simulate(list(trace), config, **kwargs)
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-    untraced_s = min(untraced_times)
-    ring_s = min(ring_times)
-    return untraced_s, ring_s, ring_s / untraced_s - 1.0
 
 
 def _obs_off_allocations(trace, config):
@@ -109,54 +72,40 @@ def _obs_off_allocations(trace, config):
 
 
 def run_checks(length: int = 4000, repeats: int = 5,
-               overhead_budget: float = OVERHEAD_BUDGET,
-               check_overhead: bool = True) -> list:
-    """Run every check; returns a list of (name, ok, detail) tuples."""
+               overhead_budget: float = OVERHEAD_BUDGET) -> list:
+    """Run every check; returns a list of :class:`harness.Check`."""
     trace = list(workload_trace("cjpeg", length))
     config = make_config(4, predictor="stride", steering="vpb")
-    checks = []
-
-    if check_overhead:
-        # Timed first, on a clean heap: the schema/serialization
-        # checks below churn enough garbage to visibly slow later
-        # runs.  On a loaded (or single-core) host a sustained burst
-        # of interference can still straddle every ring run of one
-        # measurement, so a reading over budget is re-measured once
-        # with doubled repeats and the better observation wins —
-        # genuine regressions fail both readings.
-        untraced_s, ring_s, overhead = _measure_overhead(
-            trace, config, repeats)
-        if overhead >= overhead_budget:
-            retry = _measure_overhead(trace, config, repeats * 2)
-            if retry[2] < overhead:
-                untraced_s, ring_s, overhead = retry
-        checks.append((f"ring overhead < {overhead_budget:.0%}",
-                       overhead < overhead_budget,
-                       f"{overhead:+.1%} ({untraced_s:.3f}s -> "
-                       f"{ring_s:.3f}s)"))
+    # Timed first, on a clean heap: the schema/serialization checks
+    # below churn enough garbage to visibly slow later runs.
+    checks = [overhead_check(
+        f"ring overhead < {overhead_budget:.0%}",
+        {"untraced": lambda: simulate(list(trace), config),
+         "ring": lambda: simulate(list(trace), config,
+                                  tracer=EventTracer(RingBufferSink()))},
+        repeats, overhead_budget)]
 
     offenders = _obs_off_allocations(trace, config)
-    checks.append(("obs-off allocates nothing in repro.obs",
-                   not offenders,
-                   "no obs-module allocations" if not offenders else
-                   ", ".join(f"{name}: {size}B"
-                             for name, size in sorted(offenders.items()))))
+    checks.append(Check("obs-off allocates nothing in repro.obs",
+                        not offenders,
+                        "no obs-module allocations" if not offenders else
+                        ", ".join(f"{name}: {size}B" for name, size
+                                  in sorted(offenders.items()))))
 
     base = simulate(list(trace), config)
     ring_tracer = EventTracer(RingBufferSink())
     ring = simulate(list(trace), config, tracer=ring_tracer)
-    identical = (dataclasses.asdict(base.stats)
-                 == dataclasses.asdict(ring.stats))
-    checks.append(("non-invasive (stats bit-identical)", identical,
-                   "" if identical else "traced stats diverge"))
+    identical = same_results({"cjpeg": base}, {"cjpeg": ring})
+    checks.append(Check("non-invasive (stats bit-identical)", identical,
+                        "" if identical else "traced stats diverge"))
 
     stats = ring.stats
     expected = (stats.committed_insts + stats.committed_copies
                 + stats.committed_vcopies)
     commits = ring_tracer.counts[EV_COMMIT]
-    checks.append(("commit events == committed uops",
-                   commits == expected,
-                   f"{commits} events vs {expected} committed"))
+    checks.append(Check("commit events == committed uops",
+                        commits == expected,
+                        f"{commits} events vs {expected} committed"))
 
     with tempfile.TemporaryDirectory() as tmp:
         jsonl_path = os.path.join(tmp, "trace.jsonl")
@@ -165,35 +114,17 @@ def run_checks(length: int = 4000, repeats: int = 5,
             simulate(list(trace), config, tracer=EventTracer(sink))
         with ChromeTraceSink(chrome_path, config.describe()) as sink:
             simulate(list(trace), config, tracer=EventTracer(sink))
-        for label, validate, path in (
-                ("jsonl schema", validate_jsonl_trace, jsonl_path),
-                ("chrome schema", validate_chrome_trace, chrome_path)):
-            try:
-                count = validate(path)
-                checks.append((label, True, f"{count} events"))
-            except TraceSchemaError as error:
-                checks.append((label, False, str(error)))
+        checks += [schema_check("jsonl schema", validate_jsonl_trace,
+                                jsonl_path, "events"),
+                   schema_check("chrome schema", validate_chrome_trace,
+                                chrome_path, "events")]
 
     return checks
 
 
+@cli_errors
 def main() -> int:
-    checks = run_checks()
-    width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    for name, ok, detail in checks:
-        mark = "ok " if ok else "FAIL"
-        line = f"{mark} {name:<{width}}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
-        if not ok:
-            failed += 1
-    if failed:
-        print(f"\n{failed} observability check(s) failed")
-        return 1
-    print("\nall observability checks passed")
-    return 0
+    return report("obs-check", run_checks())
 
 
 if __name__ == "__main__":

@@ -17,10 +17,12 @@ Four guarantees, each fatal when violated:
 
 The detailed reference run doubles as the throughput baseline, so the
 whole gate is one detailed run plus change (~1 minute); both sides are
-measured in-process on the same host, which is what makes the speedup
-ratio honest.  The multi-workload version of the same measurement
-(with provenance, appended to ``BENCH_sweep.json``) lives in
-``benchmarks/bench_wallclock.py --sampled``.
+measured in-process on the same host by ``harness.detailed_vs_sampled``,
+which is what makes the speedup ratio honest.  The multi-workload
+version of the same measurement (with provenance, appended to
+``BENCH_sweep.json``) lives in ``benchmarks/bench_wallclock.py
+--sampled``.  Exit code 0 when every check passes, 1 otherwise (2 on
+bad input).
 """
 
 from __future__ import annotations
@@ -28,16 +30,15 @@ from __future__ import annotations
 import pathlib
 import sys
 import tempfile
-import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
-
+from harness import (Check, cli_errors, detailed_vs_sampled, report,
+                     same_results)
 from repro.analysis.parallel import SweepCell, run_cells
 from repro.analysis.provenance import RunReceipt
 from repro.analysis.sampling import SamplingConfig
 from repro.core import (make_config, restore_executor, restore_processor,
                         save_executor, save_processor, simulate)
+from repro.core.processor import Processor
 from repro.isa.executor import FunctionalExecutor
 from repro.obs import SweepMonitor, use_monitor
 from repro.obs.schema import validate_receipt
@@ -53,50 +54,7 @@ MIN_SPEEDUP = 20.0
 MAX_IPC_ERROR = 0.02
 
 
-def check(label: str, ok: bool, detail: str) -> tuple:
-    print(f"  [{'ok' if ok else 'FAIL'}] {label}: {detail}")
-    return (label, ok, detail)
-
-
-def throughput_and_accuracy(length: int = LENGTH,
-                            sampling: SamplingConfig = SAMPLING,
-                            min_speedup: float = MIN_SPEEDUP,
-                            max_error: float = MAX_IPC_ERROR,
-                            repeats: int = 3) -> list:
-    """Guarantees 1 + 2: the sampled run vs the detailed reference.
-
-    The sampled side is min-of-*repeats*: its ~2 s wall is exposed to
-    host-noise spikes a single shot can't average away, while the
-    minute-long detailed reference self-averages.  The IPC estimate is
-    deterministic — repetition only affects the timing.
-    """
-    config = make_config(CLUSTERS, **CONFIG_KW)
-    program = build_workload(WORKLOAD)
-    start = time.perf_counter()
-    detailed = simulate(FunctionalExecutor(program, length).run(),
-                        config, max_instructions=length)
-    detailed_s = time.perf_counter() - start
-    ref_ipc = detailed.stats.committed_insts / detailed.stats.cycles
-    detailed_rate = detailed.stats.committed_insts / detailed_s
-
-    sampled = min(
-        (simulate(build_workload(WORKLOAD), config,
-                  max_instructions=length, sampling=sampling,
-                  workload_name=WORKLOAD) for _ in range(repeats)),
-        key=lambda result: result.wall_seconds)
-    speedup = sampled.effective_insts_per_second / detailed_rate
-    error = abs(sampled.ipc - ref_ipc) / ref_ipc
-    return [check(
-        "throughput", speedup >= min_speedup,
-        f"{sampled.effective_insts_per_second:,.0f} effective insts/s "
-        f"vs {detailed_rate:,.0f} detailed = {speedup:.1f}x "
-        f"(need >= {min_speedup:.0f}x)"), check(
-        "accuracy", error <= max_error,
-        f"sampled IPC {sampled.ipc:.4f} vs detailed {ref_ipc:.4f} = "
-        f"{error:+.2%} (need <= {max_error:.0%})")]
-
-
-def machine_roundtrip(tmp: str) -> tuple:
+def machine_roundtrip(tmp: str) -> Check:
     """Guarantee 3a: mid-run machine snapshot resume == uninterrupted."""
     config = make_config(CLUSTERS, **CONFIG_KW)
     total, cut = 20_000, 8_000
@@ -105,7 +63,6 @@ def machine_roundtrip(tmp: str) -> tuple:
         FunctionalExecutor(build_workload(WORKLOAD), total).run(),
         config, max_instructions=total)
 
-    from repro.core.processor import Processor
     executor = FunctionalExecutor(build_workload(WORKLOAD), total)
     processor = Processor(config, executor.run())
     processor.trace_executor = executor
@@ -116,18 +73,15 @@ def machine_roundtrip(tmp: str) -> tuple:
     restored.run_until(max_insts=total)
     resumed = restored.finalize()
 
-    same = (resumed.stats.cycles == baseline.stats.cycles
-            and resumed.stats.committed_insts
-            == baseline.stats.committed_insts
-            and resumed.stats.ipc == baseline.stats.ipc)
-    return check(
+    same = same_results({WORKLOAD: resumed}, {WORKLOAD: baseline})
+    return Check(
         "machine snapshot roundtrip", same,
         f"resume @{cut}: {resumed.stats.committed_insts} insts / "
         f"{resumed.stats.cycles} cycles vs uninterrupted "
         f"{baseline.stats.committed_insts} / {baseline.stats.cycles}")
 
 
-def executor_roundtrip(tmp: str) -> tuple:
+def executor_roundtrip(tmp: str) -> Check:
     """Guarantee 3b: executor checkpoint resume == uninterrupted."""
     total, cut = 120_000, 50_000
     straight = FunctionalExecutor(build_workload(WORKLOAD), total)
@@ -144,7 +98,7 @@ def executor_roundtrip(tmp: str) -> tuple:
             and resumed.pc == straight.pc
             and resumed.int_regs == straight.int_regs
             and resumed.fp_regs == straight.fp_regs)
-    return check(
+    return Check(
         "executor checkpoint roundtrip", same,
         f"resume @{cut}: seq {resumed.seq}, architectural state "
         f"{'identical' if same else 'DIVERGED'}")
@@ -165,10 +119,10 @@ def receipt_schema(tmp: str) -> list:
     receipt = RunReceipt.from_monitor(monitor, label="sample-check")
     cells = validate_receipt(receipt.to_dict())
     block = receipt.to_dict()["cells"][0]["sampling"]
-    return [check(
+    return [Check(
         "receipt schema", cells == 1 and block is not None
         and block["interval"] == 1200,
-        f"{cells} cell(s), sampling block {block}"), check(
+        f"{cells} cell(s), sampling block {block}"), Check(
         "sampled cell result", results[(WORKLOAD, "sampled")].ipc > 0,
         f"cell IPC {results[(WORKLOAD, 'sampled')].ipc:.4f}")]
 
@@ -177,7 +131,7 @@ def run_checks(length: int = LENGTH,
                sampling: SamplingConfig = SAMPLING,
                min_speedup: float = MIN_SPEEDUP,
                max_error: float = MAX_IPC_ERROR) -> list:
-    """All four guarantees as ``(label, ok, detail)`` tuples.
+    """All four guarantees as :class:`harness.Check` records.
 
     The tier-1 wrapper (``tests/analysis/test_sample_check.py``) runs
     this at reduced length with relaxed throughput/accuracy bars —
@@ -185,25 +139,31 @@ def run_checks(length: int = LENGTH,
     fewer windows — while ``make sample-check`` enforces the
     full-strength 20x / 2% contract.
     """
-    checks = []
     with tempfile.TemporaryDirectory() as tmp:
-        checks.append(machine_roundtrip(tmp))
-        checks.append(executor_roundtrip(tmp))
-        checks.extend(receipt_schema(tmp))
-        checks.extend(throughput_and_accuracy(
-            length=length, sampling=sampling, min_speedup=min_speedup,
-            max_error=max_error))
-    return checks
+        checks = [machine_roundtrip(tmp), executor_roundtrip(tmp),
+                  *receipt_schema(tmp)]
+    # Guarantees 1 + 2.  The sampled side is min-of-3: its ~2 s wall is
+    # exposed to host-noise spikes a single shot can't average away.
+    row, readings = detailed_vs_sampled(
+        WORKLOAD, make_config(CLUSTERS, **CONFIG_KW), length, sampling, 3)
+    return checks + [Check(
+        "throughput", row["speedup"] >= min_speedup,
+        f"{row['effective_insts_per_second']:,.0f} effective insts/s vs "
+        f"{row['detailed_insts_per_second']:,.0f} detailed = "
+        f"{row['speedup']:.1f}x (need >= {min_speedup:.0f}x); "
+        f"{readings}"), Check(
+        "accuracy", abs(row["ipc_error"]) <= max_error,
+        f"sampled IPC {row['sampled_ipc']:.4f} vs detailed "
+        f"{row['detailed_ipc']:.4f} = {row['ipc_error']:+.2%} "
+        f"(need within {max_error:.0%})")]
 
 
+@cli_errors
 def main() -> int:
     print(f"sample-check: {WORKLOAD} x {LENGTH} insts, "
           f"{SAMPLING.samples} windows of "
           f"{SAMPLING.warmup}+{SAMPLING.interval}")
-    checks = run_checks()
-    ok = all(passed for _, passed, _ in checks)
-    print(f"sample-check: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return report("sample-check", run_checks())
 
 
 if __name__ == "__main__":

@@ -16,30 +16,22 @@ documented in docs/OBSERVABILITY.md:
    ``simulated == stores == cells`` with zero hits, and the warm rerun
    reports ``hits == cells`` with zero simulations.
 
-Exit code 0 when every check passes, 1 otherwise.  The tier-1 test
-suite runs :func:`run_checks` directly, so a regression in any of
-these fails ``make test`` as well as ``make telemetry-check``.
+Exit code 0 when every check passes, 1 otherwise (2 on bad input).
+The tier-1 test suite runs :func:`run_checks` directly, so a regression
+in any of these fails ``make test`` as well as ``make telemetry-check``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import gc
-import json
 import os
-import pathlib
 import sys
 import tempfile
-import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
-                       / "src"))
-
-from repro.analysis import ResultCache, SweepCell, run_cells, use_cache
-from repro.obs.schema import (TraceSchemaError, validate_receipt,
-                              validate_telemetry_jsonl)
+from harness import (Check, cli_errors, overhead_check, report,
+                     same_results, schema_check, sweep_cells)
+from repro.analysis import ResultCache, RunReceipt, run_cells, use_cache
+from repro.obs.schema import validate_receipt, validate_telemetry_jsonl
 from repro.obs.telemetry import SweepMonitor, use_monitor
-from repro.workloads import workload_names
 
 #: Wall-clock overhead budget for sweep monitoring.
 OVERHEAD_BUDGET = 0.02
@@ -49,86 +41,27 @@ OVERHEAD_BUDGET = 0.02
 CONFIGS = ((4, "stride", "vpb"), (4, "none", "baseline"))
 
 
-def build_cells(length: int):
-    """The gate's sweep: every suite workload under each configuration."""
-    cells = []
-    for name in workload_names():
-        for n_clusters, predictor, steering in CONFIGS:
-            cells.append(SweepCell((name, predictor, steering), name,
-                                   n_clusters, predictor=predictor,
-                                   steering=steering, length=length))
-    return cells
-
-
-def _measure_overhead(cells, repeats: int):
-    """Min-of-N interleaved timing of unmonitored vs monitored sweeps.
-
-    The variants are interleaved so host drift hits both equally, and
-    the cyclic collector is paused inside each timed window (collection
-    frequency tracks allocation counts, which the monitor's event dicts
-    inflate).  Timing noise is one-sided — preemption only ever *adds*
-    time — so min-of-N per variant is the estimator.
-    """
-    plain_times, monitored_times = [], []
-    for _ in range(repeats):
-        for times, monitored in ((plain_times, False),
-                                 (monitored_times, True)):
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                if monitored:
-                    with use_monitor(SweepMonitor()):
-                        run_cells(cells, jobs=1)
-                else:
-                    run_cells(cells, jobs=1)
-                times.append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-    plain_s = min(plain_times)
-    monitored_s = min(monitored_times)
-    return plain_s, monitored_s, monitored_s / plain_s - 1.0
-
-
-def _stats_of(results) -> dict:
-    """``{cell key: SimStats-as-dict}`` for bit-identity comparison."""
-    return {key: dataclasses.asdict(result.stats)
-            for key, result in results.items()}
-
-
 def run_checks(length: int = 800, repeats: int = 3,
-               overhead_budget: float = OVERHEAD_BUDGET,
-               check_overhead: bool = True) -> list:
-    """Run every check; returns a list of (name, ok, detail) tuples."""
-    cells = build_cells(length)
-    checks = []
+               overhead_budget: float = OVERHEAD_BUDGET) -> list:
+    """Run every check; returns a list of :class:`harness.Check`."""
+    cells = sweep_cells(CONFIGS, length)
+
+    def monitored():
+        with use_monitor(SweepMonitor()):
+            return run_cells(cells, jobs=1)
+
     # use_cache(None) shadows any ambient REPRO_CACHE: the gate must
     # time and count real simulations, not a developer's warm cache.
     with use_cache(None):
-        if check_overhead:
-            # Timed first, on a clean heap.  On a loaded host a burst
-            # of interference can still straddle every monitored run of
-            # one measurement, so a reading over budget is re-measured
-            # once with doubled repeats and the better observation wins
-            # — genuine regressions fail both readings.
-            plain_s, monitored_s, overhead = _measure_overhead(
-                cells, repeats)
-            if overhead >= overhead_budget:
-                retry = _measure_overhead(cells, repeats * 2)
-                if retry[2] < overhead:
-                    plain_s, monitored_s, overhead = retry
-            checks.append((f"monitor overhead < {overhead_budget:.0%}",
-                           overhead < overhead_budget,
-                           f"{overhead:+.2%} ({plain_s:.3f}s -> "
-                           f"{monitored_s:.3f}s, {len(cells)} cells)"))
+        # Timed first, on a clean heap.
+        checks = [overhead_check(
+            f"monitor overhead < {overhead_budget:.0%}",
+            {"unmonitored": lambda: run_cells(cells, jobs=1),
+             "monitored": monitored}, repeats, overhead_budget)]
 
-        plain = _stats_of(run_cells(cells, jobs=1))
-        with use_monitor(SweepMonitor()):
-            monitored = _stats_of(run_cells(cells, jobs=1))
-        checks.append(("non-invasive (stats bit-identical)",
-                       plain == monitored,
-                       "" if plain == monitored
-                       else "monitored stats diverge"))
+        same = same_results(run_cells(cells, jobs=1), monitored())
+        checks.append(Check("non-invasive (stats bit-identical)", same,
+                            "" if same else "monitored stats diverge"))
 
         with tempfile.TemporaryDirectory() as tmp:
             jsonl_path = os.path.join(tmp, "telemetry.jsonl")
@@ -143,65 +76,38 @@ def run_checks(length: int = 800, repeats: int = 3,
             run_cells(cells, jobs=1, cache=cache,
                       receipt_path=warm_receipt)
 
-            for label, validate, path in (
-                    ("telemetry jsonl schema", validate_telemetry_jsonl,
-                     jsonl_path),
-                    ("cold receipt schema", validate_receipt,
-                     cold_receipt),
-                    ("warm receipt schema", validate_receipt,
-                     warm_receipt)):
-                try:
-                    count = validate(path)
-                    checks.append((label, True,
-                                   f"{count} event(s)"
-                                   if "jsonl" in label
-                                   else f"{count} cell(s)"))
-                except TraceSchemaError as error:
-                    checks.append((label, False, str(error)))
-
-            with open(cold_receipt, encoding="utf-8") as handle:
-                cold = json.load(handle)
-            with open(warm_receipt, encoding="utf-8") as handle:
-                warm = json.load(handle)
+            checks += [
+                schema_check("telemetry jsonl schema",
+                             validate_telemetry_jsonl, jsonl_path,
+                             "event(s)"),
+                schema_check("cold receipt schema", validate_receipt,
+                             cold_receipt, "cell(s)"),
+                schema_check("warm receipt schema", validate_receipt,
+                             warm_receipt, "cell(s)")]
+            cold = RunReceipt.read(cold_receipt)
+            warm = RunReceipt.read(warm_receipt)
             n = len(cells)
-            cold_ok = (cold["cache"]["misses"] == n
-                       and cold["cache"]["stores"] == n
-                       and cold["cache"]["hits"] == 0
-                       and cold["counts"]["simulated"] == n)
-            checks.append(("cold receipt counts every simulate call",
-                           cold_ok,
-                           f"{cold['counts']['simulated']} simulated, "
-                           f"{cold['cache']['stores']} stored "
-                           f"(expected {n} each)"))
-            warm_ok = (warm["cache"]["hits"] == n
-                       and warm["cache"]["misses"] == 0
-                       and warm["counts"]["simulated"] == 0)
-            checks.append(("warm receipt reports zero simulations",
-                           warm_ok,
-                           f"{warm['cache']['hits']} hit(s), "
-                           f"{warm['counts']['simulated']} simulated "
-                           f"(expected {n} / 0)"))
+            cold_ok = (cold["cache"]["misses"], cold["cache"]["stores"],
+                       cold["cache"]["hits"],
+                       cold["counts"]["simulated"]) == (n, n, 0, n)
+            checks.append(Check(
+                "cold receipt counts every simulate call", cold_ok,
+                f"{cold['counts']['simulated']} simulated, "
+                f"{cold['cache']['stores']} stored (expected {n} each)"))
+            warm_ok = (warm["cache"]["hits"], warm["cache"]["misses"],
+                       warm["counts"]["simulated"]) == (n, 0, 0)
+            checks.append(Check(
+                "warm receipt reports zero simulations", warm_ok,
+                f"{warm['cache']['hits']} hit(s), "
+                f"{warm['counts']['simulated']} simulated "
+                f"(expected {n} / 0)"))
 
     return checks
 
 
+@cli_errors
 def main() -> int:
-    checks = run_checks()
-    width = max(len(name) for name, _, _ in checks)
-    failed = 0
-    for name, ok, detail in checks:
-        mark = "ok " if ok else "FAIL"
-        line = f"{mark} {name:<{width}}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
-        if not ok:
-            failed += 1
-    if failed:
-        print(f"\n{failed} telemetry check(s) failed")
-        return 1
-    print("\nall telemetry checks passed")
-    return 0
+    return report("telemetry-check", run_checks())
 
 
 if __name__ == "__main__":

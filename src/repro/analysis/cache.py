@@ -46,13 +46,13 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
 from ..errors import ConfigError
+from ..fileio import atomic_write
 from ..obs.telemetry import active_monitor
 
 __all__ = ["CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "CacheStats",
@@ -201,20 +201,9 @@ class ResultCache:
         return result
 
     def put(self, key: str, result) -> None:
-        """Store *result* under *key* atomically (write + rename)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Store *result* under *key* atomically (:func:`atomic_write`)."""
+        atomic_write(self._path(key),
+                     pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
         self.stats.stores += 1
         self._notify("cache_store", key)
 

@@ -17,7 +17,7 @@ This module makes that history *queryable*:
   (:func:`shape_key`) is (benchmark, trace length, cell count, core
   count): a 30-cell 4k-instruction sweep on a 2-core host is simply
   not rate-comparable to an 8-cell 1.5k-instruction one, the same rule
-  ``bench_smoke.best_comparable_rate`` applies.
+  ``bench_smoke``'s throughput guard applies.
 * :func:`render_dashboard` — the ``repro report`` markdown: throughput
   trajectory per shape across commits, slowest cells of the latest
   full run, cache warm/cold ratios, tracer overhead trend, regression
@@ -35,6 +35,9 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigError
+from ..fileio import atomic_write
+
 __all__ = ["BENCH_SCHEMA", "DEFAULT_THRESHOLD", "SHAPES", "append_entry",
            "dedup_history", "entry_identity", "find_regressions",
            "infer_shape", "load_history", "normalize_entry",
@@ -47,7 +50,8 @@ __all__ = ["BENCH_SCHEMA", "DEFAULT_THRESHOLD", "SHAPES", "append_entry",
 BENCH_SCHEMA = "bench-sweep-v2"
 
 #: Fractional throughput drop vs the best earlier same-shape entry
-#: that counts as a regression.  Matches ``bench_smoke``'s gate.
+#: that counts as a regression; ``bench_smoke``'s throughput guard
+#: uses it too.
 DEFAULT_THRESHOLD = 0.20
 
 #: Fields ignored when deciding whether two entries are duplicates:
@@ -86,19 +90,21 @@ def infer_shape(entry: dict) -> str:
 
 
 def load_history(path) -> List[dict]:
-    """The benchmark history at *path* as a list (tolerant reader).
+    """The benchmark history at *path* as a list.
 
     A missing file is an empty history; a single-object file (the
     format's oldest incarnation) is a one-entry history; an unparsable
-    file is treated as empty rather than killing the report.
+    file raises :class:`~repro.errors.ConfigError` naming it, so no
+    append can overwrite a truncated history.
     """
     path = pathlib.Path(path)
     if not path.exists():
         return []
     try:
         history = json.loads(path.read_text())
-    except (json.JSONDecodeError, OSError):
-        return []
+    except (OSError, ValueError) as error:
+        raise ConfigError(
+            f"unreadable benchmark history {path}: {error}") from None
     if isinstance(history, dict):
         return [history]
     if isinstance(history, list):
@@ -150,13 +156,14 @@ def append_entry(path, entry: dict) -> List[dict]:
 
     The whole file is rewritten normalized (schema tags, stable key
     order) and deduplicated, so one append also heals a history that
-    accumulated duplicates before this write path existed.
+    accumulated duplicates before this write path existed.  The rewrite
+    is atomic.
     """
     history = [normalize_entry(existing) for existing in
                load_history(path)]
     history.append(normalize_entry(entry))
     history = dedup_history(history)
-    pathlib.Path(path).write_text(json.dumps(history, indent=2) + "\n")
+    atomic_write(path, json.dumps(history, indent=2) + "\n")
     return history
 
 

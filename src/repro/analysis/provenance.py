@@ -18,9 +18,9 @@ service (ROADMAP item 3) fans jobs out over:
   simulate calls actually made (validated by
   :func:`repro.obs.schema.validate_receipt`).
 
-Receipts are written atomically (temp file + ``os.replace``), the same
-contract the result cache honours, so a crashed writer can never leave
-a truncated receipt behind.
+Receipts are written atomically (:func:`repro.fileio.atomic_write`),
+the same contract the result cache honours, so a crashed writer can
+never leave a truncated receipt behind.
 
 Determinism: :meth:`RunReceipt.deterministic_dict` strips the fields
 that legitimately vary between hosts and runs (timestamps, host info,
@@ -37,11 +37,11 @@ import os
 import pathlib
 import platform
 import subprocess
-import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
+from ..fileio import atomic_write
 from ..obs.schema import RECEIPT_SCHEMA
 from ..obs.telemetry import CellTelemetry, SweepMonitor
 
@@ -236,20 +236,7 @@ class RunReceipt:
 
     def write(self, path) -> pathlib.Path:
         """Write the receipt atomically (temp file + rename)."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(self.canonical_json() + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        return atomic_write(path, self.canonical_json() + "\n")
 
     @staticmethod
     def read(path) -> Dict[str, Any]:

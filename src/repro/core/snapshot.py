@@ -37,15 +37,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import pickle
-import tempfile
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..errors import ConfigError
+from ..fileio import atomic_write
 from ..isa.executor import FunctionalExecutor
 from .processor import Processor
 
@@ -162,22 +161,9 @@ def _write_container(path, kind: str, payload: bytes,
     meta = SnapshotMeta(kind=kind,
                         sha256=hashlib.sha256(packed).hexdigest(),
                         **meta_fields)
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = json.dumps({"magic": _MAGIC, **meta.to_dict()},
                         sort_keys=True, separators=(",", ":"))
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header.encode("utf-8") + b"\n")
-            handle.write(packed)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, header.encode("utf-8") + b"\n" + packed)
     return meta
 
 

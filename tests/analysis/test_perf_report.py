@@ -4,11 +4,14 @@ healing, same-shape regression detection, markdown rendering.
 
 import json
 
+import pytest
+
 from repro.analysis.perf_report import (BENCH_SCHEMA, append_entry,
                                         dedup_history, entry_identity,
                                         find_regressions, load_history,
                                         normalize_entry, render_dashboard,
                                         shape_key)
+from repro.errors import ConfigError
 
 
 def _entry(rate, benchmark="smoke_guard", commit="abc1234",
@@ -27,7 +30,8 @@ class TestHistoryIO:
     def test_load_tolerates_garbage_and_object_form(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text("{not json")
-        assert load_history(path) == []
+        with pytest.raises(ConfigError, match="bench.json"):
+            load_history(path)
         path.write_text(json.dumps({"benchmark": "solo"}))
         assert load_history(path) == [{"benchmark": "solo"}]
         path.write_text(json.dumps([{"a": 1}, "stray-string", {"b": 2}]))
@@ -65,6 +69,17 @@ class TestHistoryIO:
         for entry in on_disk:
             assert entry["schema"] == BENCH_SCHEMA
             assert list(entry) == sorted(entry)
+
+    def test_append_to_truncated_history_raises_and_keeps_its_bytes(
+            self, tmp_path):
+        path = tmp_path / "bench.json"
+        full = json.dumps([_entry(100_000.0), _entry(110_000.0)], indent=2)
+        path.write_text(full[:-40])  # an interrupted write
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="bench.json"):
+            append_entry(path, _entry(120_000.0))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
 
 
 class TestRegressions:

@@ -242,6 +242,14 @@ class TestReportCli:
                      "--receipt", str(bad)]) == 2
         assert "bad receipt" in capsys.readouterr().err
 
+    def test_report_rejects_truncated_history(self, tmp_path, capsys):
+        bench = self._bench_file(tmp_path, [100_000.0, 90_000.0])
+        bench.write_text(bench.read_text()[:-40])
+        assert main(["report", "--bench", str(bench)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable benchmark history")
+        assert str(bench) in err
+
 
 class TestTelemetryCli:
     """--progress / --telemetry-out / --receipt-out on sweep commands."""

@@ -2,6 +2,8 @@
 IPC estimator, validation, and the sampled simulation loop."""
 
 import gc
+import hashlib
+import json
 import math
 import weakref
 
@@ -273,3 +275,83 @@ class TestSimulateSampled:
         names = [e for e, _ in events]
         assert names.count("sample_window") == 4
         assert all(f["workload"] == "cjpeg" for _, f in events)
+
+
+# ------------------------------------------------------ pinned sampler output --
+
+PINNED_LENGTH = 60_000
+PINNED_PLAN = dict(interval=500, warmup=100)
+
+#: sha256 per case over the window placement, the window cycle counts
+#: and the run's instruction split.  A change meant to alter what the
+#: sampler measures recomputes them with ``python
+#: tests/analysis/test_sampling.py`` and says why.
+PINNED_DIGESTS = {
+    "cjpeg.2cl.stride.vpb":
+        "55786fca960241221c2a0ff892b487190d22f320a94dad911c22434af54fcc19",
+    "cjpeg.2cl.stride.vpb.check":
+        "55786fca960241221c2a0ff892b487190d22f320a94dad911c22434af54fcc19",
+    "cjpeg.2cl.stride.vpb.targets":
+        "88475306200b83cabd11c4b5586fa513eb7c342aa8c5d95e8734bc45cf4a6793",
+    "cjpeg.4cl.none.baseline":
+        "9f193252057f9f470c15f67ea24d907009220f16ed10cc31931fecf5a3130cd0",
+    "gsmdec.2cl.stride.vpb":
+        "5d6e15f2e2c8a3d1780fd4d4fdfe389e93e9d7aef114ea332cef5ce54b859c3a",
+    "gsmdec.4cl.none.baseline":
+        "9aaba072917d40eb2b5d64a94c2724cd1da70da83f10cb5a5c14299a67284ec3",
+}
+
+
+def _pinned_cases():
+    """key -> (workload, config, sampling, simulate_sampled kwargs)."""
+    cases = {}
+    for workload in ("cjpeg", "gsmdec"):
+        for clusters, predictor, steering in ((2, "stride", "vpb"),
+                                              (4, "none", "baseline")):
+            cases[f"{workload}.{clusters}cl.{predictor}.{steering}"] = (
+                workload,
+                make_config(clusters, predictor=predictor,
+                            steering=steering),
+                SamplingConfig(samples=4, **PINNED_PLAN), {})
+    cases["cjpeg.2cl.stride.vpb.check"] = (
+        "cjpeg", CONFIG, SamplingConfig(samples=4, **PINNED_PLAN),
+        {"check": True})
+    # Window 0 runs past 1200, so window 1 starts where it stopped.
+    cases["cjpeg.2cl.stride.vpb.targets"] = (
+        "cjpeg", CONFIG,
+        SamplingConfig(targets=(1000, 1200, 30000), **PINNED_PLAN), {})
+    return cases
+
+
+def pinned_result(key):
+    workload, config, sc, kwargs = _pinned_cases()[key]
+    return simulate_sampled(build_workload(workload), config, sc,
+                            max_instructions=PINNED_LENGTH,
+                            workload_name=workload, **kwargs)
+
+
+def pinned_digest(result):
+    payload = {
+        "windows": [[w.start, w.warmup_insts, w.measured_insts, w.cycles]
+                    for w in result.windows],
+        "detailed_insts": result.detailed_insts,
+        "ff_insts": result.ff_insts,
+        "total_insts": result.total_insts,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("key", sorted(_pinned_cases()))
+    def test_sampler_output_matches_digest(self, key):
+        assert pinned_digest(pinned_result(key)) == PINNED_DIGESTS[key]
+
+    def test_overshoot_starts_where_the_last_window_stopped(self):
+        result = pinned_result("cjpeg.2cl.stride.vpb.targets")
+        assert [w.start for w in result.windows] == [1000, 1682, 30000]
+
+
+if __name__ == "__main__":
+    for name in sorted(_pinned_cases()):
+        print(f'    "{name}":\n        "{pinned_digest(pinned_result(name))}",')

@@ -26,7 +26,7 @@ worker count (default: all cores), ``REPRO_TRACE_LEN`` the per-cell
 trace length, ``REPRO_CHUNKSIZE`` the cells per worker dispatch; a
 malformed value exits 2.
 
-``--sampled`` runs the checkpointed-sampling benchmark instead
+``--sampled`` runs the interval-sampling benchmark instead
 (docs/SAMPLING.md): each workload gets one full detailed
 million-instruction reference run and one sampled run at
 ``sample_check``'s validated plan (16 windows of 200+1200) and bars,
@@ -121,7 +121,7 @@ def sampled_benchmark() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sampled", action="store_true",
-                        help="run the checkpointed-sampling benchmark "
+                        help="run the interval-sampling benchmark "
                              "instead of the sweep-parallelism one")
     args = parser.parse_args(argv)
     # Shadow any ambient REPRO_CACHE: the serial/parallel timings must

@@ -1,4 +1,4 @@
-"""Tier-1 gate for checkpointed, sampled simulation (``make
+"""Tier-1 gate for sampled simulation and snapshots (``make
 sample-check``).
 
 Four guarantees, each fatal when violated:
@@ -104,13 +104,12 @@ def executor_roundtrip(tmp: str) -> Check:
         f"{'identical' if same else 'DIVERGED'}")
 
 
-def receipt_schema(tmp: str) -> list:
+def receipt_schema() -> list:
     """Guarantee 4: a sampled cell's receipt validates."""
     cell = SweepCell(key=(WORKLOAD, "sampled"), workload=WORKLOAD,
                      n_clusters=CLUSTERS, length=60_000,
                      sampling=SamplingConfig(interval=1200, warmup=200,
                                              samples=4),
-                     checkpoint_dir=str(pathlib.Path(tmp) / "ckpts"),
                      **CONFIG_KW)
     monitor = SweepMonitor()
     with use_monitor(monitor):
@@ -141,7 +140,7 @@ def run_checks(length: int = LENGTH,
     """
     with tempfile.TemporaryDirectory() as tmp:
         checks = [machine_roundtrip(tmp), executor_roundtrip(tmp),
-                  *receipt_schema(tmp)]
+                  *receipt_schema()]
     # Guarantees 1 + 2.  The sampled side is min-of-3: its ~2 s wall is
     # exposed to host-noise spikes a single shot can't average away.
     row, readings = detailed_vs_sampled(

@@ -17,13 +17,13 @@ Quickstart::
 """
 
 from .core import (ProcessorConfig, Processor, SimResult, SimStats,
-                   make_config, run_trace, simulate)
+                   make_config, simulate)
 from .errors import (ConfigError, DeadlockError, DivergenceError, ReproError,
                      SimulationError, WorkloadError)
 
 __version__ = "1.1.0"
 
 __all__ = ["ProcessorConfig", "Processor", "SimResult", "SimStats",
-           "make_config", "run_trace", "simulate",
+           "make_config", "simulate",
            "ReproError", "SimulationError", "ConfigError", "WorkloadError",
            "DivergenceError", "DeadlockError", "__version__"]

@@ -161,9 +161,7 @@ class ResultCache:
         if sampling is not None:
             # Sampled estimates are a different observable than exact
             # runs of the same cell — the sampling plan is part of the
-            # result's identity (checkpoint_dir is not: it only
-            # affects where fast-forward state is shared, never what
-            # the estimate is).
+            # result's identity.
             payload["sampling"] = sampling.canonical_dict()
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

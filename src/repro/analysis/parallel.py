@@ -304,11 +304,6 @@ class SweepCell:
             :class:`~repro.analysis.sampling.SampledResult` instead of
             a :class:`~repro.core.SimResult`.  This is how
             million-instruction cells stay affordable inside sweeps.
-        checkpoint_dir: optional directory for a shared
-            :class:`~repro.core.snapshot.CheckpointStore`; sampled
-            cells publish (and, without predictor warming, reuse)
-            fast-forward checkpoints there.  Never part of the result's
-            identity — it only affects speed.
     """
 
     key: Any
@@ -321,7 +316,6 @@ class SweepCell:
     dataset: str = "test"
     overrides: Tuple[Tuple[str, Any], ...] = ()
     sampling: Optional[SamplingConfig] = None
-    checkpoint_dir: Optional[str] = None
 
     @staticmethod
     def pack_overrides(overrides: Dict[str, Any]
@@ -384,9 +378,7 @@ def simulate_sweep_cell(cell: SweepCell) -> SimResult:
                                  seed=cell.seed)
         return simulate_sampled(program, config, cell.sampling,
                                 max_instructions=cell.length,
-                                checkpoints=cell.checkpoint_dir,
                                 workload_name=cell.workload,
-                                dataset=cell.dataset, seed=cell.seed,
                                 monitor=active_monitor())
     trace = workload_trace(cell.workload, cell.length,
                            dataset=cell.dataset, seed=cell.seed)

@@ -9,11 +9,10 @@ stitches whole-run estimates out of short detailed windows:
    one basic block at a time, advances architectural state (registers
    + memory) at ~4-6 million insts/s, ~100× detailed speed, without
    building :class:`DynInst` records.
-2. **Functional warming** (``warm_predictors=True``, the default) —
-   one set of value-predictor / branch-predictor / BTB / cache
-   objects is shared by every sample window *and trained continuously
-   during fast-forward* through the executor's compiled training
-   hooks.  Each window therefore opens with the same predictor state
+2. **Functional warming** — one set of value-predictor /
+   branch-predictor / BTB / cache objects is shared by every sample
+   window *and trained continuously during fast-forward* through the
+   executor's compiled training hooks.  Each window therefore opens with the same predictor state
    an uninterrupted detailed run would have accumulated; slow-
    saturating structures (stride confidence counters need ~100k+
    instructions) are warm without paying detailed speed for the
@@ -43,16 +42,6 @@ figure when the windows tile the run.  The standard error is
 therefore computed on the CPI scale and mapped back to IPC with the
 delta method (``stderr_ipc ≈ ipc² · stderr_cpi``); the error
 methodology is documented in docs/SAMPLING.md.
-
-Fast-forward checkpoints (executor snapshots at canonical window
-starts) can be shared through a
-:class:`~repro.core.snapshot.CheckpointStore`: they are keyed by
-workload identity × position — never by processor configuration — so
-a sweep's many cells fast-forward each workload once.  Checkpoints
-capture architectural state only; a ``warm_predictors`` run therefore
-never *consumes* them (jumping over a region would skip its predictor
-training), though it still publishes canonical positions for plain
-consumers.
 """
 
 from __future__ import annotations
@@ -64,7 +53,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ProcessorConfig
 from ..core.processor import Processor
-from ..core.snapshot import CheckpointStore
 from ..errors import ConfigError
 from ..isa.executor import FunctionalExecutor
 from ..isa.program import Program
@@ -84,20 +72,12 @@ class SamplingConfig:
         samples: number of windows, spread evenly over the run; or
         targets: explicit window start offsets (instruction indices),
             overriding the even spread.
-        warm_predictors: train one shared set of predictor/BTB/cache
-            objects continuously during fast-forward (and across
-            windows), so every window opens with the state an
-            uninterrupted run would have.  Makes fast-forward ~3-5×
-            slower per instruction and forgoes checkpoint *reuse*;
-            turning it off trades IPC accuracy for cross-configuration
-            checkpoint sharing.
     """
 
     interval: int
     warmup: int = 0
     samples: Optional[int] = None
     targets: Optional[Tuple[int, ...]] = None
-    warm_predictors: bool = True
 
     def validate(self) -> None:
         if self.interval < 1:
@@ -131,7 +111,6 @@ class SamplingConfig:
             "warmup": self.warmup,
             "samples": self.samples,
             "targets": list(self.targets) if self.targets else None,
-            "warm_predictors": self.warm_predictors,
         }
 
     def window_starts(self, total_insts: int) -> List[int]:
@@ -169,7 +148,6 @@ class SampleWindow:
     measured_insts: int
     cycles: int
     ipc: float
-    from_checkpoint: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -177,7 +155,6 @@ class SampleWindow:
             "warmup_insts": self.warmup_insts,
             "measured_insts": self.measured_insts,
             "cycles": self.cycles, "ipc": round(self.ipc, 6),
-            "from_checkpoint": self.from_checkpoint,
         }
 
 
@@ -206,7 +183,6 @@ class SampledResult:
     detailed_insts: int = 0
     ff_insts: int = 0
     wall_seconds: float = 0.0
-    checkpoints: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------ estimates --
 
@@ -278,12 +254,11 @@ class SampledResult:
             "effective_insts_per_second":
                 round(self.effective_insts_per_second, 3),
             "windows": [w.to_dict() for w in self.windows],
-            "checkpoints": self.checkpoints,
         }
 
     def summary(self) -> str:
         ci = self.ipc_ci95
-        lines = [
+        return "\n".join([
             f"sampled run: {self.workload}, {self.total_insts} insts "
             f"represented by {len(self.windows)} windows",
             f"  IPC {self.ipc:.4f} ± {ci:.4f} (95% CI), "
@@ -292,10 +267,7 @@ class SampledResult:
             f"  detailed {self.detailed_insts} + fast-forward "
             f"{self.ff_insts} insts in {self.wall_seconds:.2f}s "
             f"({self.effective_insts_per_second:,.0f} effective insts/s)",
-        ]
-        if self.checkpoints:
-            lines.append(f"  checkpoints: {self.checkpoints}")
-        return "\n".join(lines)
+        ])
 
 
 # ------------------------------------------------------- functional warming --
@@ -356,20 +328,14 @@ def _seeded_golden(executor: FunctionalExecutor, config: ProcessorConfig):
 def simulate_sampled(workload, config: ProcessorConfig,
                      sampling: SamplingConfig,
                      max_instructions: int = 1_000_000,
-                     checkpoints=None,
                      check: bool = False,
                      workload_name: Optional[str] = None,
-                     dataset: str = "test", seed: int = 0,
                      monitor=None) -> SampledResult:
     """Estimate a full run of *workload* from sampled detailed windows.
 
     *workload* must be a :class:`Program` (sampling rides the
     functional executor; a pre-materialized trace would defeat the
-    point).  *checkpoints* is a
-    :class:`~repro.core.snapshot.CheckpointStore` or a directory path;
-    canonical window-start executor states are resolved from / added
-    to it, keyed by workload identity and position so any processor
-    configuration shares them.  With *check* each detailed window is
+    point).  With *check* each detailed window is
     co-simulated against a golden model seeded from the functional
     state at the window start.  *monitor* (a
     :class:`~repro.obs.telemetry.SweepMonitor`) receives one
@@ -382,48 +348,23 @@ def simulate_sampled(workload, config: ProcessorConfig,
             "repro.workloads.build_workload")
     sampling.validate()
     config.validate()
-    if isinstance(checkpoints, (str, bytes)) or hasattr(checkpoints,
-                                                        "__fspath__"):
-        checkpoints = CheckpointStore(checkpoints)
     name = workload_name or "program"
     started = time.perf_counter()
 
     executor = FunctionalExecutor(workload, max_instructions)
-    warm = _WarmState(config) if sampling.warm_predictors else None
-    if warm is not None:
-        warm.install_hooks(executor)
+    warm = _WarmState(config)
+    warm.install_hooks(executor)
     starts = sampling.window_starts(max_instructions)
     windows: List[SampleWindow] = []
     detailed = 0
     ff_total = 0
 
     for index, start in enumerate(starts):
-        from_checkpoint = False
-        if executor.seq > start:
-            # The previous window's fetch overshoot ran past this
-            # window's canonical start; begin where we are.  (The
-            # window config validation makes this rare.)
-            start = executor.seq
-        else:
-            ckpt_key = None
-            if checkpoints is not None and start > executor.seq:
-                ckpt_key = CheckpointStore.key_for(
-                    name, start, dataset=dataset, seed=seed,
-                    max_instructions=max_instructions)
-                if warm is None:
-                    # A checkpoint jump would skip the region's
-                    # predictor training, so warmed runs only publish.
-                    cached = checkpoints.load(ckpt_key)
-                    if cached is not None:
-                        executor = cached
-                        from_checkpoint = True
-            ff = executor.skip(start - executor.seq)
-            ff_total += ff
-            if ckpt_key is not None and not from_checkpoint \
-                    and executor.seq == start:
-                checkpoints.store(ckpt_key, executor,
-                                  extra={"workload": name,
-                                         "position": executor.seq})
+        # The previous window's fetch overshoot may have run past this
+        # window's canonical start; then it begins where we are.  (The
+        # window config validation makes this rare.)
+        start = max(start, executor.seq)
+        ff_total += executor.skip(start - executor.seq)
         if executor.halted or executor.seq >= max_instructions:
             break
 
@@ -448,8 +389,7 @@ def simulate_sampled(workload, config: ProcessorConfig,
         window = SampleWindow(index=index, start=start,
                               warmup_insts=warm_done,
                               measured_insts=measured, cycles=cycles,
-                              ipc=measured / cycles,
-                              from_checkpoint=from_checkpoint)
+                              ipc=measured / cycles)
         windows.append(window)
         if monitor is not None:
             monitor.emit("sample_window", workload=name, index=index,
@@ -466,11 +406,7 @@ def simulate_sampled(workload, config: ProcessorConfig,
     # cap, or wherever the program halted.
     total = min(max_instructions,
                 executor.seq if executor.halted else max_instructions)
-    result = SampledResult(
+    return SampledResult(
         workload=name, config=config, sampling=sampling,
         total_insts=total, windows=windows, detailed_insts=detailed,
-        ff_insts=ff_total,
-        wall_seconds=time.perf_counter() - started,
-        checkpoints=checkpoints.stats() if checkpoints is not None
-        else None)
-    return result
+        ff_insts=ff_total, wall_seconds=time.perf_counter() - started)

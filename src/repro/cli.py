@@ -7,7 +7,7 @@ Commands:
   ``--trace-out`` / ``--metrics-out`` / ``--metrics-interval`` /
   ``--profile`` attach the observability layer
   (docs/OBSERVABILITY.md).
-  ``--sample-interval`` switches to checkpointed, sampled simulation
+  ``--sample-interval`` switches to sampled simulation
   (docs/SAMPLING.md) for million-instruction runs.
 * ``checkpoint`` — save / inspect / resume machine snapshots
   (docs/SAMPLING.md).
@@ -120,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of sample windows, one per equal "
                           "stratum of the run (default "
                           f"{SAMPLES_DEFAULT}; needs --sample-interval)")
-    sim.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                     help="share fast-forward checkpoints for sampled "
-                          "runs under this directory (created if "
-                          "missing; needs --sample-interval)")
 
     trc = sub.add_parser(
         "trace",
@@ -291,10 +287,6 @@ def _validate_simulate_args(args) -> None:
         raise ConfigError(
             f"--comm-latency must be >= 1 cycle, got {args.comm_latency} "
             f"(the paper sweeps 1-4)")
-    if args.paths is not None and args.paths < 1:
-        raise ConfigError(
-            f"--paths must be >= 1, got {args.paths} "
-            f"(omit the flag for an unbounded interconnect)")
     interval = getattr(args, "metrics_interval", None)
     if interval is not None and interval < 1:
         raise ConfigError(
@@ -310,7 +302,7 @@ def _validate_sampling_args(args) -> None:
     """
     sample_interval = getattr(args, "sample_interval", None)
     if sample_interval is None:
-        for flag in ("sample_warmup", "samples", "checkpoint_dir"):
+        for flag in ("sample_warmup", "samples"):
             if getattr(args, flag, None) is not None:
                 raise ConfigError(
                     f"--{flag.replace('_', '-')} only applies to sampled "
@@ -342,18 +334,6 @@ def _validate_sampling_args(args) -> None:
                 f"so the artifact would cover a fraction of the stream")
     if getattr(args, "profile", False):
         raise ConfigError("--profile is not supported with sampled runs")
-    ckpt_dir = getattr(args, "checkpoint_dir", None)
-    if ckpt_dir:
-        try:
-            os.makedirs(ckpt_dir, exist_ok=True)
-            probe = os.path.join(ckpt_dir, ".write-probe")
-            with open(probe, "w", encoding="utf-8"):
-                pass
-            os.unlink(probe)
-        except OSError as error:
-            raise ConfigError(
-                f"--checkpoint-dir {ckpt_dir!r} is not writable: "
-                f"{error}") from None
 
 
 def _make_cli_config(args):
@@ -442,7 +422,6 @@ def _run_sampled_simulate(args) -> None:
     config = _make_cli_config(args)
     result = simulate(program, config, max_instructions=args.length,
                       check=args.check, sampling=sampling,
-                      checkpoints=args.checkpoint_dir,
                       workload_name=args.workload)
     print(result.summary())
     if args.check:

@@ -3,15 +3,15 @@
 from .config import (CLUSTER_PRESETS, ProcessorConfig, derive_preset,
                      make_config)
 from .processor import Processor
-from .simulator import run_trace, simulate
-from .snapshot import (SNAPSHOT_VERSION, CheckpointStore, SnapshotError,
-                       SnapshotMeta, read_snapshot_meta, restore_executor,
+from .simulator import simulate
+from .snapshot import (SNAPSHOT_VERSION, SnapshotError, SnapshotMeta,
+                       read_snapshot_meta, restore_executor,
                        restore_processor, save_executor, save_processor)
 from .stats import SimResult, SimStats
 
 __all__ = ["CLUSTER_PRESETS", "ProcessorConfig", "derive_preset",
            "make_config", "Processor",
-           "run_trace", "simulate", "SimResult", "SimStats",
-           "SNAPSHOT_VERSION", "CheckpointStore", "SnapshotError",
+           "simulate", "SimResult", "SimStats",
+           "SNAPSHOT_VERSION", "SnapshotError",
            "SnapshotMeta", "read_snapshot_meta", "restore_executor",
            "restore_processor", "save_executor", "save_processor"]

@@ -149,6 +149,12 @@ class ProcessorConfig:
             raise ConfigError(f"unknown steering {self.steering!r}")
         if self.comm_latency < 1:
             raise ConfigError("comm_latency must be >= 1")
+        if self.comm_paths_per_cluster is not None \
+                and self.comm_paths_per_cluster < 1:
+            raise ConfigError(
+                f"comm_paths_per_cluster (--paths) must be >= 1, got "
+                f"{self.comm_paths_per_cluster} (omit the flag for an "
+                f"unbounded interconnect)")
         if self.golden_interval < 1:
             raise ConfigError("golden_interval must be >= 1")
         if self.metrics_interval is not None and self.metrics_interval < 1:

@@ -28,9 +28,8 @@ from ..isa.instruction import DynInst
 from ..isa.program import Program
 from .config import ProcessorConfig
 from .processor import Processor
-from .stats import SimResult
 
-__all__ = ["simulate", "run_trace"]
+__all__ = ["simulate"]
 
 Traceable = Union[Program, Iterable[DynInst], List[DynInst]]
 
@@ -44,7 +43,6 @@ def simulate(workload: Traceable, config: ProcessorConfig,
              metrics_interval: Optional[int] = None,
              profile: bool = False,
              sampling=None,
-             checkpoints=None,
              workload_name: Optional[str] = None):
     """Simulate *workload* on the processor described by *config*.
 
@@ -77,12 +75,8 @@ def simulate(workload: Traceable, config: ProcessorConfig,
             fast-forward + detailed sample windows) and returns a
             :class:`~repro.analysis.sampling.SampledResult` instead of
             a :class:`SimResult`.
-        checkpoints: optional
-            :class:`~repro.core.snapshot.CheckpointStore` (or a
-            directory path) sharing fast-forward checkpoints across
-            sampled runs; only meaningful with *sampling*.
-        workload_name: label recorded in sampled results and used in
-            checkpoint keys; only meaningful with *sampling*.
+        workload_name: label recorded in sampled results; only
+            meaningful with *sampling*.
 
     Every observer is strictly read-only: the committed stream and all
     ``SimStats`` fields are bit-identical with and without them.
@@ -92,8 +86,7 @@ def simulate(workload: Traceable, config: ProcessorConfig,
         from ..analysis.sampling import simulate_sampled
         return simulate_sampled(workload, config, sampling,
                                 max_instructions=max_instructions,
-                                checkpoints=checkpoints, check=check,
-                                workload_name=workload_name)
+                                check=check, workload_name=workload_name)
     golden = None
     injector = None
     if check or fault_plan is not None:
@@ -128,13 +121,3 @@ def simulate(workload: Traceable, config: ProcessorConfig,
     processor.trace_executor = executor
     return processor.run(max_cycles=max_cycles)
 
-
-def run_trace(trace: Iterable[DynInst], config: ProcessorConfig,
-              max_cycles: Optional[int] = None,
-              check: bool = False, fault_plan=None,
-              tracer=None, metrics_interval: Optional[int] = None,
-              profile: bool = False) -> SimResult:
-    """Alias of :func:`simulate` for explicit trace input."""
-    return simulate(trace, config, max_cycles=max_cycles, check=check,
-                    fault_plan=fault_plan, tracer=tracer,
-                    metrics_interval=metrics_interval, profile=profile)

@@ -16,10 +16,9 @@ Two snapshot kinds share one container format:
   plus its trace executor; restoring yields a processor that resumes
   the timing loop exactly where it stopped.
 * ``executor`` — just a :class:`~repro.isa.executor.FunctionalExecutor`
-  (architectural registers + memory + cursor).  These are the cheap
-  fast-forward checkpoints the sampling layer shares across sweep
-  configurations, keyed like cache results (workload identity ×
-  position, see :class:`CheckpointStore`).
+  (architectural registers + memory + cursor): the cheap fast-forward
+  checkpoints that ``repro checkpoint save`` writes and ``repro
+  checkpoint resume`` continues from.
 
 On-disk container: one JSON header line (schema tag, format version,
 kind, SHA-256 of the compressed payload, resume metadata readable
@@ -49,7 +48,7 @@ from ..isa.executor import FunctionalExecutor
 from .processor import Processor
 
 __all__ = ["SNAPSHOT_SCHEMA", "SNAPSHOT_VERSION", "SnapshotError",
-           "SnapshotMeta", "CheckpointStore", "read_snapshot_meta",
+           "SnapshotMeta", "read_snapshot_meta",
            "save_processor", "restore_processor",
            "save_executor", "restore_executor"]
 
@@ -294,62 +293,3 @@ def restore_executor(path) -> FunctionalExecutor:
     _, executor = _read_container(path, "executor")
     return executor
 
-
-# ---------------------------------------------------------- shared FF pool --
-
-class CheckpointStore:
-    """Content-addressed executor checkpoints under one directory.
-
-    Keys are built like result-cache keys — a SHA-256 over the
-    canonical workload identity (name, dataset, seed, cap), the
-    fast-forward position, the snapshot schema, and the source
-    fingerprint — so every sweep cell over the same workload resolves
-    the *same* checkpoint files regardless of processor configuration,
-    and stale checkpoints die with the code that wrote them.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @staticmethod
-    def key_for(workload: str, position: int, *, dataset: str = "test",
-                seed: int = 0, max_instructions: int = 0) -> str:
-        from ..analysis.cache import code_version
-        payload = {
-            "schema": SNAPSHOT_SCHEMA,
-            "code": code_version(),
-            "workload": workload,
-            "dataset": dataset,
-            "seed": seed,
-            "max_instructions": max_instructions,
-            "position": position,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.ckpt"
-
-    def load(self, key: str) -> Optional[FunctionalExecutor]:
-        path = self.path_for(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        executor = restore_executor(path)
-        self.hits += 1
-        return executor
-
-    def store(self, key: str, executor: FunctionalExecutor,
-              extra: Optional[Dict[str, Any]] = None) -> pathlib.Path:
-        path = self.path_for(key)
-        if not path.exists():
-            save_executor(path, executor, extra=extra)
-            self.stores += 1
-        return path
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores}

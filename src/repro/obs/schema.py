@@ -184,8 +184,7 @@ _RECEIPT_CELL_FIELDS = ("key", "workload", "config", "config_sha256",
 
 #: A non-null cell ``sampling`` block must carry these fields
 #: (:meth:`repro.analysis.sampling.SamplingConfig.canonical_dict`).
-_SAMPLING_FIELDS = ("interval", "warmup", "samples", "targets",
-                    "warm_predictors")
+_SAMPLING_FIELDS = ("interval", "warmup", "samples", "targets")
 
 
 def _check_cell_sampling(source: str, index: int, sampling) -> None:

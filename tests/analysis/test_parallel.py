@@ -293,6 +293,15 @@ class TestErrorClassification:
         assert len(ledger) == 1
         assert ledger.entries[0].error_type == "WorkloadError"
 
+    def test_bad_config_override_is_ledgered_once(self):
+        ledger = ErrorLedger()
+        cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=4,
+                           length=LEN,
+                           overrides=(("comm_paths_per_cluster", 0),))]
+        assert run_cells(cells, jobs=1, ledger=ledger, retries=3) == {}
+        assert len(ledger) == 1
+        assert ledger.entries[0].error_type == "ConfigError"
+
 
 class TestCellSeed:
     def test_deterministic_and_decorrelated(self):

@@ -13,7 +13,6 @@ from repro.analysis import sampling
 from repro.analysis.sampling import (SampledResult, SampleWindow,
                                      SamplingConfig, simulate_sampled)
 from repro.core import make_config, simulate
-from repro.core.snapshot import CheckpointStore
 from repro.errors import ConfigError
 from repro.isa.executor import FunctionalExecutor
 from repro.workloads import build_workload
@@ -208,59 +207,6 @@ class TestSimulateSampled:
             simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
                              max_instructions=20_000)
 
-    def test_checkpoints_publish_and_reuse(self, tmp_path):
-        sc = SamplingConfig(interval=500, warmup=100, samples=4,
-                            warm_predictors=False)
-        first = simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
-                                 max_instructions=40_000,
-                                 checkpoints=str(tmp_path),
-                                 workload_name="cjpeg")
-        assert first.checkpoints["misses"] > 0
-        assert first.checkpoints["stores"] > 0
-        assert not any(w.from_checkpoint for w in first.windows)
-
-        second = simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
-                                  max_instructions=40_000,
-                                  checkpoints=str(tmp_path),
-                                  workload_name="cjpeg")
-        assert second.checkpoints["hits"] > 0
-        assert any(w.from_checkpoint for w in second.windows)
-        # Reuse must not change the estimate: same windows, same IPC.
-        assert [w.to_dict() | {"from_checkpoint": False}
-                for w in second.windows] == \
-            [w.to_dict() | {"from_checkpoint": False}
-             for w in first.windows]
-
-    def test_warmed_runs_only_publish_checkpoints(self, tmp_path):
-        sc = SamplingConfig(interval=500, warmup=100, samples=4)
-        simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
-                         max_instructions=40_000,
-                         checkpoints=str(tmp_path),
-                         workload_name="cjpeg")
-        warm_again = simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
-                                      max_instructions=40_000,
-                                      checkpoints=str(tmp_path),
-                                      workload_name="cjpeg")
-        # Warm fast-forward cannot jump: a checkpoint would skip the
-        # region's predictor training.
-        assert not any(w.from_checkpoint for w in warm_again.windows)
-
-    def test_checkpoints_shared_across_configurations(self, tmp_path):
-        sc = SamplingConfig(interval=500, warmup=100, samples=4,
-                            warm_predictors=False)
-        simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
-                         max_instructions=40_000,
-                         checkpoints=str(tmp_path),
-                         workload_name="cjpeg")
-        other = make_config(4, predictor="context", steering="baseline")
-        reused = simulate_sampled(build_workload("cjpeg"), other, sc,
-                                  max_instructions=40_000,
-                                  checkpoints=str(tmp_path),
-                                  workload_name="cjpeg")
-        # Keys are architectural (workload identity + position), so a
-        # different processor configuration reuses the same states.
-        assert reused.checkpoints["hits"] > 0
-
     def test_monitor_receives_window_events(self):
         events = []
 
@@ -316,7 +262,8 @@ def _pinned_cases():
     cases["cjpeg.2cl.stride.vpb.check"] = (
         "cjpeg", CONFIG, SamplingConfig(samples=4, **PINNED_PLAN),
         {"check": True})
-    # Window 0 runs past 1200, so window 1 starts where it stopped.
+    # Window 0 runs past 1200, so window 1 starts where it stopped
+    # (at 1682).
     cases["cjpeg.2cl.stride.vpb.targets"] = (
         "cjpeg", CONFIG,
         SamplingConfig(targets=(1000, 1200, 30000), **PINNED_PLAN), {})
@@ -346,10 +293,6 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("key", sorted(_pinned_cases()))
     def test_sampler_output_matches_digest(self, key):
         assert pinned_digest(pinned_result(key)) == PINNED_DIGESTS[key]
-
-    def test_overshoot_starts_where_the_last_window_stopped(self):
-        result = pinned_result("cjpeg.2cl.stride.vpb.targets")
-        assert [w.start for w in result.windows] == [1000, 1682, 30000]
 
 
 if __name__ == "__main__":

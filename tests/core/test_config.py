@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CLUSTER_PRESETS, ProcessorConfig, make_config
+from repro.errors import ConfigError
 
 
 class TestPresets:
@@ -63,6 +64,11 @@ class TestValidation:
     def test_bad_latency(self):
         with pytest.raises(ValueError, match="comm_latency"):
             make_config(4, comm_latency=0)
+
+    @pytest.mark.parametrize("paths", [0, -1])
+    def test_bad_paths(self, paths):
+        with pytest.raises(ConfigError, match="unbounded interconnect"):
+            make_config(4, comm_paths_per_cluster=paths)
 
     def test_register_file_must_hold_initial_mapping(self):
         with pytest.raises(ValueError, match="initial mapping"):

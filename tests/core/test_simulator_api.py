@@ -1,8 +1,8 @@
-"""Tests for the public simulate()/run_trace() API and SimResult."""
+"""Tests for the public simulate() API and SimResult."""
 
 import pytest
 
-from repro import ProcessorConfig, make_config, run_trace, simulate
+from repro import ProcessorConfig, make_config, simulate
 from repro.isa import ProgramBuilder, execute
 from repro.workloads import build_workload, synthetic
 
@@ -32,11 +32,6 @@ class TestSimulateInputs:
         trace = execute(tiny_program())
         result = simulate(iter(trace), make_config(1))
         assert result.stats.committed_insts == len(trace)
-
-    def test_run_trace_alias(self):
-        trace = execute(tiny_program())
-        assert (run_trace(trace, make_config(1)).stats.committed_insts
-                == len(trace))
 
     def test_max_instructions_caps_program_execution(self):
         program = synthetic.serial_chain(16)

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import Processor, make_config, save_processor
+from repro.isa.executor import FunctionalExecutor
+from repro.workloads import build_workload
 
 
 def test_list_workloads(capsys):
@@ -297,21 +300,11 @@ class TestSampledSimulateCli:
         assert "4 windows" in out
         assert "95% CI" in out
 
-    def test_checkpoint_dir_is_populated(self, tmp_path, capsys):
-        ckpts = tmp_path / "ckpts"
-        code = main(["simulate", "cjpeg", "--length", "40000",
-                     "--sample-interval", "500", "--sample-warmup",
-                     "100", "--samples", "4", "--checkpoint-dir",
-                     str(ckpts)])
-        assert code == 0
-        assert list(ckpts.glob("*.ckpt"))
-
     @pytest.mark.parametrize("extra", [
         ["--sample-interval", "0"],
         ["--sample-interval", "500", "--sample-warmup", "-1"],
         ["--sample-interval", "100", "--sample-warmup", "100"],
         ["--sample-interval", "500", "--samples", "0"],
-        ["--checkpoint-dir", "/tmp/x"],          # without sampling
         ["--samples", "4", "--sample-warmup", "50"],
         ["--sample-warmup", "50"],
     ])
@@ -325,13 +318,6 @@ class TestSampledSimulateCli:
                      "--sample-interval", "500",
                      "--trace-out", str(tmp_path / "t.jsonl")])
         assert code == 2
-
-    def test_unwritable_checkpoint_dir_is_usage_error(self, capsys):
-        code = main(["simulate", "cjpeg", "--length", "40000",
-                     "--sample-interval", "500",
-                     "--checkpoint-dir", "/proc/nope"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestCheckpointCli:
@@ -361,11 +347,28 @@ class TestCheckpointCli:
         assert code == 0
         assert "IPC" in capsys.readouterr().out
 
-    def test_resume_refuses_machine_snapshot_mismatch(self, tmp_path,
-                                                      capsys):
+    def test_info_refuses_a_non_snapshot_file(self, tmp_path, capsys):
         bogus = tmp_path / "not-a-snapshot"
         bogus.write_text("junk\n")
         code = main(["checkpoint", "info", str(bogus)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_resume_refuses_machine_snapshot_mismatch(self, tmp_path,
+                                                      capsys):
+        executor = FunctionalExecutor(build_workload("cjpeg"), 2000)
+        processor = Processor(make_config(2), executor.run())
+        processor.trace_executor = executor
+        processor.run_until(max_insts=500)
+        path = tmp_path / "machine.snap"
+        save_processor(path, processor)
+        code = main(["checkpoint", "resume", str(path)])
+        assert code == 2
+        assert "'machine'" in capsys.readouterr().err
+
+    def test_resume_with_zero_paths_is_usage_error(self, tmp_path, capsys):
+        path = self._save(tmp_path, capsys)
+        code = main(["checkpoint", "resume", str(path), "--paths", "0"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

@@ -2,13 +2,17 @@
 
 Extracts every ```python block from docs/TUTORIAL.md and executes them
 sequentially in one namespace (the tutorial builds on itself), with a
-tiny patch to keep file output inside a temp directory.
+tiny patch to keep file output inside a temp directory.  Every
+documented ``repro`` command line must parse with the current CLI.
 """
 
 import pathlib
 import re
+import shlex
 
 import pytest
+
+from repro.cli import build_parser
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -37,6 +41,39 @@ def test_readme_quickstart_executes(capsys):
     quickstart = next(b for b in blocks if "simulate(" in b)
     exec(compile(quickstart, "<readme>", "exec"), {})
     assert "IPC" in capsys.readouterr().out
+
+
+def documented_commands():
+    """argv of every ``repro`` line in a fenced shell block of the docs."""
+    commands = []
+    for doc in (README, README.parent / "EXPERIMENTS.md",
+                *sorted(DOCS.glob("*.md"))):
+        blocks = re.findall(r"^\s*```(\w*)\n(.*?)^\s*```",
+                            doc.read_text(), flags=re.S | re.M)
+        for lang, block in blocks:
+            if lang not in ("", "bash", "console"):
+                continue
+            for line in block.replace("\\\n", " ").splitlines():
+                match = re.match(r"(?:\$\s+)?(?:python -m )?repro\s(.*)",
+                                 line.strip())
+                if match:
+                    commands.append(shlex.split(match.group(1),
+                                                comments=True))
+    return commands
+
+
+def test_documented_commands_parse(capsys):
+    commands = documented_commands()
+    assert len(commands) >= 18
+    parser = build_parser()
+    broken = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            broken.append(f"repro {shlex.join(argv)}: "
+                          f"{capsys.readouterr().err.strip().splitlines()[-1]}")
+    assert not broken, "\n".join(broken)
 
 
 def test_docs_reference_real_files():

@@ -9,10 +9,11 @@ stitches whole-run estimates out of short detailed windows:
    one basic block at a time, advances architectural state (registers
    + memory) at ~4-6 million insts/s, ~100× detailed speed, without
    building :class:`DynInst` records.
-2. **Functional warming** — one set of value-predictor /
-   branch-predictor / BTB / cache objects is shared by every sample
-   window *and trained continuously during fast-forward* through the
-   executor's compiled training hooks.  Each window therefore opens with the same predictor state
+2. **Functional warming** —
+   one set of value-predictor / branch-predictor / BTB / cache
+   objects is shared by every sample window *and trained continuously
+   during fast-forward* through the executor's compiled training
+   hooks.  Each window therefore opens with the same predictor state
    an uninterrupted detailed run would have accumulated; slow-
    saturating structures (stride confidence counters need ~100k+
    instructions) are warm without paying detailed speed for the

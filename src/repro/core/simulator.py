@@ -120,4 +120,3 @@ def simulate(workload: Traceable, config: ProcessorConfig,
     # stream's cursor alongside the machine state.
     processor.trace_executor = executor
     return processor.run(max_cycles=max_cycles)
-

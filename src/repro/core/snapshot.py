@@ -292,4 +292,3 @@ def restore_executor(path) -> FunctionalExecutor:
     """Load an executor checkpoint saved by :func:`save_executor`."""
     _, executor = _read_container(path, "executor")
     return executor
-

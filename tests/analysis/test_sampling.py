@@ -223,7 +223,7 @@ class TestSimulateSampled:
         assert all(f["workload"] == "cjpeg" for _, f in events)
 
 
-# ------------------------------------------------------ pinned sampler output --
+# ---------------------------------------------------- pinned sampler output --
 
 PINNED_LENGTH = 60_000
 PINNED_PLAN = dict(interval=500, warmup=100)
@@ -297,4 +297,5 @@ class TestPinnedOutput:
 
 if __name__ == "__main__":
     for name in sorted(_pinned_cases()):
-        print(f'    "{name}":\n        "{pinned_digest(pinned_result(name))}",')
+        digest = pinned_digest(pinned_result(name))
+        print(f'    "{name}":\n        "{digest}",')

@@ -71,8 +71,8 @@ def test_documented_commands_parse(capsys):
         try:
             parser.parse_args(argv)
         except SystemExit:
-            broken.append(f"repro {shlex.join(argv)}: "
-                          f"{capsys.readouterr().err.strip().splitlines()[-1]}")
+            error = capsys.readouterr().err.strip().splitlines()[-1]
+            broken.append(f"repro {shlex.join(argv)}: {error}")
     assert not broken, "\n".join(broken)
 
 

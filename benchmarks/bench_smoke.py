@@ -26,7 +26,9 @@ so the gate stays well under a minute:
 The sweep is timed by ``harness.sweep_timings``; a throughput reading
 below the floor is re-measured under ``harness.remeasure``.  Run
 directly or via ``make bench-smoke``; honours ``REPRO_JOBS`` (default:
-all cores) and ``REPRO_CHUNKSIZE``, and exits 2 on a malformed value.
+all cores) and exits 2 on a malformed value.  The chunk size it prints
+is :func:`~repro.analysis.parallel.resolve_chunksize`'s, the one every
+parallel sweep dispatches with.
 See docs/PERFORMANCE.md.
 """
 
@@ -87,7 +89,7 @@ def main() -> int:
     cells = sweep_cells(CONFIGS, LENGTH, workload_names()[:N_WORKLOADS])
     jobs = bench_jobs()
     cores = os.cpu_count() or 1
-    chunksize = resolve_chunksize(None, len(cells), jobs)
+    chunksize = resolve_chunksize(len(cells), jobs)
     print(f"smoke sweep: {len(cells)} cells x {LENGTH} instructions; "
           f"jobs={jobs}, chunksize={chunksize}, cpu_count={cores}")
 

@@ -22,9 +22,8 @@ comparing an untraced run against ring-buffer and JSONL tracing
 
 Run directly (``python benchmarks/bench_wallclock.py``) or via
 ``make bench-wallclock``.  Knobs: ``REPRO_JOBS`` sets the parallel
-worker count (default: all cores), ``REPRO_TRACE_LEN`` the per-cell
-trace length, ``REPRO_CHUNKSIZE`` the cells per worker dispatch; a
-malformed value exits 2.
+worker count (default: all cores) and ``REPRO_TRACE_LEN`` the per-cell
+trace length; a malformed value exits 2.
 
 ``--sampled`` runs the interval-sampling benchmark instead
 (docs/SAMPLING.md): each workload gets one full detailed
@@ -138,7 +137,7 @@ def sweep_benchmark() -> int:
     length = resolve_trace_length(None, default=4_000)
     jobs = bench_jobs()
     cells = sweep_cells(CONFIGS, length)
-    chunksize = resolve_chunksize(None, len(cells), jobs)
+    chunksize = resolve_chunksize(len(cells), jobs)
     print(f"sweep: {len(cells)} cells x {length} instructions; "
           f"parallel jobs={jobs}, chunksize={chunksize} "
           f"(cpu_count={os.cpu_count()})")

@@ -37,7 +37,8 @@ consults, in order: an explicit ``cache=`` argument, the innermost
 ``REPRO_CACHE`` environment variable (a directory path, or ``1`` for
 the default ``.repro_cache``).  Only plain sweep cells are cached —
 runs with golden checking, fault injection or observers attached never
-go through this path.
+go through this path.  Workers never touch the cache: ``run_cells``
+looks cells up and stores fresh results in the sweep's parent process.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from typing import List, Optional
 
 from ..errors import ConfigError
 from ..fileio import atomic_write
-from ..obs.telemetry import active_monitor
 
 __all__ = ["CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "CacheStats",
            "ResultCache", "active_cache", "code_version", "default_cache",
@@ -111,27 +111,13 @@ class ResultCache:
     One instance wraps one directory; counters accumulate over its
     lifetime (a sweep creates a cache, runs, then surfaces
     ``cache.stats``).  Instances are cheap — the directory is created
-    lazily on the first store.
-
-    When *notify* is true (the default), every lookup and store is
-    reported to the ambient :class:`~repro.obs.telemetry.SweepMonitor`
-    as a ``cache_hit``/``cache_miss``/``cache_store`` event.  The sweep
-    runner's worker-side caches pass ``notify=False`` — their outcomes
-    travel back through :class:`~repro.analysis.parallel.CellOutcome`
-    and are folded (and reported) once, in the parent.
+    lazily on the first store.  Storage only: the sweep runner reports
+    lookups and stores as telemetry events.
     """
 
-    def __init__(self, root, notify: bool = True) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
-        self.notify = notify
-
-    def _notify(self, event: str, key: str) -> None:
-        if not self.notify:
-            return
-        monitor = active_monitor()
-        if monitor is not None:
-            monitor.emit(event, key=key)
 
     # ------------------------------------------------------------- keys --
 
@@ -184,7 +170,6 @@ class ResultCache:
                 result = pickle.load(handle)
         except FileNotFoundError:
             self.stats.misses += 1
-            self._notify("cache_miss", key)
             return None
         except Exception:
             try:
@@ -192,10 +177,8 @@ class ResultCache:
             except OSError:
                 pass
             self.stats.misses += 1
-            self._notify("cache_miss", key)
             return None
         self.stats.hits += 1
-        self._notify("cache_hit", key)
         return result
 
     def put(self, key: str, result) -> None:
@@ -203,7 +186,6 @@ class ResultCache:
         atomic_write(self._path(key),
                      pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
         self.stats.stores += 1
-        self._notify("cache_store", key)
 
     def entries(self) -> List[Path]:
         """Every entry file currently on disk."""

@@ -24,9 +24,8 @@ worker processes):
   Python model uses reduced steady-state runs).
 * ``REPRO_WORKLOADS`` — comma-separated subset of the suite.
 * ``REPRO_JOBS`` — sweep worker processes (default 1 = serial;
-  0 = all cores).
-* ``REPRO_CHUNKSIZE`` — cells per worker dispatch (default: a
-  four-chunks-per-worker heuristic; see docs/PERFORMANCE.md).
+  0 = all cores); cells travel to them in about four chunks per worker
+  (see docs/PERFORMANCE.md).
 * ``REPRO_CACHE`` — opt-in content-addressed result cache directory
   (see :mod:`repro.analysis.cache`).
 

@@ -9,27 +9,27 @@ embarrassingly parallel map.  This module provides that map:
   generation seed, config overrides); they never read ``os.environ``,
   so a sweep's outcome cannot depend on environment inherited at fork
   time or on which worker happens to execute which cell.
-* :func:`run_cells` — executes a list of cells either serially (in
-  process, sharing the trace cache) or across a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with identical
-  retry/ledger semantics on both paths.  Results are collected **in
-  cell order**, so ledgers and result dictionaries are byte-identical
-  regardless of completion order, worker count, chunk size, or cache
-  state.
+* :func:`run_cells` — executes a list of cells with classified retries
+  and returns their results **in cell order**, so ledgers and result
+  dictionaries are byte-identical regardless of completion order,
+  worker count or cache state.
+* :func:`dispatch` — the one loop every sweep (``run_cells`` and the
+  fault campaign) runs through.  Workers only compute: each turns one
+  input into one outcome.  The parent process stores fresh results in
+  the cache, emits every telemetry event and folds the outcomes, in
+  cell order.
 * :class:`WorkerPool` — a reusable executor shared across sweeps.  A
   4k-instruction cell simulates in a few hundred milliseconds, so
   paying worker-interpreter startup per table (and one
-  pickle/IPC round-trip per cell, the default ``chunksize=1``) is what
-  made ``jobs=2`` *slower* than serial in BENCH_sweep.json.  Enter one
-  pool around a batch of experiments (``with WorkerPool(jobs):``) and
-  every ``run_cells`` inside reuses its warm workers; cells are
-  dispatched in chunks sized by :func:`resolve_chunksize`.
-* :func:`resolve_jobs` / :func:`resolve_trace_length` /
-  :func:`resolve_chunksize` — the only places that read the
-  ``REPRO_JOBS`` / ``REPRO_TRACE_LEN`` / ``REPRO_CHUNKSIZE``
-  environment knobs, validating them once at sweep setup (malformed
-  values raise :class:`~repro.errors.ConfigError`, not a bare
-  ``ValueError``).
+  pickle/IPC round-trip per cell) is what made ``jobs=2`` *slower*
+  than serial in BENCH_sweep.json.  Enter one pool around a batch of
+  experiments (``with WorkerPool(jobs):``) and every sweep inside
+  reuses its warm workers (:func:`sweep_pool` gives the rule); cells
+  are dispatched in chunks sized by :func:`resolve_chunksize`.
+* :func:`resolve_jobs` / :func:`resolve_trace_length` — the only places
+  that read the ``REPRO_JOBS`` / ``REPRO_TRACE_LEN`` environment knobs,
+  validating them once at sweep setup (malformed values raise
+  :class:`~repro.errors.ConfigError`, not a bare ``ValueError``).
 
 Repeated sweeps can additionally skip simulation entirely via the
 opt-in content-addressed result cache (``repro.analysis.cache``):
@@ -53,22 +53,25 @@ import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core import SimResult, make_config, simulate
 from ..errors import (ConfigError, DeadlockError, DivergenceError,
                       ReproError, SimulationError, WorkloadError)
-from ..obs.telemetry import SweepMonitor, active_monitor, use_monitor
+from ..obs.telemetry import SweepMonitor, SweepTelemetry, active_monitor
 from ..workloads import (DEFAULT_TRACE_LENGTH, build_workload,
                          workload_trace)
 from .cache import ResultCache, default_cache
-from .sampling import SamplingConfig, simulate_sampled
+from .sampling import SampledResult, SamplingConfig, simulate_sampled
 
 __all__ = ["SweepCell", "CellFailure", "CellOutcome", "WorkerPool",
-           "active_pool", "cell_seed", "is_transient_error", "run_cells",
-           "resolve_chunksize", "resolve_jobs", "resolve_trace_length",
-           "simulate_sweep_cell"]
+           "active_pool", "cell_seed", "dispatch", "is_transient_error",
+           "run_cells", "resolve_chunksize", "resolve_jobs",
+           "resolve_trace_length", "simulate_sweep_cell", "sweep_pool"]
 
 
 #: Error types whose failures are deterministic replays: the simulator
@@ -155,33 +158,18 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_chunksize(chunksize: Optional[int] = None, n_items: int = 0,
-                      jobs: int = 1) -> int:
-    """Resolve the per-dispatch cell chunk size once, at sweep setup.
+def resolve_chunksize(n_items: int, jobs: int) -> int:
+    """Cells per worker dispatch: about four chunks per worker.
 
-    Explicit *chunksize* wins; otherwise ``REPRO_CHUNKSIZE`` is read and
-    validated here.  With neither given, the heuristic splits the sweep
-    into about four chunks per worker — large enough to amortize the
-    pickle + IPC round-trip that dominated per-cell dispatch at the
-    default ``chunksize=1`` (the BENCH_sweep.json ``speedup: 0.911``
-    regression), small enough that a straggler chunk cannot idle the
-    other workers for long.
+    Large enough to amortize the pickle + IPC round-trip that dominated
+    one-cell-per-dispatch sweeps (the BENCH_sweep.json
+    ``speedup: 0.911`` regression), small enough that a straggler chunk
+    cannot idle the other workers for long.  One job runs in process
+    and takes the cells one at a time.
     """
-    if chunksize is None:
-        raw = os.environ.get("REPRO_CHUNKSIZE")
-        if raw is None:
-            if jobs < 1 or n_items < 1:
-                return 1
-            return max(1, -(-n_items // (jobs * 4)))
-        try:
-            chunksize = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_CHUNKSIZE must be an integer cell count, "
-                f"got {raw!r}") from None
-    if chunksize < 1:
-        raise ConfigError(f"chunk size must be >= 1, got {chunksize}")
-    return chunksize
+    if jobs <= 1:
+        return 1
+    return max(1, -(-n_items // (jobs * 4)))
 
 
 #: Stack of pools entered via ``with WorkerPool(...)`` (innermost last).
@@ -225,28 +213,23 @@ class WorkerPool:
         """True once worker processes exist."""
         return self._executor is not None
 
-    def map(self, fn, items: Sequence, chunksize: Optional[int] = None
-            ) -> list:
-        """``map(fn, items)`` over the pool, in input order.
+    def imap(self, fn: Callable, items: Sequence) -> Iterator:
+        """``map(fn, items)`` over the pool: results in input order,
+        yielded as they arrive, so callers can fold and report each one
+        without waiting for the whole batch.
 
-        Serial (``jobs=1``) pools run in-process; parallel pools
-        dispatch *chunksize* items per worker round-trip
-        (:func:`resolve_chunksize` when not given).
+        Serial (``jobs=1``) pools and single items run in process;
+        otherwise the first call starts the workers and items travel in
+        chunks of :func:`resolve_chunksize`.
         """
-        return list(self.imap(fn, items, chunksize=chunksize))
-
-    def imap(self, fn, items: Sequence, chunksize: Optional[int] = None):
-        """Lazy :meth:`map`: yields results in input order as they
-        arrive, so callers (the sweep monitor's progress line) can
-        observe completion without waiting for the whole batch."""
         if self._closed:
             raise ConfigError("worker pool is closed")
         if self.jobs <= 1 or len(items) <= 1:
-            return (fn(item) for item in items)
+            return map(fn, items)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        chunksize = resolve_chunksize(chunksize, len(items), self.jobs)
-        return self._executor.map(fn, items, chunksize=chunksize)
+        return self._executor.map(
+            fn, items, chunksize=resolve_chunksize(len(items), self.jobs))
 
     def close(self) -> None:
         """Shut the workers down (idempotent)."""
@@ -263,6 +246,75 @@ class WorkerPool:
         if _POOL_STACK and _POOL_STACK[-1] is self:
             _POOL_STACK.pop()
         self.close()
+
+
+@contextmanager
+def sweep_pool(jobs: Optional[int] = None,
+               monitor: Optional[SweepMonitor] = None
+               ) -> Iterator[WorkerPool]:
+    """The pool a sweep asking for *jobs* workers runs on.
+
+    The innermost ``with WorkerPool(...)`` block when *jobs* is ``None``
+    or resolves to that pool's size; otherwise a temporary
+    ``WorkerPool(jobs)``, closed on exit (emitting ``worker_down`` to
+    *monitor* if it started workers).
+    """
+    pool = active_pool()
+    if jobs is not None:
+        jobs = resolve_jobs(jobs)
+    if pool is not None and jobs in (None, pool.jobs):
+        yield pool
+        return
+    pool = WorkerPool(jobs)
+    try:
+        yield pool
+    finally:
+        if monitor is not None and pool.started:
+            monitor.worker_down()
+        pool.close()
+
+
+def dispatch(label: str, cells: Sequence, fn: Callable, work: Dict[int, Any],
+             jobs: Optional[int], monitor: Optional[SweepMonitor],
+             fold: Callable[[int, Any], None]
+             ) -> Optional[SweepTelemetry]:
+    """Run *fn* over the inputs in *work* and fold every result — the
+    one dispatch loop every sweep goes through.
+
+    *work* maps the index of a cell in *cells* to that cell's worker
+    input, in cell order; cells missing from it were resolved by the
+    caller (cache hits) and are reported as cached.  The pool comes
+    from :func:`sweep_pool`.  Workers only compute: ``fold(index,
+    result)`` runs in this process as each result arrives, in cell
+    order, and it and this loop emit every telemetry event, so
+    *monitor* sees the whole sweep under one ``seq`` counter whichever
+    process computed it.  ``sweep_done`` fires from a ``finally``
+    block, so an interrupted sweep still flushes a terminal event.
+    Returns the monitor's record of the sweep (``None`` without a
+    monitor).
+    """
+    record = None
+    try:
+        with sweep_pool(jobs, monitor) as pool:
+            if monitor is not None:
+                record = monitor.sweep_start(
+                    label, cells, jobs=pool.jobs,
+                    chunksize=resolve_chunksize(len(work), pool.jobs))
+                for index in range(len(cells)):
+                    if index in work:
+                        monitor.cell_start(index)
+                    else:
+                        monitor.cell_done(index, cached=True)
+            started = pool.started
+            results = pool.imap(fn, list(work.values()))
+            if monitor is not None and pool.started and not started:
+                monitor.worker_up(pool.jobs)
+            for index, result in zip(work, results):
+                fold(index, result)
+    finally:
+        if record is not None:
+            monitor.sweep_done()
+    return record
 
 
 def cell_seed(workload: str, n_clusters: int, predictor: str,
@@ -346,18 +398,12 @@ class CellOutcome:
     lists the failed attempts in order (empty on first-try success).
     ``seconds`` is the worker-side wall-clock cost of the cell across
     all attempts (host profiling; no effect on simulated results).
-    ``cache_stored`` reports that the *worker* entered the fresh result
-    into the result cache — the parent folds these into its own cache
-    counters, so ``repro cache stats`` and run receipts aggregate
-    correctly under ``jobs>1`` (worker-process counters die with the
-    worker).
     """
 
     key: Any
     result: Optional[SimResult] = None
     failures: List[CellFailure] = field(default_factory=list)
     seconds: float = 0.0
-    cache_stored: bool = False
 
 
 def simulate_sweep_cell(cell: SweepCell) -> SimResult:
@@ -378,8 +424,7 @@ def simulate_sweep_cell(cell: SweepCell) -> SimResult:
                                  seed=cell.seed)
         return simulate_sampled(program, config, cell.sampling,
                                 max_instructions=cell.length,
-                                workload_name=cell.workload,
-                                monitor=active_monitor())
+                                workload_name=cell.workload)
     trace = workload_trace(cell.workload, cell.length,
                            dataset=cell.dataset, seed=cell.seed)
     return simulate(list(trace), config)
@@ -388,9 +433,9 @@ def simulate_sweep_cell(cell: SweepCell) -> SimResult:
 def _execute_cell(cell: SweepCell, retries: int) -> CellOutcome:
     """Run one cell with classified retries; never raises.
 
-    Module-level (hence picklable) so it can serve as the worker
-    function of a :class:`ProcessPoolExecutor`.  The cell carries every
-    input explicitly; nothing here reads the environment.
+    The worker function of :func:`run_cells` (module-level, hence
+    picklable).  The cell carries every input explicitly; nothing here
+    reads the environment, the result cache or the monitor.
     """
     outcome = CellOutcome(cell.key)
     start = time.perf_counter()
@@ -407,23 +452,6 @@ def _execute_cell(cell: SweepCell, retries: int) -> CellOutcome:
         return outcome
     finally:
         outcome.seconds = time.perf_counter() - start
-
-
-#: Worker entry point: (cell, retries, cache_root, cache_key) tuple ->
-#: CellOutcome.  The worker stores its own fresh result (parallelizing
-#: the pickle+write I/O that the parent used to serialize after the
-#: sweep) through a silent cache handle; the parent learns about the
-#: store from ``outcome.cache_stored`` and folds it into the sweep
-#: cache's counters.
-def _pool_worker(item: Tuple[SweepCell, int, Optional[str], Optional[str]]
-                 ) -> CellOutcome:
-    cell, retries, cache_root, cache_key = item
-    outcome = _execute_cell(cell, retries)
-    if (cache_root is not None and cache_key is not None
-            and outcome.result is not None):
-        ResultCache(cache_root, notify=False).put(cache_key, outcome.result)
-        outcome.cache_stored = True
-    return outcome
 
 
 _ERROR_TYPES = {cls.__name__: cls for cls in
@@ -446,24 +474,23 @@ def _raise_failure(cell: SweepCell, failure: CellFailure) -> None:
         f"{failure.error_type}: {failure.message}")
 
 
-def _note_outcome(monitor: Optional[SweepMonitor], index: int,
-                  outcome: CellOutcome) -> None:
-    """Report one freshly executed cell's outcome to the monitor."""
-    if monitor is None:
-        return
-    for failure in outcome.failures:
-        monitor.cell_retry(index, failure.attempt, failure.error_type)
-    monitor.cell_done(index, seconds=outcome.seconds,
-                      ok=outcome.result is not None,
-                      stored=outcome.cache_stored)
+def _cache_key(cache: Optional[ResultCache], cell: SweepCell
+               ) -> Optional[str]:
+    """*cell*'s cache key; ``None`` without a cache, or for an invalid
+    cell (e.g. bad config), which the execution path then reports as
+    its real, classified failure."""
+    if cache is None:
+        return None
+    try:
+        return cache.key_for(cell)
+    except Exception:
+        return None
 
 
 def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
               ledger=None, retries: int = 1,
               timings: Optional[Dict[Any, float]] = None,
-              pool: Optional[WorkerPool] = None,
               cache: Optional[ResultCache] = None,
-              chunksize: Optional[int] = None,
               label: str = "sweep",
               receipt_path=None) -> Dict[Any, SimResult]:
     """Execute *cells* and return ``{cell.key: SimResult}``.
@@ -473,7 +500,8 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
             should be recorded.
         jobs: worker processes; ``None`` defers to the active
             :class:`WorkerPool`'s count, then ``REPRO_JOBS`` (see
-            :func:`resolve_jobs`); 1 runs serially in process.
+            :func:`sweep_pool` and :func:`resolve_jobs`); 1 runs
+            serially in process.
         ledger: an :class:`~repro.analysis.experiments.ErrorLedger`.
             When given, failed cells are recorded there and omitted
             from the result dict; when ``None``, the first failure is
@@ -484,18 +512,11 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
             each cell's worker-side wall-clock cost (all attempts),
             for sweep profiling (benchmarks/BENCH_sweep.json).  Cache
             hits report 0.0 (no simulation happened).
-        pool: a :class:`WorkerPool` to dispatch through; ``None`` uses
-            the innermost ``with WorkerPool(...)`` block if any, else
-            an ephemeral executor torn down when the call returns.
         cache: a :class:`~repro.analysis.cache.ResultCache`; ``None``
             defers to :func:`~repro.analysis.cache.default_cache`
             (``use_cache`` context, then the ``REPRO_CACHE`` opt-in).
-            Cells found in the cache are never dispatched; workers
-            store fresh successful results back themselves (the parent
-            folds their store counts into the cache's counters).
-        chunksize: cells per worker dispatch; ``None`` defers to
-            ``REPRO_CHUNKSIZE``, then :func:`resolve_chunksize`'s
-            about-four-chunks-per-worker heuristic.
+            Cells found in the cache are never dispatched; each fresh
+            successful result is stored as it arrives.
         label: the sweep's telemetry label — names this sweep in
             progress lines, event logs and receipts.
         receipt_path: when given, a
@@ -503,133 +524,60 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None,
             exactly this sweep is written here (atomically) after the
             fold.
 
-    Every execution path calls the same per-cell function, and outcomes
-    are folded in submission order, so serial, parallel, and
-    cache-assisted runs produce identical result dictionaries and
-    identical ledgers.
+    Every cell runs through the same per-cell function, and outcomes
+    are folded in cell order, so serial, parallel, and cache-assisted
+    runs produce identical result dictionaries and identical ledgers.
 
     Telemetry: when a :func:`~repro.obs.telemetry.use_monitor` block is
     active (or *receipt_path* forces a private monitor), the run emits
-    typed sweep events — ``sweep_start``, per-cell
-    ``cell_start``/``cell_retry``/``cell_done`` (as results arrive, so
-    progress is live), cache events from the pre-pass, and a
-    ``sweep_done`` from a ``finally`` block so even an interrupted
-    sweep flushes a terminal event to any JSONL sink.
+    typed sweep events — ``cache_hit``/``cache_miss`` from the lookup
+    pass, then :func:`dispatch`'s ``sweep_start`` … ``sweep_done``
+    with, per fresh cell as its result arrives, ``cell_retry``, one
+    ``sample_window`` per window of a sampled cell, ``cache_store`` and
+    ``cell_done``.
     """
     monitor = active_monitor()
     if monitor is None and receipt_path is not None:
-        # A receipt was requested with no ambient monitor: install a
-        # silent private one so cache/sweep events have a destination.
-        with use_monitor(SweepMonitor()) as monitor:
-            return _run_cells_monitored(
-                cells, jobs, ledger, retries, timings, pool, cache,
-                chunksize, label, receipt_path, monitor)
-    return _run_cells_monitored(cells, jobs, ledger, retries, timings,
-                                pool, cache, chunksize, label,
-                                receipt_path, monitor)
-
-
-def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
-                         ledger, retries: int,
-                         timings: Optional[Dict[Any, float]],
-                         pool: Optional[WorkerPool],
-                         cache: Optional[ResultCache],
-                         chunksize: Optional[int], label: str,
-                         receipt_path,
-                         monitor: Optional[SweepMonitor]
-                         ) -> Dict[Any, SimResult]:
-    """The body of :func:`run_cells` (monitor already resolved)."""
-    if pool is None:
-        pool = active_pool()
-    if jobs is None and pool is not None:
-        jobs = pool.jobs
-    jobs = resolve_jobs(jobs)
+        monitor = SweepMonitor()  # silent; the receipt is its only reader
     if cache is None:
         cache = default_cache()
 
-    # Cache pre-pass: resolve hits in the parent, dispatch only misses.
+    # Lookup pass: resolve hits here, dispatch only the misses.
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    keys: List[Optional[str]] = [None] * len(cells)
-    pending: List[int] = []
-    if cache is not None:
-        for index, cell in enumerate(cells):
-            try:
-                key = cache.key_for(cell)
-            except Exception:
-                # Invalid cell (e.g. bad config): uncacheable; let the
-                # execution path produce the real, classified failure.
-                key = None
-            keys[index] = key
-            hit = cache.get(key) if key is not None else None
-            if hit is not None:
-                outcomes[index] = CellOutcome(cell.key, result=hit)
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(cells)))
+    keys = [_cache_key(cache, cell) for cell in cells]
+    for index, (cell, key) in enumerate(zip(cells, keys)):
+        hit = None if key is None else cache.get(key)
+        if hit is not None:
+            outcomes[index] = CellOutcome(cell.key, result=hit)
+        if monitor is not None and key is not None:
+            monitor.emit("cache_miss" if hit is None else "cache_hit",
+                         key=key)
+    work = {index: cell for index, cell in enumerate(cells)
+            if outcomes[index] is None}
 
-    record = None
-    if monitor is not None:
-        chunk_used = (resolve_chunksize(chunksize, len(pending), jobs)
-                      if jobs > 1 and len(pending) > 1 else 1)
-        record = monitor.sweep_start(label, cells, jobs=jobs,
-                                     chunksize=chunk_used)
-        for index, outcome in enumerate(outcomes):
-            if outcome is not None:
-                monitor.cell_done(index, seconds=0.0, ok=True, cached=True)
+    def fold(index: int, outcome: CellOutcome) -> None:
+        outcomes[index] = outcome
+        result = outcome.result
+        stored = result is not None and keys[index] is not None
+        if stored:
+            cache.put(keys[index], result)
+        if monitor is None:
+            return
+        for failure in outcome.failures:
+            monitor.cell_retry(index, failure.attempt, failure.error_type)
+        if isinstance(result, SampledResult):
+            for window in result.windows:
+                monitor.emit("sample_window", label=label,
+                             key=str(cells[index].key),
+                             workload=result.workload, index=window.index,
+                             start=window.start,
+                             measured=window.measured_insts,
+                             cycles=window.cycles, ipc=round(window.ipc, 6))
+        monitor.cell_done(index, seconds=outcome.seconds,
+                          ok=result is not None, stored=stored)
 
-    try:
-        if pending:
-            cache_root = str(cache.root) if cache is not None else None
-            items = [(cells[index], retries, cache_root, keys[index])
-                     for index in pending]
-            if jobs <= 1 or len(items) <= 1:
-                ran = []
-                for position, item in enumerate(items):
-                    if monitor is not None:
-                        monitor.cell_start(pending[position])
-                    outcome = _pool_worker(item)
-                    ran.append(outcome)
-                    _note_outcome(monitor, pending[position], outcome)
-            else:
-                if monitor is not None:
-                    for index in pending:
-                        monitor.cell_start(index)
-                if pool is not None:
-                    if monitor is not None and not pool.started:
-                        monitor.worker_up(min(pool.jobs, len(items)))
-                    stream = pool.imap(_pool_worker, items,
-                                       chunksize=chunksize)
-                    ran = []
-                    for position, outcome in enumerate(stream):
-                        ran.append(outcome)
-                        _note_outcome(monitor, pending[position], outcome)
-                else:
-                    chunk = resolve_chunksize(chunksize, len(items), jobs)
-                    workers = min(jobs, len(items))
-                    if monitor is not None:
-                        monitor.worker_up(workers)
-                    with ProcessPoolExecutor(max_workers=workers) \
-                            as executor:
-                        ran = []
-                        for position, outcome in enumerate(
-                                executor.map(_pool_worker, items,
-                                             chunksize=chunk)):
-                            ran.append(outcome)
-                            _note_outcome(monitor, pending[position],
-                                          outcome)
-                    if monitor is not None:
-                        monitor.worker_down()
-            for index, outcome in zip(pending, ran):
-                outcomes[index] = outcome
-                # Fold worker-side cache stores into the sweep cache's
-                # counters (worker-process CacheStats die with the
-                # worker).
-                if cache is not None and outcome.cache_stored:
-                    cache.stats.stores += 1
-    finally:
-        if monitor is not None:
-            monitor.sweep_done()
+    record = dispatch(label, cells, partial(_execute_cell, retries=retries),
+                      work, jobs, monitor, fold)
 
     results: Dict[Any, SimResult] = {}
     for cell, outcome in zip(cells, outcomes):
@@ -645,10 +593,9 @@ def _run_cells_monitored(cells: Sequence[SweepCell], jobs: Optional[int],
         elif ledger is None:
             _raise_failure(cell, outcome.failures[-1])
 
-    if receipt_path is not None and monitor is not None:
+    if receipt_path is not None:
         from .provenance import RunReceipt
-        RunReceipt.from_monitor(
-            monitor, label=label, cache_enabled=cache is not None,
-            sweeps=None if record is None else [record],
-        ).write(receipt_path)
+        RunReceipt.from_monitor(monitor, label=label,
+                                cache_enabled=cache is not None,
+                                sweeps=[record]).write(receipt_path)
     return results

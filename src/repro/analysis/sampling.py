@@ -330,17 +330,14 @@ def simulate_sampled(workload, config: ProcessorConfig,
                      sampling: SamplingConfig,
                      max_instructions: int = 1_000_000,
                      check: bool = False,
-                     workload_name: Optional[str] = None,
-                     monitor=None) -> SampledResult:
+                     workload_name: Optional[str] = None) -> SampledResult:
     """Estimate a full run of *workload* from sampled detailed windows.
 
     *workload* must be a :class:`Program` (sampling rides the
     functional executor; a pre-materialized trace would defeat the
     point).  With *check* each detailed window is
     co-simulated against a golden model seeded from the functional
-    state at the window start.  *monitor* (a
-    :class:`~repro.obs.telemetry.SweepMonitor`) receives one
-    ``sample_window`` event per measured interval.
+    state at the window start.
     """
     if not isinstance(workload, Program):
         raise ConfigError(
@@ -387,15 +384,10 @@ def simulate_sampled(workload, config: ProcessorConfig,
         detailed += processor.stats.committed_insts
         if measured == 0 or cycles == 0:
             break  # trace drained inside the warmup; nothing measured
-        window = SampleWindow(index=index, start=start,
-                              warmup_insts=warm_done,
-                              measured_insts=measured, cycles=cycles,
-                              ipc=measured / cycles)
-        windows.append(window)
-        if monitor is not None:
-            monitor.emit("sample_window", workload=name, index=index,
-                         start=start, measured=measured, cycles=cycles,
-                         ipc=round(window.ipc, 6))
+        windows.append(SampleWindow(index=index, start=start,
+                                    warmup_insts=warm_done,
+                                    measured_insts=measured, cycles=cycles,
+                                    ipc=measured / cycles))
 
     if not windows:
         raise ConfigError(

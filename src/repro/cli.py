@@ -31,10 +31,10 @@ Commands:
 
 Every experiment command honours ``--workloads``, ``--length``,
 ``--jobs`` and ``--cache-dir`` (and the ``REPRO_WORKLOADS`` /
-``REPRO_TRACE_LEN`` / ``REPRO_JOBS`` / ``REPRO_CHUNKSIZE`` /
-``REPRO_CACHE`` environment variables).  An experiment command holds
-one shared worker pool for its whole run, so multi-sweep commands
-(``ablations``) pay worker startup once.  ``--progress`` streams live
+``REPRO_TRACE_LEN`` / ``REPRO_JOBS`` / ``REPRO_CACHE`` environment
+variables).  An experiment command holds one shared worker pool for
+its whole run, so multi-sweep commands (``ablations``) pay worker
+startup once.  ``--progress`` streams live
 sweep progress to stderr, ``--telemetry-out`` mirrors the typed run
 events to a JSONL file (flushed per event, so an interrupted run keeps
 its partial log), and ``--receipt-out`` writes a provenance receipt

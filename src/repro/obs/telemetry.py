@@ -3,8 +3,8 @@
 PR 3 instrumented the *microarchitecture* (per-cycle pipeline events);
 this module instruments the *experiment layer*.  A
 :class:`SweepMonitor` receives typed run events from the sweep runner
-(``repro.analysis.parallel.run_cells``), the result cache, the fault
-campaign and the benchmarks:
+(``repro.analysis.parallel.run_cells``), the fault campaign and the
+benchmarks, always in the parent process:
 
 ========================= ==============================================
 event                     meaning
@@ -16,6 +16,7 @@ event                     meaning
 ``cache_hit``             a cell resolved from the result cache
 ``cache_miss``            a cell was looked up and not found
 ``cache_store``           a fresh result entered the cache
+``sample_window``         one measured window of a sampled cell
 ``worker_up``             worker processes came up for this sweep
 ``worker_down``           worker processes were released
 ``sweep_done``            the sweep finished (completed/failed counts)
@@ -74,6 +75,8 @@ TELEMETRY_EVENTS: Dict[str, tuple] = {
     "cache_hit": ("key",),
     "cache_miss": ("key",),
     "cache_store": ("key",),
+    "sample_window": ("label", "key", "index", "start", "measured",
+                      "cycles", "ipc"),
     "worker_up": ("jobs",),
     "worker_down": (),
     "sweep_done": ("label", "completed", "failed", "cached"),

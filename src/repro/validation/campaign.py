@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..obs.telemetry import active_monitor
@@ -98,15 +98,17 @@ class CampaignResult:
                 / len(cells))
 
 
-def _campaign_workload_block(payload: tuple) -> List[CampaignCell]:
+def _campaign_workload_block(payload: tuple
+                             ) -> Tuple[List[CampaignCell], float]:
     """All (kind, seed) cells of one workload — the campaign's unit of
-    parallelism.
+    parallelism — and the seconds they took.
 
     Module-level (hence picklable) so :class:`~repro.analysis.parallel.
     WorkerPool` can fan workloads out across processes; each block
     rebuilds its trace from the explicit payload, never from inherited
     state, so parallel campaigns match serial ones cell for cell.
     """
+    start = time.perf_counter()
     (name, kinds, seeds, length, n_clusters, predictor, steering,
      rate, comm_latency) = payload
     from ..core import make_config, simulate
@@ -139,7 +141,7 @@ def _campaign_workload_block(payload: tuple) -> List[CampaignCell]:
             # Recovery = the run completed and the golden model
             # verified every commit without divergence.
             cell.recovered = True
-    return cells
+    return cells, time.perf_counter() - start
 
 
 def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
@@ -160,76 +162,41 @@ def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
     continues.
 
     With ``jobs > 1`` (or inside a ``with WorkerPool(...)`` block) the
-    per-workload blocks fan out across worker processes — each block is
-    seeded and explicit, and blocks are folded in workload order, so
-    the report is identical to a serial campaign's.
+    per-workload blocks fan out across worker processes through
+    :func:`~repro.analysis.parallel.dispatch` — each block is seeded and
+    explicit, and blocks are folded in workload order, so the report is
+    identical to a serial campaign's.
 
     When a sweep monitor is ambient
     (:func:`~repro.obs.telemetry.use_monitor`), the campaign reports
-    one telemetry cell per workload block — ``sweep_done`` fires from
-    a ``finally`` block, so an interrupted campaign still flushes its
-    partial event log.
+    one telemetry cell per workload block, timed in its worker —
+    ``sweep_done`` fires from a ``finally`` block, so an interrupted
+    campaign still flushes its partial event log.
     """
     # Local import: the core simulator imports this package lazily and
     # vice versa; importing at call time breaks the cycle.
-    from ..analysis.parallel import WorkerPool, active_pool, resolve_jobs
+    from ..analysis.parallel import dispatch
     from ..workloads import workload_names
 
     names = list(workloads) if workloads else workload_names()[:2]
-    pool = active_pool()
-    if jobs is None and pool is not None:
-        jobs = pool.jobs
-    jobs = resolve_jobs(jobs)
     result = CampaignResult(comm_latency=comm_latency)
     payloads = [(name, tuple(kinds), tuple(seeds), length, n_clusters,
                  predictor, steering, rate, comm_latency)
                 for name in names]
     monitor = active_monitor()
-    if monitor is not None:
-        monitor.sweep_start(
-            "fault-campaign",
-            [{"key": name, "workload": name, "n_clusters": n_clusters,
-              "predictor": predictor, "steering": steering,
-              "length": length or 6_000} for name in names],
-            jobs=jobs, chunksize=1)
-    try:
-        if jobs <= 1 or len(payloads) <= 1:
-            blocks = []
-            for index, payload in enumerate(payloads):
-                if monitor is not None:
-                    monitor.cell_start(index)
-                start = time.perf_counter()
-                blocks.append(_campaign_workload_block(payload))
-                if monitor is not None:
-                    monitor.cell_done(
-                        index, seconds=time.perf_counter() - start)
-        else:
-            if monitor is not None:
-                for index in range(len(payloads)):
-                    monitor.cell_start(index)
-            if pool is not None:
-                # One workload block per dispatch: blocks are coarse
-                # already.
-                stream = pool.imap(_campaign_workload_block, payloads,
-                                   chunksize=1)
-            else:
-                pool = WorkerPool(jobs)
-                stream = pool.imap(_campaign_workload_block, payloads,
-                                   chunksize=1)
-            try:
-                blocks = []
-                for index, block in enumerate(stream):
-                    blocks.append(block)
-                    if monitor is not None:
-                        monitor.cell_done(index)
-            finally:
-                if pool is not active_pool():
-                    pool.close()
-    finally:
+
+    def fold(index: int, block: Tuple[List[CampaignCell], float]) -> None:
+        cells, seconds = block
+        result.cells.extend(cells)
         if monitor is not None:
-            monitor.sweep_done()
-    for block in blocks:
-        result.cells.extend(block)
+            monitor.cell_done(index, seconds=seconds)
+
+    dispatch("fault-campaign",
+             [{"key": name, "workload": name, "n_clusters": n_clusters,
+               "predictor": predictor, "steering": steering,
+               "length": length or 6_000} for name in names],
+             _campaign_workload_block, dict(enumerate(payloads)), jobs,
+             monitor, fold)
     return result
 
 

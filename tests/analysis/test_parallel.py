@@ -127,35 +127,11 @@ class TestChunkedDispatch:
             assert serial[key].to_dict() == parallel[key].to_dict()
         assert serial_ledger.entries == parallel_ledger.entries
 
-    def test_explicit_chunksize_changes_nothing(self):
-        cells = self._wide_cells(12, include_failures=False)
-        serial = run_cells(cells, jobs=1)
-        for chunksize in (1, 3, 64):
-            chunked = run_cells(cells, jobs=2, chunksize=chunksize)
-            assert list(serial.keys()) == list(chunked.keys())
-            for key in serial:
-                assert serial[key].to_dict() == chunked[key].to_dict()
-
     def test_heuristic_four_chunks_per_worker(self):
-        assert resolve_chunksize(None, 48, 2) == 6
-        assert resolve_chunksize(None, 48, 6) == 2
-        assert resolve_chunksize(None, 3, 8) == 1
-        assert resolve_chunksize(None, 0, 0) == 1
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "17")
-        assert resolve_chunksize(None, 48, 2) == 17
-        assert resolve_chunksize(5, 48, 2) == 5
-
-    def test_malformed_env_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "lots")
-        with pytest.raises(ConfigError, match="REPRO_CHUNKSIZE"):
-            resolve_chunksize(None, 10, 2)
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-        with pytest.raises(ConfigError, match=">= 1"):
-            resolve_chunksize(None, 10, 2)
-        with pytest.raises(ConfigError, match=">= 1"):
-            resolve_chunksize(-3, 10, 2)
+        assert resolve_chunksize(48, 2) == 6
+        assert resolve_chunksize(48, 6) == 2
+        assert resolve_chunksize(3, 8) == 1
+        assert resolve_chunksize(0, 0) == 1
 
 
 class TestWorkerPool:
@@ -163,8 +139,8 @@ class TestWorkerPool:
         cells = _cells()
         serial = run_cells(cells, jobs=1)
         with WorkerPool(jobs=2) as pool:
-            first = run_cells(cells, pool=pool)
-            second = run_cells(cells, pool=pool)
+            first = run_cells(cells)
+            second = run_cells(cells)
             assert pool.started  # one executor served both sweeps
         for key in serial:
             assert serial[key].to_dict() == first[key].to_dict()
@@ -191,7 +167,7 @@ class TestWorkerPool:
         pool = WorkerPool(jobs=2)
         pool.close()
         with pytest.raises(ConfigError, match="closed"):
-            pool.map(len, [(1,), (2,)])
+            pool.imap(len, [(1,), (2,)])
 
     def test_graceful_sweep_uses_active_pool(self):
         cells = _graceful_cells()
@@ -324,8 +300,9 @@ class TestCellSeed:
 
 class TestSweepTelemetry:
     """run_cells under an ambient SweepMonitor: identical event *sets*
-    serial vs parallel, worker-side cache stores folded into the
-    parent's counters, receipts written without an ambient monitor."""
+    serial vs parallel, every cache store counted by the parent, one
+    event log for the whole sweep, receipts written without an ambient
+    monitor."""
 
     def _monitored_run(self, cells, jobs, cache=None):
         from repro.obs.telemetry import SweepMonitor, use_monitor
@@ -369,9 +346,8 @@ class TestSweepTelemetry:
         cells = _cells()
         cache = ResultCache(tmp_path / "cache")
         run_cells(cells, jobs=2, cache=cache)
-        # Workers stored each fresh result; the parent's process-local
-        # counters must reflect every one of them (the satellite-1 bug:
-        # stores happened in workers and were never folded back).
+        # The parent stores each fresh result as it arrives, so its
+        # counters see every store whichever process simulated the cell.
         assert cache.stats.stores == len(cells)
         assert cache.stats.misses == len(cells)
         assert cache.stats.hits == 0
@@ -406,6 +382,51 @@ class TestSweepTelemetry:
         receipt = json.loads(path.read_text())
         assert receipt["label"] == "standalone"
         assert receipt["counts"]["simulated"] == 4
+
+    def test_sampled_windows_are_logged_by_the_parent(self, tmp_path):
+        import json
+        from repro.analysis.sampling import SamplingConfig
+        from repro.obs.schema import validate_telemetry_jsonl
+        from repro.obs.telemetry import (SweepMonitor, normalize_events,
+                                         use_monitor)
+        plan = SamplingConfig(interval=500, warmup=100, samples=4)
+        cells = [SweepCell(key=f"{name}.{n}", workload=name, n_clusters=n,
+                           length=20_000, sampling=plan)
+                 for name in ("cjpeg", "gsmdec") for n in (1, 2)]
+        normalized = []
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            with SweepMonitor(jsonl_path=str(path)) as monitor, \
+                    use_monitor(monitor):
+                run_cells(cells, jobs=jobs, label="sampled")
+            assert validate_telemetry_jsonl(str(path)) == len(monitor.events)
+            on_disk = [json.loads(line)
+                       for line in path.read_text().splitlines()[1:]]
+            seqs = [event["seq"] for event in on_disk]
+            assert seqs == sorted(set(seqs))
+            assert len(on_disk) == len(monitor.events)
+            windows = [event for event in monitor.events
+                       if event["event"] == "sample_window"]
+            assert len(windows) == 4 * len(cells)
+            assert ({(event["label"], event["key"]) for event in windows}
+                    == {("sampled", cell.key) for cell in cells})
+            normalized.append(normalize_events(monitor.events))
+        assert normalized[0] == normalized[1]
+
+    def test_jobs_other_than_the_active_pool_get_their_own_pool(self):
+        from repro.obs.telemetry import SweepMonitor, use_monitor
+        serial = run_cells(_cells(), jobs=1)
+        with WorkerPool(jobs=1) as pool, \
+                use_monitor(SweepMonitor()) as monitor:
+            results = run_cells(_cells(), jobs=2)
+            assert not pool.started
+        assert monitor.sweep.jobs == 2
+        assert [event["jobs"] for event in monitor.events
+                if event["event"] == "worker_up"] == [2]
+        assert any(event["event"] == "worker_down"
+                   for event in monitor.events)
+        for key in serial:
+            assert serial[key].to_dict() == results[key].to_dict()
 
     def test_sweep_done_emitted_even_when_a_cell_raises(self):
         from repro.obs.telemetry import SweepMonitor, use_monitor

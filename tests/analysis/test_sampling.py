@@ -207,21 +207,6 @@ class TestSimulateSampled:
             simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
                              max_instructions=20_000)
 
-    def test_monitor_receives_window_events(self):
-        events = []
-
-        class Monitor:
-            def emit(self, event, **fields):
-                events.append((event, fields))
-
-        sc = SamplingConfig(interval=500, warmup=100, samples=4)
-        simulate_sampled(build_workload("cjpeg"), CONFIG, sc,
-                         max_instructions=20_000, workload_name="cjpeg",
-                         monitor=Monitor())
-        names = [e for e, _ in events]
-        assert names.count("sample_window") == 4
-        assert all(f["workload"] == "cjpeg" for _, f in events)
-
 
 # ---------------------------------------------------- pinned sampler output --
 

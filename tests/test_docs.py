@@ -3,9 +3,11 @@
 Extracts every ```python block from docs/TUTORIAL.md and executes them
 sequentially in one namespace (the tutorial builds on itself), with a
 tiny patch to keep file output inside a temp directory.  Every
-documented ``repro`` command line must parse with the current CLI.
+documented ``repro`` command line must parse with the current CLI, and
+every documented ``REPRO_*`` environment knob must exist in the code.
 """
 
+import ast
 import pathlib
 import re
 import shlex
@@ -74,6 +76,25 @@ def test_documented_commands_parse(capsys):
             error = capsys.readouterr().err.strip().splitlines()[-1]
             broken.append(f"repro {shlex.join(argv)}: {error}")
     assert not broken, "\n".join(broken)
+
+
+def test_documented_env_knobs_exist():
+    """A ``REPRO_*`` name in the docs must be a string literal of its
+    own in the code under src/ or benchmarks/ (the ``os.environ`` read);
+    a mention in a docstring does not count."""
+    root = README.parent
+    documented = set()
+    for doc in (README, root / "EXPERIMENTS.md", *sorted(DOCS.glob("*.md"))):
+        documented.update(re.findall(r"REPRO_[A-Z_]+", doc.read_text()))
+    literals = set()
+    for path in (*(root / "src").rglob("*.py"),
+                 *(root / "benchmarks").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"REPRO_[A-Z_]+", node.value)):
+                literals.add(node.value)
+    assert len(documented) >= 4
+    assert not documented - literals, sorted(documented - literals)
 
 
 def test_docs_reference_real_files():

@@ -1,5 +1,6 @@
 """Fault campaign dispatch: the report does not depend on how the
-per-workload blocks were spread over worker processes.
+per-workload blocks were spread over worker processes, and every block
+reports its own time whichever process ran it.
 """
 
 import os
@@ -34,3 +35,14 @@ def test_report_identical_serial_parallel_and_pooled():
         assert pool.started
     assert "FAILED" not in serial
     assert serial == parallel == pooled
+
+
+def test_parallel_campaign_times_every_block():
+    from repro.obs.telemetry import SweepMonitor, use_monitor
+    with use_monitor(SweepMonitor()) as monitor:
+        run_fault_campaign(workloads=WORKLOADS, seeds=(0,), kinds=("value",),
+                           length=LENGTH, jobs=2)
+    done = [event for event in monitor.events
+            if event["event"] == "cell_done"]
+    assert [event["key"] for event in done] == list(WORKLOADS)
+    assert all(event["seconds"] > 0 for event in done)

@@ -10,6 +10,8 @@ from repro.core import make_config, simulate
 from repro.isa import ProgramBuilder, execute
 from repro.workloads import synthetic
 
+from ..conftest import make_dyn
+
 
 def run_program(builder_or_program, config, cap=20_000):
     program = (builder_or_program.build()
@@ -265,3 +267,33 @@ class TestFpSide:
         b.emit("halt")
         result = run_program(b, make_config(1))
         assert result.ipc > 4.0
+
+
+class TestStaticInstructionIdentity:
+    """Decode facts belong to the static instruction, not to its pc.
+
+    A hand-built trace can put two different instructions at one pc;
+    each must still simulate as itself.
+    """
+
+    @staticmethod
+    def trace(div_pc):
+        return [
+            make_dyn(0, 0x1000, op="li", dest=1, result=7),
+            make_dyn(1, 0x1004, op="li", dest=2, result=3),
+            make_dyn(2, div_pc, op="div", dest=3, srcs=(1, 2),
+                     src_values=(7, 3), result=2),
+            make_dyn(3, 0x1010, op="add", dest=4, srcs=(3, 1),
+                     src_values=(2, 7), result=9),
+        ]
+
+    @pytest.mark.parametrize("n_clusters,cycles", [(1, 65), (4, 67)])
+    @pytest.mark.parametrize("predictor", ["none", "stride"])
+    def test_two_instructions_at_one_pc(self, n_clusters, cycles,
+                                        predictor):
+        config = make_config(n_clusters, predictor=predictor)
+        # 0x100c is in the first li's I-cache line, so fetch is the same.
+        shared = simulate(self.trace(0x1000), config).to_dict()
+        apart = simulate(self.trace(0x100c), config).to_dict()
+        assert shared == apart
+        assert shared["cycles"] == cycles

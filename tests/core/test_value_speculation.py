@@ -8,7 +8,7 @@ statistics that Figure 5 relies on.
 
 from repro.core import make_config, simulate
 from repro.isa import ProgramBuilder, execute
-from repro.workloads import synthetic
+from repro.workloads import synthetic, workload_trace
 from repro.workloads.datagen import noise_words
 
 
@@ -128,16 +128,29 @@ class TestRemoteSpeculation:
         assert result.stats.communications == 0  # int-only workload
 
     def test_fp_operands_never_predicted(self):
+        """Exactly the integer, non-zero-register operands are looked up,
+        each once: fp operands never reach the predictor, and an
+        instruction whose decode stalls on registers or queue space,
+        after its prediction, reuses that prediction when it retries."""
         from repro.isa.registers import ZERO_REG, is_fp_reg
-        trace = execute(synthetic.fp_chain(8), 8_000)
-        result = simulate(list(trace), make_config(4, predictor="perfect",
-                                                   steering="vpb"))
-        # Exactly the integer, non-zero-register operands are looked up;
-        # fp operands never reach the predictor.
-        int_operands = sum(
-            sum(1 for s in d.srcs if s != ZERO_REG and not is_fp_reg(s))
-            for d in trace)
-        assert result.vp_stats["lookups"] == int_operands
+        cells = [("fp_chain", execute(synthetic.fp_chain(8), 8_000), 4,
+                  "perfect")]
+        for workload in ("cjpeg", "gsmdec"):
+            trace = workload_trace(workload, 3_000)
+            cells += [(workload, trace, n_clusters, predictor)
+                      for n_clusters in (1, 2, 4)
+                      for predictor in ("stride", "context")]
+        for name, trace, n_clusters, predictor in cells:
+            steering = "baseline" if n_clusters == 1 else "vpb"
+            result = simulate(list(trace), make_config(
+                n_clusters, predictor=predictor, steering=steering))
+            cell = (name, n_clusters, predictor)
+            int_operands = sum(
+                sum(1 for s in d.srcs if s != ZERO_REG and not is_fp_reg(s))
+                for d in trace)
+            assert result.vp_stats["lookups"] == int_operands, cell
+            stalls = result.stats.decode_stalls
+            assert stalls.get("pregs", 0) + stalls.get("iq", 0) > 0, cell
 
 
 class TestVerificationGating:

@@ -323,8 +323,16 @@ def provenance() -> dict:
 def record(entry: dict) -> None:
     """Append *entry* to ``BENCH_sweep.json`` with its provenance and
     the host's core count, which makes its rates comparable.  Floats
-    keep 4 decimals; the bars apply to the unrounded readings."""
-    entry = {**entry, **provenance(), "cpu_count": os.cpu_count()}
+    keep 4 decimals; the bars apply to the unrounded readings.
+
+    A tree with uncommitted changes records nothing: its entry would
+    name no commit anyone can check out, yet set the floor later runs
+    are held to.  The caller's exit code does not change."""
+    info = provenance()
+    if (info["commit"] or "").endswith("-dirty"):
+        print(f"not recorded: uncommitted changes ({info['commit']})")
+        return
+    entry = {**entry, **info, "cpu_count": os.cpu_count()}
     append_entry(RESULT_PATH, json.loads(
         json.dumps(entry), parse_float=lambda text: round(float(text), 4)))
     print(f"recorded in {RESULT_PATH}")

@@ -47,7 +47,10 @@ class FUPool:
     each candidate; ``try_issue`` reserves the resources on success.
 
     The opclass → (side, muldiv, div, latency) classification is folded
-    into a per-instance descriptor table at construction, and the count
+    into a per-instance descriptor table at construction.  The timing
+    core looks each static instruction's descriptor up once
+    (:meth:`descriptor`) and issues with :meth:`try_issue_desc`, so no
+    opclass is hashed per issue attempt.  The count
     of units occupied by in-flight non-pipelined divides is computed once
     per cycle (divides issue rarely; the busy count only changes at
     ``begin_cycle`` or when a divide claims a unit mid-cycle).
@@ -157,9 +160,19 @@ class FUPool:
 
     # -- issue -------------------------------------------------------------------
 
+    def descriptor(self, opclass: OpClass) -> tuple:
+        """``(is_int_side, is_muldiv, is_div, latency)`` of *opclass*:
+        what :meth:`try_issue_desc` takes.  Pools built with the same
+        latencies share descriptors."""
+        return self._desc[opclass]
+
     def try_issue(self, opclass: OpClass) -> bool:
         """Reserve width + unit for one instruction; True on success."""
-        is_int, is_muldiv, is_div, latency = self._desc[opclass]
+        return self.try_issue_desc(self._desc[opclass])
+
+    def try_issue_desc(self, desc: tuple) -> bool:
+        """:meth:`try_issue` for the :meth:`descriptor` of an opclass."""
+        is_int, is_muldiv, is_div, latency = desc
         if is_int:
             if self._int_issued >= self.int_width:
                 return False

@@ -41,12 +41,6 @@ class RegisterFile:
         #: triggers a harmless extra scan, never a wrong skip.
         self.waiters: Dict[int, List[object]] = {}
 
-    def add_waiter(self, preg: int, uop) -> None:
-        """Park *uop* until *preg*'s ready cycle is (re)scheduled."""
-        waiters = self.waiters.setdefault(preg, [])
-        if not waiters or waiters[-1] is not uop:
-            waiters.append(uop)
-
     def set_ready(self, preg: int, cycle: int) -> None:
         """Value of *preg* becomes usable at *cycle*."""
         self.ready[preg] = cycle
@@ -73,7 +67,11 @@ class RegisterFile:
         return self.ready[preg]
 
     def clear(self, preg: int) -> None:
-        """Reset scoreboard state when the register is freed."""
+        """Reset scoreboard state when the register is freed.
+
+        The core's commit stage inlines this, next to the free-list
+        release it pairs with.
+        """
         self.ready[preg] = NEVER
         self.producer[preg] = None
         # A reader older than the freeing writer cannot still be parked

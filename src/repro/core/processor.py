@@ -33,8 +33,8 @@ from ..errors import ConfigError, SimulationError
 from ..frontend import (BranchTargetBuffer, CombinedPredictor,
                         FetchEngine, FetchedInst)
 from ..interconnect import Interconnect
-from ..isa.instruction import DynInst
-from ..isa.registers import NUM_LOGICAL_REGS, ZERO_REG, is_fp_reg
+from ..isa.instruction import Instruction
+from ..isa.registers import NUM_LOGICAL_REGS, ZERO_REG
 from ..memory import MemoryHierarchy
 from ..obs.events import (EV_COMMIT, EV_COMPLETE, EV_COPY_SEND,
                           EV_DISPATCH, EV_FETCH, EV_ISSUE, EV_SQUASH,
@@ -77,6 +77,50 @@ def _timed(profiler, phase: str, stage):
         stage(cycle)
         seconds[phase] += clock() - start
     return timed
+
+
+class _Template:
+    """Decode facts of one static instruction.
+
+    Built on the instruction's first decode and read by every dynamic
+    instance of it, so decode, dispatch and issue index these instead
+    of re-deriving them from the opcode and register ids.
+
+    Attributes:
+        sources: ``(slot, logical, fp)`` per source operand in slot
+            order, *fp* marking the fp register bank.
+        predictors: ``(slot, predict)`` per predictable source (integer
+            and not the zero register), *predict* the value predictor's
+            :meth:`~repro.predictor.ValuePredictor.bind` call for it;
+            empty without a value predictor.
+        unpredicted: one ``None`` per source: the predictions of a
+            dynamic instance with no confident prediction.
+        dest: logical register to rename, ``None`` when the instruction
+            writes none or writes the zero register.
+        dest_bank: free-list bank of *dest*.
+        int_side: issues from the integer queue and width.
+        fu: functional-unit descriptor (:meth:`FUPool.descriptor`), its
+            last field the execution latency.
+    """
+
+    __slots__ = ("sources", "predictors", "unpredicted", "dest",
+                 "dest_bank", "int_side", "fu")
+
+    def __init__(self, static: Instruction,
+                 vp: Optional[ValuePredictor], fupool: FUPool) -> None:
+        self.sources = tuple(
+            (slot, logical, fp) for slot, (logical, fp)
+            in enumerate(zip(static.srcs, static.srcs_fp)))
+        self.predictors = () if vp is None else tuple(
+            (slot, vp.bind(static.pc, slot))
+            for slot, logical, fp in self.sources
+            if logical != ZERO_REG and not fp)
+        self.unpredicted = (None,) * len(static.srcs)
+        dest = static.dest
+        self.dest = None if dest == ZERO_REG else dest
+        self.dest_bank = FP_BANK if static.dest_fp else INT_BANK
+        self.int_side = static.op.is_int
+        self.fu = fupool.descriptor(static.op.opclass)
 
 
 def _build_steerer(config: ProcessorConfig):
@@ -211,7 +255,9 @@ class Processor:
         self.rob: deque = deque()
         self._events: Dict[int, List[tuple]] = {}
         self._next_order = 0
-        self._vp_cache: Dict[int, list] = {}
+        # Decode template per static instruction (keyed by the
+        # Instruction itself: two instructions can share a pc).
+        self._templates: Dict[Instruction, _Template] = {}
         # Memory disambiguation: decoded stores whose address generation
         # has not issued yet, and issued-but-uncommitted stores by address.
         self._pending_store_addrs: set = set()
@@ -241,6 +287,15 @@ class Processor:
                                      None, False)
         self.cycle = 0
         self.watchdog = PipelineWatchdog(config.deadlock_cycles)
+
+    # -------------------------------------------------------------- pickling --
+
+    def __getstate__(self):
+        # The decode templates are derived state holding bound predictor
+        # calls, which do not pickle; a restored processor rebuilds them.
+        state = dict(self.__dict__)
+        state["_templates"] = {}
+        return state
 
     # ------------------------------------------------------------------ run --
 
@@ -549,6 +604,7 @@ class Processor:
         retired = 0
         budget = self.config.retire_width
         tracer = self._tracer
+        clusters = self.clusters
         while rob and retired < budget:
             uop = rob[0]
             if (uop.state != STATE_DONE or uop.unverified > 0
@@ -566,11 +622,28 @@ class Processor:
             uop.state = STATE_COMMITTED
             retired += 1
             if uop.free_on_commit:
-                self.renamer.release(uop.free_on_commit)
+                # Free the previous mapping set (Figure 1), with
+                # RenameUnit.release and RegisterFile.clear inlined.
+                pregs_per_bank = self.config.pregs_per_cluster
                 for fcluster, fpreg in uop.free_on_commit:
-                    self.clusters[fcluster].regfile.clear(fpreg)
+                    bank, index = divmod(fpreg, pregs_per_bank)
+                    free = self._free_lists[fcluster][bank]
+                    if not free._allocated[index]:
+                        raise ValueError(
+                            f"double free of physical register {index}")
+                    free._allocated[index] = False
+                    free._free.append(index)
+                    regfile = clusters[fcluster].regfile
+                    regfile.ready[fpreg] = NEVER
+                    regfile.producer[fpreg] = None
+                    waiters = regfile.waiters.pop(fpreg, None)
+                    if waiters:
+                        for waiter in waiters:
+                            waiter.wake_cycle = 0
+                            if waiter.iq is not None:
+                                waiter.iq.next_try = 0
             if uop.dest_preg is not None:
-                self.clusters[uop.dest_cluster].regfile.producer[
+                clusters[uop.dest_cluster].regfile.producer[
                     uop.dest_preg] = None
             uop.readers = []
             if tracer is not None:
@@ -764,7 +837,7 @@ class Processor:
                                 # Disambiguation / same-address store
                                 # data / D-cache port.
                                 wake = cycle1
-                            elif not fupool.try_issue(uop.opclass):
+                            elif not fupool.try_issue_desc(uop.fu):
                                 wake = cycle1
                                 if int_side:
                                     if leftover_int is None:
@@ -828,7 +901,7 @@ class Processor:
                     # -- an instruction: its latency, then the store
                     # queue or its destination register.
                     dyn = uop.dyn
-                    when = cycle + fupool.latencies[uop.opclass]
+                    when = cycle + uop.fu[3]  # descriptor's latency
                     if uop.is_load:
                         self._dports_used += 1
                         if forward is not None:
@@ -931,68 +1004,71 @@ class Processor:
         Decoding stops at the first instruction that cannot dispatch
         this cycle, and its stall cause is counted.
         """
-        fetch = self.fetch
+        buffer = self.fetch._buffer
         rob = self.rob
         rob_size = self.config.rob_size
+        templates = self._templates
         decode_one = (self._decode_local if self._one_cluster
                       else self._decode_one)
         for _ in range(self.config.decode_width):
-            fetched = fetch.peek_decodable(cycle)
-            if fetched is None:
+            if not buffer:
+                return
+            fetched = buffer[0]
+            if fetched.fetch_cycle >= cycle:
                 return
             if len(rob) >= rob_size:
                 # Any dispatch needs at least one ROB slot, whatever
                 # cluster steering would pick: stall before paying for
                 # prediction and steering work that cannot be used this
-                # cycle.  (The prediction cache keeps predictor state
-                # per-instruction exact across the deferral.)
+                # cycle.
                 stall = "rob"
             else:
-                stall = decode_one(fetched, cycle)
+                static = fetched.dyn.static
+                template = templates.get(static)
+                if template is None:
+                    template = templates[static] = _Template(
+                        static, self.vp if self._vp_enabled else None,
+                        self.clusters[0].fupool)
+                stall = decode_one(fetched, template, cycle)
             if stall is not None:
                 stalls = self.stats.decode_stalls
                 stalls[stall] = stalls.get(stall, 0) + 1
                 return
-            fetch.pop_one()
+            buffer.popleft()
 
-    def _predictions(self, dyn: DynInst) -> list:
+    def _predictions(self, fetched: FetchedInst, template: _Template):
         """Per-slot value predictions: None or (value, correct, injected).
 
-        Computed exactly once per DynInst: stall retries reuse the
-        cached entries, so predictor state and the accuracy stats
-        advance once per instruction.  *injected* marks a prediction
-        corrupted by the fault harness.
+        Made once per fetched instruction and kept on it: stall retries
+        reuse them, so predictor state and the accuracy stats advance
+        once per instruction.  *injected* marks a prediction corrupted
+        by the fault harness.
         """
-        if not self._vp_enabled:
-            return [None] * len(dyn.srcs)
-        predictions = self._vp_cache.get(dyn.seq)
+        predictions = fetched.predictions
         if predictions is not None:
             return predictions
-        predictions = []
-        injector = self._injector
-        srcs_fp = dyn.srcs_fp
-        src_values = dyn.src_values
-        predict_update = self.vp.predict_update
-        pc = dyn.pc
-        for slot, logical in enumerate(dyn.srcs):
-            if logical == ZERO_REG or srcs_fp[slot]:
-                predictions.append(None)
-                continue
-            actual = src_values[slot]
-            value, confident = predict_update(pc, slot, actual)
-            if not confident:
-                predictions.append(None)
-                continue
-            injected = False
-            if injector is not None:
-                corrupted = injector.corrupt_prediction(pc, slot, actual)
-                if corrupted is not None:
-                    value, injected = corrupted, True
-            predictions.append((value, value == actual, injected))
-        self._vp_cache[dyn.seq] = predictions
+        predictions = template.unpredicted
+        if template.predictors:
+            predictions = list(predictions)
+            injector = self._injector
+            dyn = fetched.dyn
+            src_values = dyn.src_values
+            for slot, predict in template.predictors:
+                actual = src_values[slot]
+                value, confident = predict(actual)
+                if not confident:
+                    continue
+                injected = False
+                if injector is not None:
+                    corrupted = injector.corrupt_prediction(dyn.pc, slot,
+                                                            actual)
+                    if corrupted is not None:
+                        value, injected = corrupted, True
+                predictions[slot] = (value, value == actual, injected)
+        fetched.predictions = predictions
         return predictions
 
-    def _source_views(self, dyn: DynInst, predictions: list,
+    def _source_views(self, template: _Template, predictions,
                       cycle: int) -> List[SourceView]:
         """Steering's decode-time view of each source operand (§2.3.1).
 
@@ -1005,9 +1081,8 @@ class Processor:
         mapped_sets = self._mapped_sets
         map_rows = self._map_rows
         ready_arrays = self._ready_arrays
-        srcs_fp = dyn.srcs_fp
         views = []
-        for slot, logical in enumerate(dyn.srcs):
+        for slot, logical, fp in template.sources:
             if logical == ZERO_REG:
                 views.append(self._zero_view)
                 continue
@@ -1038,12 +1113,13 @@ class Processor:
                             self.clusters[cluster_id].regfile.producer[preg])
                         if producer is not None and producer.kind == KIND_INST:
                             best = cluster_id
-            views.append(SourceView(logical, srcs_fp[slot],
-                                    best_ready <= cycle, mapped_set, best,
+            views.append(SourceView(logical, fp, best_ready <= cycle,
+                                    mapped_set, best,
                                     predictions[slot] is not None))
         return views
 
-    def _decode_one(self, fetched: FetchedInst, cycle: int) -> Optional[str]:
+    def _decode_one(self, fetched: FetchedInst, template: _Template,
+                    cycle: int) -> Optional[str]:
         """Predict, steer, plan and dispatch one instruction.
 
         Returns the stall cause when it cannot dispatch this cycle.
@@ -1052,13 +1128,13 @@ class Processor:
         the producer verifies, a demand-generated copy, or a remote
         speculation a verification-copy verifies.  ``specials`` lists,
         in slot order, the operands whose rename work waits for
-        dispatch, as (operand, logical, source cluster): copies and
+        dispatch, as (operand, logical, fp, source cluster): copies and
         verification-copies read the source cluster, a second read of
         a copied register has none.
         """
         dyn = fetched.dyn
-        predictions = self._predictions(dyn)
-        views = self._source_views(dyn, predictions, cycle)
+        predictions = self._predictions(fetched, template)
+        views = self._source_views(template, predictions, cycle)
         cluster_id = self.steerer.choose(views, self.dcount, dyn.pc)
         if self._injector is not None:
             cluster_id = self._injector.flip_steering(
@@ -1070,7 +1146,7 @@ class Processor:
         specials = None
         copied = None               # logical registers copied so far
         helper_queues = None        # issue queue of each (v)copy
-        for slot, logical in enumerate(dyn.srcs):
+        for slot, logical, fp in template.sources:
             if logical == ZERO_REG:
                 operands.append(Operand(MODE_ZERO, None, True, slot))
                 continue
@@ -1100,8 +1176,7 @@ class Processor:
                     queue = source.iq_int
                 else:
                     operand = Operand(MODE_LOCAL, None, True, slot)
-                    queue = (source.iq_fp if is_fp_reg(logical)
-                             else source.iq_int)
+                    queue = source.iq_fp if fp else source.iq_int
                     if copied is None:
                         copied = []
                     copied.append(logical)
@@ -1111,26 +1186,26 @@ class Processor:
             operands.append(operand)
             if specials is None:
                 specials = []
-            specials.append((operand, logical, src_cluster))
+            specials.append((operand, logical, fp, src_cluster))
         cluster = clusters[cluster_id]
-        own_queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
+        own_queue = cluster.iq_int if template.int_side else cluster.iq_fp
         if helper_queues is not None:
-            stall = self._check_resources(dyn, cluster_id, specials,
+            stall = self._check_resources(template, cluster_id, specials,
                                           [own_queue] + helper_queues)
             if stall is not None:
                 return stall
         else:
-            dest = dyn.dest
-            if (dest is not None and dest != ZERO_REG
+            if (template.dest is not None
                     and not self._free_lists[cluster_id][
-                        FP_BANK if dyn.dest_fp else INT_BANK]._free):
+                        template.dest_bank]._free):
                 return "pregs"
             if len(own_queue._entries) >= own_queue.capacity:
                 return "iq"
-        self._dispatch(fetched, cluster_id, operands, specials, cycle)
+        self._dispatch(fetched, template, cluster_id, operands, specials,
+                       cycle)
         return None
 
-    def _decode_local(self, fetched: FetchedInst,
+    def _decode_local(self, fetched: FetchedInst, template: _Template,
                       cycle: int) -> Optional[str]:
         """:meth:`_decode_one` for a one-cluster machine.
 
@@ -1138,13 +1213,12 @@ class Processor:
         steering views, no steering decision and no copies: each
         source reads its local register or speculates on a prediction.
         """
-        dyn = fetched.dyn
-        predictions = self._predictions(dyn)
+        predictions = self._predictions(fetched, template)
         map_rows = self._map_rows
         ready = self._ready_arrays[0]
         operands = []
         specials = None
-        for slot, logical in enumerate(dyn.srcs):
+        for slot, logical, fp in template.sources:
             if logical == ZERO_REG:
                 operands.append(Operand(MODE_ZERO, None, True, slot))
                 continue
@@ -1158,25 +1232,24 @@ class Processor:
             operands.append(operand)
             if specials is None:
                 specials = []
-            specials.append((operand, logical, 0))
-        dest = dyn.dest
-        if (dest is not None and dest != ZERO_REG
-                and not self._free_lists[0][
-                    FP_BANK if dyn.dest_fp else INT_BANK]._free):
+            specials.append((operand, logical, fp, 0))
+        if (template.dest is not None
+                and not self._free_lists[0][template.dest_bank]._free):
             return "pregs"
         cluster = self.clusters[0]
-        queue = cluster.iq_int if dyn.is_int else cluster.iq_fp
+        queue = cluster.iq_int if template.int_side else cluster.iq_fp
         if len(queue._entries) >= queue.capacity:
             return "iq"
         if self._tracer is not None:
             # The decision is trivial; the steerer is asked only for
             # the reason the steer event reports.
-            self.steerer.choose(self._source_views(dyn, predictions, cycle),
-                                self.dcount, dyn.pc)
-        self._dispatch(fetched, 0, operands, specials, cycle)
+            self.steerer.choose(
+                self._source_views(template, predictions, cycle),
+                self.dcount, fetched.dyn.pc)
+        self._dispatch(fetched, template, 0, operands, specials, cycle)
         return None
 
-    def _check_resources(self, dyn: DynInst, cluster_id: int,
+    def _check_resources(self, template: _Template, cluster_id: int,
                          specials: list, queues: list) -> Optional[str]:
         """Stall cause when the instruction and its (v)copies do not fit.
 
@@ -1188,11 +1261,11 @@ class Processor:
         # Free physical registers, per bank, in the consumer cluster
         # (copy replicas land there too).
         needed = [0, 0]
-        if dyn.dest is not None and dyn.dest != ZERO_REG:
-            needed[FP_BANK if dyn.dest_fp else INT_BANK] += 1
-        for operand, logical, src_cluster in specials:
+        if template.dest is not None:
+            needed[template.dest_bank] += 1
+        for operand, logical, fp, src_cluster in specials:
             if operand.mode == MODE_LOCAL and src_cluster is not None:
-                needed[RenameUnit.bank_of(logical)] += 1
+                needed[FP_BANK if fp else INT_BANK] += 1
         free = self._free_lists[cluster_id]
         if (len(free[INT_BANK]._free) < needed[INT_BANK]
                 or len(free[FP_BANK]._free) < needed[FP_BANK]):
@@ -1204,14 +1277,14 @@ class Processor:
                 return "iq"
         return None
 
-    def _dispatch(self, fetched: FetchedInst, cluster_id: int,
-                  operands: list, specials: Optional[list],
-                  cycle: int) -> None:
+    def _dispatch(self, fetched: FetchedInst, template: _Template,
+                  cluster_id: int, operands: list,
+                  specials: Optional[list], cycle: int) -> None:
         """Rename and dispatch a planned instruction and its helpers."""
         dyn = fetched.dyn
         min_issue = cycle + 1 + self.config.extra_rename_cycles
-        uop = Uop(KIND_INST, dyn, 0, cluster_id, dyn.is_int, dyn.opclass,
-                  operands, min_issue)
+        uop = Uop(KIND_INST, dyn, 0, cluster_id, template.int_side,
+                  template.fu, operands, min_issue)
         uop.mispredicted_branch = fetched.mispredicted
         stats = self.stats
         clusters = self.clusters
@@ -1220,7 +1293,7 @@ class Processor:
         # The rename work planned at decode, in slot order: speculative
         # operands are verified by their producer (local) or by a
         # verification-copy (remote); copies get their replica here.
-        for operand, logical, src_cluster in specials or ():
+        for operand, logical, fp, src_cluster in specials or ():
             if operand.mode == MODE_PRED:
                 if operand.injected:
                     self._injector.note_value_injected(dyn.pc, operand.slot)
@@ -1245,8 +1318,7 @@ class Processor:
                 operand.preg = map_rows[logical][cluster_id]
                 continue
             else:
-                helper = Uop(KIND_COPY, dyn, 0, src_cluster,
-                             not is_fp_reg(logical), None)
+                helper = Uop(KIND_COPY, dyn, 0, src_cluster, not fp, None)
                 replica = self.renamer.alloc_replica(logical, cluster_id)
                 operand.preg = helper.dest_preg = replica
                 helper.dest_cluster = cluster_id
@@ -1262,9 +1334,9 @@ class Processor:
         # Destination rename (Figure 1), RenameUnit.define_dest inlined:
         # a free register of the bank becomes the only valid mapping,
         # and the previous mapping set is freed when this one commits.
-        dest = dyn.dest
-        if dest is not None and dest != ZERO_REG:
-            bank = FP_BANK if dyn.dest_fp else INT_BANK
+        dest = template.dest
+        if dest is not None:
+            bank = template.dest_bank
             free = self._free_lists[cluster_id][bank]
             index = free._free.popleft()
             free._allocated[index] = True
@@ -1331,7 +1403,6 @@ class Processor:
         self.steerer.notify_dispatch(cluster_id)
         stats.dispatched_insts += 1
         stats.dispatch_per_cluster[cluster_id] += 1
-        self._vp_cache.pop(dyn.seq, None)
 
     def _register_verification(self, cluster_id: int, preg: int,
                                consumer: Uop, operand: Operand,

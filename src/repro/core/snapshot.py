@@ -28,8 +28,12 @@ checks refuse a bad file *before* any unpickling happens.
 
 What is deliberately **not** pickled: observers (tracer, profiler) —
 they are host-side instrumentation reattached by the caller on restore
-— and the two derived executor tables (lambda table, compiled
-fast-forward code), rebuilt on ``__setstate__``.
+— the two derived executor tables (lambda table, compiled
+fast-forward code), rebuilt on ``__setstate__``, and the processor's
+decode templates (one per static instruction, holding bound
+value-predictor calls), rebuilt as the restored processor decodes.
+Value predictions already made for fetched instructions ride on the
+fetch buffer and are restored with it, so none is made twice.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ __all__ = ["SNAPSHOT_SCHEMA", "SNAPSHOT_VERSION", "SnapshotError",
 #: mismatch is refused with :class:`SnapshotError` (never a partial or
 #: silently-wrong restore).
 SNAPSHOT_SCHEMA = "repro-snapshot-v1"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: First bytes of every snapshot file, before the JSON header.
 _MAGIC = "repro-snapshot"

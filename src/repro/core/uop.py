@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..isa.instruction import DynInst
-from ..isa.opcodes import OpClass
 
 __all__ = ["Operand", "Uop",
            "KIND_INST", "KIND_COPY", "KIND_VCOPY",
@@ -78,7 +77,9 @@ class Uop:
         order: global dispatch order — the age used by the issue queues.
         cluster: cluster whose resources execute this uop.
         int_side: consumes integer issue width/queue (else fp).
-        opclass: functional class for INSTs, ``None`` for copies.
+        fu: the functional-unit descriptor of an INST
+            (:meth:`~repro.cluster.FUPool.descriptor`; its last field is
+            the execution latency), ``None`` for copies.
         operands: source operands.
         dest_preg: destination register in ``dest_cluster``.
         dest_cluster: equals ``cluster`` for INSTs; the consumer cluster
@@ -107,7 +108,7 @@ class Uop:
             cycle; only INST uops can be memory operations).
     """
 
-    __slots__ = ("kind", "dyn", "order", "cluster", "int_side", "opclass",
+    __slots__ = ("kind", "dyn", "order", "cluster", "int_side", "fu",
                  "operands", "dest_preg", "dest_cluster", "state",
                  "generation", "issue_cycle", "complete_cycle",
                  "min_issue_cycle", "unverified", "readers", "verify_list",
@@ -116,8 +117,7 @@ class Uop:
                  "iq", "is_load", "is_store")
 
     def __init__(self, kind: int, dyn: Optional[DynInst], order: int,
-                 cluster: int, int_side: bool,
-                 opclass: Optional[OpClass],
+                 cluster: int, int_side: bool, fu: Optional[tuple],
                  operands: Optional[List[Operand]] = None,
                  min_issue_cycle: int = 0) -> None:
         self.kind = kind
@@ -125,7 +125,7 @@ class Uop:
         self.order = order
         self.cluster = cluster
         self.int_side = int_side
-        self.opclass = opclass
+        self.fu = fu
         if kind == KIND_INST and dyn is not None:
             self.is_load = dyn.is_load
             self.is_store = dyn.is_store

@@ -24,15 +24,20 @@ __all__ = ["FetchEngine", "FetchedInst"]
 
 
 class FetchedInst:
-    """A trace instruction annotated with front-end outcomes."""
+    """A trace instruction annotated with front-end outcomes.
 
-    __slots__ = ("dyn", "fetch_cycle", "mispredicted")
+    ``predictions`` holds decode's per-slot value predictions once
+    decode has made them; a decode that stalls and retries reuses them.
+    """
+
+    __slots__ = ("dyn", "fetch_cycle", "mispredicted", "predictions")
 
     def __init__(self, dyn: DynInst, fetch_cycle: int,
                  mispredicted: bool) -> None:
         self.dyn = dyn
         self.fetch_cycle = fetch_cycle
         self.mispredicted = mispredicted
+        self.predictions = None
 
 
 class FetchEngine:
@@ -138,16 +143,6 @@ class FetchEngine:
                and self._buffer[0].fetch_cycle < cycle):
             group.append(self._buffer.popleft())
         return group
-
-    def peek_decodable(self, cycle: int) -> Optional[FetchedInst]:
-        """Front of the buffer if decodable this cycle, else ``None``."""
-        if self._buffer and self._buffer[0].fetch_cycle < cycle:
-            return self._buffer[0]
-        return None
-
-    def pop_one(self) -> FetchedInst:
-        """Pop the front instruction (pair with :meth:`peek_decodable`)."""
-        return self._buffer.popleft()
 
     def _needs_btb(self, dyn: DynInst) -> bool:
         """True when a taken transfer's target is not in the BTB.

@@ -84,15 +84,15 @@ class DynInst:
     materialized once at construction: the timing core reads them every
     cycle an instruction sits in the window, so they are plain slot
     attributes rather than properties chasing ``self.op`` each access.
-    The register-bank views (``srcs_fp``, ``dest_fp``) are fixed per
-    static instruction, so they are shared from *static*, the
-    :class:`Instruction` this record is an execution of.
+    ``static`` is the :class:`Instruction` this record is an execution
+    of; the timing core keys its per-static-instruction decode facts on
+    it.  ``srcs_fp`` is shared from it.
     """
 
     __slots__ = ("seq", "pc", "op", "dest", "srcs", "src_values",
                  "result", "mem_addr", "taken", "target",
                  "is_branch", "is_cond_branch", "is_load", "is_store",
-                 "is_int", "opclass", "srcs_fp", "dest_fp")
+                 "is_int", "opclass", "srcs_fp", "static")
 
     def __init__(self, seq: int, pc: int, op: OpInfo,
                  dest: Optional[int], srcs: Tuple[int, ...],
@@ -118,7 +118,7 @@ class DynInst:
         self.is_int = op.is_int
         self.opclass = op.opclass
         self.srcs_fp = static.srcs_fp
-        self.dest_fp = static.dest_fp
+        self.static = static
 
     def src_is_fp(self, index: int) -> bool:
         """True when source operand *index* lives in the fp register bank.

@@ -13,7 +13,8 @@ assume integer values.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import functools
+from typing import Callable, NamedTuple
 
 __all__ = ["Prediction", "ValuePredictor", "NullPredictor",
            "ValuePredictorStats"]
@@ -99,6 +100,16 @@ class ValuePredictor:
         prediction = self.predict(pc, slot, actual)
         self.update(pc, slot, actual)
         return prediction
+
+    def bind(self, pc: int, slot: int) -> Callable[[int], tuple]:
+        """``predict_update`` pre-bound to one static operand.
+
+        The call takes the actual value and returns ``(value,
+        confident)``; the decode stage binds one per predictable source
+        of each static instruction.  Implementations may override it to
+        resolve table indices once, at bind time.
+        """
+        return functools.partial(self.predict_update, pc, slot)
 
     def _record(self, prediction: Prediction, actual: int) -> Prediction:
         self.stats.record(prediction.confident, prediction.value == actual)

@@ -136,6 +136,54 @@ class StridePredictor(ValuePredictor):
         self._last[index] = actual
         return predicted, confident
 
+    def bind(self, pc: int, slot: int):
+        """A pre-bound ``predict_update(actual)`` for one static operand.
+
+        Returns exactly what :meth:`predict_update` returns for this
+        ``(pc, slot)`` and leaves the same table state and stats; the
+        table index and list handles are resolved once, at bind time,
+        as :meth:`trainer` does.
+        """
+        index = self._index(pc, slot)
+
+        def predict_update(actual, index=index, last=self._last,
+                           stride=self._stride, prev=self._prev_stride,
+                           counter=self._counter, stats=self.stats,
+                           threshold=self.confidence_threshold,
+                           two_delta=self.two_delta):
+            value = last[index]
+            step = stride[index]
+            c = counter[index]
+            predicted = value + step
+            if not -0x8000000000000000 <= predicted < 0x8000000000000000:
+                predicted = _wrap64(predicted)
+            confident = c > threshold
+            stats.lookups += 1
+            if confident:
+                stats.confident += 1
+                if predicted == actual:
+                    stats.confident_correct += 1
+            new_stride = actual - value
+            if not -0x8000000000000000 <= new_stride < 0x8000000000000000:
+                new_stride = _wrap64(new_stride)
+            if new_stride == step:
+                if c < 3:
+                    counter[index] = c + 1
+            elif two_delta:
+                if new_stride == prev[index]:
+                    stride[index] = new_stride
+                    counter[index] = 1
+                elif c > 0:
+                    counter[index] = c - 1
+            else:
+                stride[index] = new_stride
+                if c > 0:
+                    counter[index] = c - 1
+            prev[index] = new_stride
+            last[index] = actual
+            return predicted, confident
+        return predict_update
+
     def trainer(self, pc: int, slot: int):
         """A pre-bound ``train(actual)`` closure for one static operand.
 

@@ -133,7 +133,11 @@ class RenameUnit:
     # -- commit-time release -------------------------------------------------------
 
     def release(self, mappings: List[Tuple[int, int]]) -> None:
-        """Free a previous mapping set at the writer's commit."""
+        """Free a previous mapping set at the writer's commit.
+
+        The core's commit stage inlines this, as its dispatch inlines
+        :meth:`define_dest`.
+        """
         for cluster, preg in mappings:
             self._release_one(cluster, preg)
 

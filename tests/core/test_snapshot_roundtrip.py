@@ -160,3 +160,29 @@ def test_corrupt_payload_is_detected(tmp_path):
 
     with pytest.raises(SnapshotError):
         restore_executor(str(tmp_path / "corrupt.ckpt"))
+
+
+def test_cut_while_decode_stalls_on_a_predicted_head(tmp_path):
+    """The fetch-buffer head was predicted but not dispatched; resuming
+    must reuse its predictions, not train the predictor a second time.
+    The full result dict is compared: a second training would move the
+    value-predictor counters without moving ``SimStats``."""
+    from repro.isa.registers import ZERO_REG
+    config = make_config(1, predictor="stride")
+    baseline = _uninterrupted(config)
+
+    executor = FunctionalExecutor(build_workload(WORKLOAD), TOTAL)
+    processor = Processor(config, executor.run())
+    processor.trace_executor = executor
+    processor.run_until(max_insts=1_000)
+    buffer = processor.fetch._buffer
+    while not (buffer and buffer[0].predictions is not None
+               and any(s != ZERO_REG and not fp for s, fp
+                       in zip(buffer[0].dyn.srcs, buffer[0].dyn.srcs_fp))):
+        processor.run_until(max_cycles=processor.cycle + 1)
+    path = str(tmp_path / "stalled.snap")
+    save_processor(path, processor)
+    restored, _ = restore_processor(path)
+    assert restored.fetch._buffer[0].predictions == buffer[0].predictions
+    restored.run_until(max_insts=TOTAL)
+    assert restored.finalize().to_dict() == baseline.to_dict()

@@ -42,6 +42,33 @@ def test_provenance_fields():
         assert re.fullmatch(r"[0-9a-f]{7,40}(-dirty)?", info["commit"])
 
 
+def _record_at(monkeypatch, tmp_path, commit):
+    path = tmp_path / "BENCH_sweep.json"
+    monkeypatch.setattr(harness, "RESULT_PATH", path)
+    monkeypatch.setattr(harness, "provenance", lambda: {
+        "commit": commit, "timestamp_utc": "2026-01-01T00:00:00Z",
+        "python": "3.11.0"})
+    harness.record({"benchmark": "sweep_wallclock", "serial_seconds": 1.5})
+    return path
+
+
+def test_record_refuses_a_dirty_tree(monkeypatch, tmp_path, capsys):
+    path = _record_at(monkeypatch, tmp_path, "abc1234-dirty")
+    assert not path.exists()
+    assert capsys.readouterr().out == (
+        "not recorded: uncommitted changes (abc1234-dirty)\n")
+
+
+def test_record_appends_from_a_clean_tree(monkeypatch, tmp_path, capsys):
+    import json
+
+    path = _record_at(monkeypatch, tmp_path, "abc1234")
+    [entry] = json.loads(path.read_text())
+    assert entry["commit"] == "abc1234"
+    assert entry["serial_seconds"] == 1.5
+    assert "recorded in" in capsys.readouterr().out
+
+
 def test_zero_parallel_time_yields_no_speedup():
     # A sub-resolution timer reading must not be reported as 0.0x
     # (which would read as "parallel infinitely slower").

@@ -163,7 +163,7 @@ class FUPool:
     def descriptor(self, opclass: OpClass) -> tuple:
         """``(is_int_side, is_muldiv, is_div, latency)`` of *opclass*:
         what :meth:`try_issue_desc` takes.  Pools built with the same
-        latencies share descriptors."""
+        latencies have equal descriptors."""
         return self._desc[opclass]
 
     def try_issue(self, opclass: OpClass) -> bool:

@@ -1,13 +1,14 @@
-"""Compiled fast-forward: ``skip()`` must match ``run()`` exactly.
+"""Compiled fast-forward: ``skip()`` must match the reference exactly.
 
 ``FunctionalExecutor.skip`` runs each basic block as one generated
 function and single-steps mid-block resumes, tails, ``halt`` and
 off-segment PCs through one-instruction functions from the same
 generator.  These tests hold it to an independent reference built only
-on ``run()``'s DynInst stream: the architectural state and — with
-training hooks installed — every predictor, BTB and cache table the
-hooks train, across random schedules of ``skip(k)`` calls mixed with
-partial ``run()`` consumption.
+on the DynInst stream of the test-only interpreter
+(``reference_executor.ReferenceExecutor``): the architectural state
+and — with training hooks installed — every predictor, BTB and cache
+table the hooks train, across random schedules of ``skip(k)`` calls
+mixed with partial ``run()`` consumption.
 """
 
 import copy
@@ -26,6 +27,8 @@ from repro.isa.program import INSTRUCTION_BYTES, _expected_banks
 from repro.memory import MemoryHierarchy
 from repro.predictor.stride import StridePredictor
 from repro.workloads import build_workload, workload_names
+
+from .reference_executor import ReferenceExecutor
 
 HOOK_SETS = ("none", "generic", "factories", "all")
 
@@ -118,7 +121,8 @@ def _line_check_sites(program) -> set:
 
 
 class _Reference:
-    """Replays a schedule on ``run()`` alone, calling hooks per DynInst.
+    """Replays a schedule on the reference interpreter, calling hooks per
+    DynInst.
 
     Mirrors the documented hook contract: per instruction the I-cache
     line check (only at line starts and cross-line landings, with a
@@ -128,7 +132,7 @@ class _Reference:
     """
 
     def __init__(self, program, cap: int, hooks: dict) -> None:
-        self.ex = FunctionalExecutor(program, cap)
+        self.ex = ReferenceExecutor(program, cap)
         self.hooks = hooks
         self.sites = _line_check_sites(program)
         self.line = None
@@ -160,13 +164,13 @@ class _Reference:
             h["target"](pc, dyn.target)
 
 
-def _arch(ex: FunctionalExecutor) -> tuple:
+def _arch(ex) -> tuple:
     return (list(ex.int_regs), [repr(v) for v in ex.fp_regs],
             sorted((k, repr(v)) for k, v in ex.program.memory._mem.items()),
             ex.pc, ex.seq, ex.halted)
 
 
-def _consume(ex: FunctionalExecutor, k: int) -> int:
+def _consume(ex, k: int) -> int:
     return sum(1 for _ in itertools.islice(ex.run(), k))
 
 
@@ -271,9 +275,9 @@ def straight_programs(draw):
     return b.build()
 
 
-def _outcome(program, step):
+def _outcome(program, step, executor=FunctionalExecutor):
     """Final state after *step* on a fresh copy (execution mutates memory)."""
-    ex = FunctionalExecutor(copy.deepcopy(program), 10_000)
+    ex = executor(copy.deepcopy(program), 10_000)
     try:
         step(ex)
     except (OverflowError, ValueError) as exc:  # int() of inf / nan
@@ -284,7 +288,8 @@ def _outcome(program, step):
 @settings(max_examples=60, deadline=None)
 @given(program=straight_programs(), chunk=st.integers(1, 9))
 def test_every_opcode_skips_like_run(program, chunk):
-    reference = _outcome(program, lambda ex: _consume(ex, 10_000))
+    reference = _outcome(program, lambda ex: _consume(ex, 10_000),
+                         ReferenceExecutor)
 
     def in_chunks(ex):
         while not ex.halted and ex.skip(chunk):
@@ -298,9 +303,8 @@ _EDGE_REGS = [(1 << 64) - 1, -(1 << 63), (1 << 63) - 1, (1 << 62) + 1,
               -(1 << 62) - 3, -7, 0]
 
 
-@pytest.mark.parametrize("name", _BODY_OPS)
-def test_opcode_edge_operands_skip_like_run(name):
-    """Each opcode over every pairing of 64-bit-edge register values."""
+def edge_program(name: str):
+    """*name* over every pairing of 64-bit-edge register values."""
     b = ProgramBuilder()
     b.data("buf", [5, -7, (1 << 64) - 1, -(1 << 63) - 9])
     for r, value in enumerate(_EDGE_REGS, start=1):
@@ -337,8 +341,15 @@ def test_opcode_edge_operands_skip_like_run(name):
             continue
         b.emit("fsw" if result[0] == "f" else "sw", result, "r8", 16 + 8 * n)
     b.emit("halt")
-    program = b.build()
-    reference = _outcome(program, lambda ex: _consume(ex, 10_000))
+    return b.build()
+
+
+@pytest.mark.parametrize("name", _BODY_OPS)
+def test_opcode_edge_operands_skip_like_run(name):
+    """Each opcode over every pairing of 64-bit-edge register values."""
+    program = edge_program(name)
+    reference = _outcome(program, lambda ex: _consume(ex, 10_000),
+                         ReferenceExecutor)
     assert _outcome(program, lambda ex: ex.skip(10_000)) == reference
     assert _outcome(program, lambda ex: [ex.skip(3) for _ in range(200)]) \
         == reference
@@ -386,7 +397,7 @@ def test_off_segment_pc_raises_like_run():
     with pytest.raises(ExecutionError):
         FunctionalExecutor(program).skip(3)
     with pytest.raises(ExecutionError):
-        list(FunctionalExecutor(program).run())
+        list(ReferenceExecutor(program).run())
 
 
 def test_warmed_executor_pickles_mid_run():

@@ -28,10 +28,11 @@ checks refuse a bad file *before* any unpickling happens.
 
 What is deliberately **not** pickled: observers (tracer, profiler) —
 they are host-side instrumentation reattached by the caller on restore
-— the two derived executor tables (lambda table, compiled
-fast-forward code), rebuilt on ``__setstate__``, and the processor's
-decode templates (one per static instruction, holding bound
-value-predictor calls), rebuilt as the restored processor decodes.
+— the two derived executor tables (the step functions ``run()``
+builds, compiled fast-forward code), rebuilt lazily after restore, and
+the processor's decode templates (one per static instruction, holding
+bound value-predictor calls), rebuilt as the restored processor
+decodes.
 Value predictions already made for fetched instructions ride on the
 fetch buffer and are restored with it, so none is made twice.
 """

@@ -7,6 +7,13 @@ trace carries true operand values, the timing model can classify value
 predictions at decode and apply their effects at the paper's verification
 points.
 
+Opcode semantics are written once, as source templates (``_EXPRS``,
+``_LOADS``, ``_STORES``, ``_BRANCH_CMP``, ``_WRAP_X``).  ``run()`` builds
+one step function per static instruction from them, through a factory
+compiled once per opcode shape; ``skip()`` compiles one function per
+basic block from them.  :func:`recompute_result`, the golden model's
+re-execution, keeps its own lambda tables, independent of the templates.
+
 Integer arithmetic wraps at 64 bits (two's complement), so value
 sequences behave like the Alpha integers the paper's predictor saw.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional
 
 from .instruction import DynInst, Instruction
+from .opcodes import OPCODES
 from .program import INSTRUCTION_BYTES, Program
 from .registers import FP_BASE, NUM_LOGICAL_REGS, ZERO_REG
 
@@ -87,14 +95,6 @@ _FP_COMPARES: Dict[str, Callable[[float, float], int]] = {
     "fle": lambda a, b: int(a <= b),
 }
 
-_BRANCH_TESTS: Dict[str, Callable[[int, int], bool]] = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-}
-
-
 #: Shared op tables for :func:`recompute_result` (built once).
 _REEXEC_INT_OPS = _int_binops()
 
@@ -133,6 +133,11 @@ def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
     return False, None
 
 
+#: A step function: applies one static instruction's effect and returns
+#: its record for dynamic position ``seq``, or ``None`` at ``halt``.
+_Step = Callable[[int], Optional[DynInst]]
+
+
 class FunctionalExecutor:
     """Executes a program, yielding the dynamic committed stream.
 
@@ -156,18 +161,18 @@ class FunctionalExecutor:
         self.pc: int = program.code_base
         self.seq: int = 0
         self.halted: bool = False
-        self._int_ops = _int_binops()
         self._train_hooks: Optional[tuple] = None
         self._code: Optional[_BlockCode] = None
+        self._steps: Optional[Dict[int, _Step]] = None
 
     # -- pickling -------------------------------------------------------------
 
-    #: Derived attributes rebuilt on restore: the binop table holds
-    #: lambdas, the compiled fast-forward blocks are generated code over
-    #: the live register lists, and the training hooks reference
-    #: external predictor objects — none pickle, all are rebuilt (or,
-    #: for hooks, reinstalled by the caller) after restore.
-    _UNPICKLED = ("_int_ops", "_train_hooks", "_code")
+    #: Derived attributes rebuilt on restore: the step table and the
+    #: compiled fast-forward blocks are generated code over the live
+    #: register lists, and the training hooks reference external
+    #: predictor objects — none pickle, all are rebuilt (or, for hooks,
+    #: reinstalled by the caller) after restore.
+    _UNPICKLED = ("_train_hooks", "_code", "_steps")
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -177,23 +182,9 @@ class FunctionalExecutor:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._int_ops = _int_binops()
         self._train_hooks = None
         self._code = None
-
-    # -- register helpers ------------------------------------------------------
-
-    def _read(self, rid: int):
-        if rid < FP_BASE:
-            return self.int_regs[rid]
-        return self.fp_regs[rid - FP_BASE]
-
-    def _write(self, rid: int, value) -> None:
-        if rid < FP_BASE:
-            if rid != ZERO_REG:
-                self.int_regs[rid] = value
-        else:
-            self.fp_regs[rid - FP_BASE] = value
+        self._steps = None
 
     # -- main loop ------------------------------------------------------------
 
@@ -205,96 +196,37 @@ class FunctionalExecutor:
         ``run()`` call continues the same dynamic stream.  The cursor is
         committed *before* each yield: a snapshot taken while a consumer
         holds the yielded instruction counts it as already delivered.
+
+        Each static instruction runs through its step function (see
+        :func:`_step`), built on its first execution and kept in a
+        per-executor table keyed by pc; the step applies the effect and
+        returns the record, or ``None`` at ``halt``.
         """
         if self.halted:
             return
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = {}
         program = self.program
-        memory = program.memory
-        int_ops = self._int_ops
-        read = self._read
-        write = self._write
+        width = INSTRUCTION_BYTES
         pc = self.pc
-        end_pc = program.code_base + len(program) * INSTRUCTION_BYTES
         seq = self.seq
         cap = self.max_instructions
         while seq < cap:
-            if not (program.code_base <= pc < end_pc):
-                raise ExecutionError(f"PC out of code segment: {pc:#x}")
-            inst: Instruction = program.at(pc)
-            op = inst.op
-            name = op.name
-            next_pc = pc + INSTRUCTION_BYTES
-            dest = inst.dest
-            srcs = inst.srcs
-            src_values = tuple(read(s) for s in srcs)
-            result = None
-            mem_addr: Optional[int] = None
-            taken: Optional[bool] = None
-            target: Optional[int] = None
-
-            if name in int_ops:
-                result = int_ops[name](src_values[0], src_values[1])
-            elif name in _IMM_ALIAS:
-                result = int_ops[_IMM_ALIAS[name]](src_values[0], inst.imm)
-            elif name in ("li", "la"):
-                result = inst.imm
-            elif name == "mov":
-                result = src_values[0]
-            elif name == "nop":
-                pass
-            elif name in ("lw", "lb", "flw"):
-                mem_addr = _wrap64(src_values[0] + inst.imm)
-                result = memory.load(mem_addr)
-                if name == "lb":
-                    result = int(result) & 0xFF
-                elif name == "flw":
-                    result = float(result)
-                else:
-                    result = _wrap64(int(result))
-            elif name in ("sw", "sb", "fsw"):
-                mem_addr = _wrap64(src_values[1] + inst.imm)
-                value = src_values[0]
-                if name == "sb":
-                    value = int(value) & 0xFF
-                memory.store(mem_addr, value)
-            elif name in _BRANCH_TESTS:
-                taken = _BRANCH_TESTS[name](src_values[0], src_values[1])
-                target = inst.target
-                if taken:
-                    next_pc = inst.target
-            elif name == "j":
-                taken = True
-                target = inst.target
-                next_pc = inst.target
-            elif name == "halt":
+            try:
+                step = steps[pc]
+            except KeyError:
+                step = steps[pc] = _step(program, self.int_regs,
+                                         self.fp_regs, pc)
+            dyn = step(seq)
+            if dyn is None:  # halt: pc stays on the halt instruction
                 self.halted = True
                 return
-            elif name in _FP_BINOPS:
-                result = _FP_BINOPS[name](src_values[0], src_values[1])
-            elif name in _FP_COMPARES:
-                result = _FP_COMPARES[name](src_values[0], src_values[1])
-            elif name == "fmov":
-                result = src_values[0]
-            elif name == "fneg":
-                result = -src_values[0]
-            elif name == "cvtif":
-                result = float(src_values[0])
-            elif name == "cvtfi":
-                result = _wrap64(int(src_values[0]))
-            else:  # pragma: no cover - opcode table is closed
-                raise ExecutionError(f"unimplemented opcode {name!r}")
-
-            if dest is not None:
-                write(dest, result)
-                if dest == ZERO_REG:
-                    result = 0
-            self.seq = seq + 1
-            self.pc = next_pc
-            yield DynInst(seq, pc, op, dest, srcs, src_values, result,
-                          mem_addr, taken, target, inst)
             seq += 1
-            pc = next_pc
-
+            pc = dyn.target if dyn.taken else pc + width
+            self.seq = seq
+            self.pc = pc
+            yield dyn
 
     # -- fast-forward ---------------------------------------------------------
 
@@ -407,8 +339,9 @@ _WRAP_X = "if not -0x8000000000000000 <= x < 0x8000000000000000: x = w(x)"
 
 #: Register-writing operations as source expressions over the operands
 #: ``{a}``/``{b}`` (``{b}`` is the immediate for immediate forms), and
-#: whether the result wraps to 64 bits: :meth:`FunctionalExecutor.run`'s
-#: semantics, written out for the block compiler.
+#: whether the result wraps to 64 bits: the opcode semantics that
+#: ``run()``'s step factories and ``skip()``'s block compiler are both
+#: generated from.
 _EXPRS = {
     "add": ("{a} + {b}", True), "sub": ("{a} - {b}", True),
     "mul": ("{a} * {b}", True), "sll": ("{a} << ({b} & 63)", True),
@@ -437,8 +370,119 @@ _EXPRS = {
 _LOADS = {"lw": ("int(g(x, 0))", True), "lb": ("int(g(x, 0)) & 0xFF", False),
           "flw": ("float(g(x, 0))", False)}
 
+#: Stored value as an expression over the value operand ``{}``.
+_STORES = {"sw": "{}", "sb": "int({}) & 0xFF", "fsw": "{}"}
+
 _BRANCH_CMP = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
 
+
+# -- run(): one step function per static instruction --------------------------
+
+def _step_shape(inst: Instruction) -> tuple:
+    """Every property of *inst* its step's source depends on.
+
+    The opcode, each source's bank, the destination (``None``, ``"r0"``
+    or whether it is fp) and the immediate form (``None``, or whether it
+    is non-zero: a zero offset emits no add).
+    """
+    dest, imm = inst.dest, inst.imm
+    return (inst.op.name, inst.srcs_fp,
+            None if dest is None else "r0" if dest == ZERO_REG
+            else inst.dest_fp,
+            None if imm is None else imm != 0)
+
+
+#: Step factories by shape, each compiled on first use.  Bounded by the
+#: closed opcode table; nothing is compiled at import.
+_STEP_FACTORIES: Dict[tuple, Callable[..., _Step]] = {}
+
+#: Globals of the generated steps; holds no functions, so no cycles.
+_STEP_GLOBALS = {"D": DynInst, "w": _wrap64, "_div": _div, "_rem": _rem}
+
+
+def _step_factory(name: str, srcs_fp: tuple, dest,
+                  imm) -> Callable[..., _Step]:
+    """Compile the step factory for one shape (see :func:`_step_shape`).
+
+    Only the shape reaches the generated source.  Everything else enters
+    as a factory argument: the live register lists ``r``/``f``, the
+    memory dict ``m`` and its ``get`` ``g``, the record's static fields,
+    the bank-local source and destination indices ``s0``/``s1``/``d``,
+    the immediate and the branch target.  The step reads the sources
+    into ``a``/``b``, applies the effect and builds the record.
+    """
+    operands = "ab"[:len(srcs_fp)]
+    lines = [f"{v} = {'f' if fp else 'r'}[s{i}]"
+             for i, (v, fp) in enumerate(zip(operands, srcs_fp))]
+    result = addr = taken = target = "None"
+    op = OPCODES[name]
+    if name == "halt":
+        lines.append("return None")
+    elif name == "j":
+        taken, target = "True", "target"
+    elif op.is_branch:
+        lines.append(f"k = a {_BRANCH_CMP[name]} b")
+        taken, target = "k", "target"
+    elif op.is_load or op.is_store:
+        base = operands[-1]
+        lines += [f"x = {base} + imm" if imm else f"x = {base}", _WRAP_X]
+        if op.is_store:
+            lines.append(f"m[x] = {_STORES[name].format('a')}")
+            addr = "x"
+        else:
+            lines.append("e = x")  # x goes on to hold the loaded value
+            addr = "e"
+    if op.has_dest:
+        if op.is_load:
+            expr, wraps = _LOADS[name]
+        else:
+            expr, wraps = _EXPRS[_IMM_ALIAS.get(name, name)]
+            expr = expr.format(a="a", b="b" if len(operands) > 1 else "imm")
+        lines.append(f"x = {expr}")
+        if dest == "r0":  # computed (it may raise), never written
+            result = "0"
+        else:
+            if wraps:
+                lines.append(_WRAP_X)
+            lines.append(f"{'f' if dest else 'r'}[d] = x")
+            result = "x"
+    if name != "halt":
+        values = "".join(f"{v}, " for v in operands)
+        lines.append(f"return D(seq, pc, op, dest, srcs, ({values}), "
+                     f"{result}, {addr}, {taken}, {target}, inst)")
+    source = ("def factory(r, f, m, g, pc, op, dest, srcs, inst, s0, s1, d,"
+              " imm, target):\n def step(seq):\n  " + "\n  ".join(lines)
+              + "\n return step\n")
+    exec(compile(source, f"<step {name}>", "exec"), _STEP_GLOBALS)
+    return _STEP_GLOBALS.pop("factory")
+
+
+def _step(program: Program, int_regs: list, fp_regs: list,
+          pc: int) -> _Step:
+    """The step function of the instruction at *pc*.
+
+    It holds the live register lists and the memory image, never the
+    executor.  Raises :class:`ExecutionError` for an off-segment *pc*.
+    """
+    base = program.code_base
+    if not base <= pc < base + len(program) * INSTRUCTION_BYTES:
+        raise ExecutionError(f"PC out of code segment: {pc:#x}")
+    inst = program.at(pc)
+    shape = _step_shape(inst)
+    factory = _STEP_FACTORIES.get(shape)
+    if factory is None:
+        factory = _STEP_FACTORIES[shape] = _step_factory(*shape)
+    local = [s - FP_BASE if fp else s
+             for s, fp in zip(inst.srcs, inst.srcs_fp)] + [None, None]
+    dest = inst.dest
+    memory = program.memory._mem
+    return factory(int_regs, fp_regs, memory, memory.get, pc, inst.op, dest,
+                   inst.srcs, inst, local[0], local[1],
+                   dest - FP_BASE if inst.dest_fp else dest, inst.imm,
+                   inst.target)
+
+
+# -- skip(): one compiled function per basic block ----------------------------
 
 def _reg(rid: int) -> str:
     """Source expression naming register *rid* in generated code."""
@@ -582,8 +626,7 @@ class _BlockCode:
             if ns["D"] is not None:
                 lines.append(f"D(x, {inst.op.is_store})")
             if inst.op.is_store:
-                value = srcs[0] if name != "sb" else f"int({srcs[0]}) & 0xFF"
-                return lines + [f"m[x] = {value}"]
+                return lines + [f"m[x] = {_STORES[name].format(srcs[0])}"]
             expr, wraps = _LOADS[name]
         elif name == "nop":
             return lines

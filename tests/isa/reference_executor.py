@@ -5,12 +5,13 @@ tests over the opcode name, the lambda tables that
 :func:`repro.isa.executor.recompute_result` also uses, and a 64-bit
 wrap on every wrapping result.  It shares no code with the templates
 that ``FunctionalExecutor.run()`` and ``skip()`` are generated from,
-so the tests hold both of those to it: records field for field, then
-registers and memory.
+so the tests hold both of those to it: records field for field
+(:func:`record`), then registers and memory (:func:`state`).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.isa.executor import (_FP_BINOPS, _FP_COMPARES, _IMM_ALIAS,
@@ -148,3 +149,39 @@ class ReferenceExecutor:
                           mem_addr, taken, target, inst)
             seq += 1
             pc = next_pc
+
+
+# ---------------------------------------------------------------- comparing --
+
+def typed(value) -> tuple:
+    """*value* with its type; floats by ``repr`` so nan and -0.0 compare."""
+    if isinstance(value, float):
+        return float, repr(value)
+    return type(value), value
+
+
+#: The slots that never hold a float, read in one call.
+_plain = operator.attrgetter(*(
+    name for name in DynInst.__slots__
+    if name not in ("src_values", "result", "static")))
+
+
+def record(dyn: DynInst) -> tuple:
+    """Every ``DynInst`` slot with its value's type.
+
+    The result and the source values compare by ``repr``, so nan and
+    -0.0 compare; ``static`` compares by the pc it sits at.
+    """
+    plain = _plain(dyn)
+    values = (dyn.result, *dyn.src_values)
+    return (plain, tuple(map(type, plain)), tuple(map(type, values)),
+            tuple(map(repr, values)), dyn.static.pc)
+
+
+def state(ex) -> tuple:
+    """Registers, memory image and cursor, every value typed."""
+    return ([typed(v) for v in ex.int_regs],
+            [typed(v) for v in ex.fp_regs],
+            sorted((k, typed(v))
+                   for k, v in ex.program.memory._mem.items()),
+            ex.pc, ex.seq, ex.halted)

@@ -12,8 +12,11 @@ mixed with partial ``run()`` consumption.
 """
 
 import copy
+import gc
 import itertools
 import pickle
+import weakref
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +31,7 @@ from repro.memory import MemoryHierarchy
 from repro.predictor.stride import StridePredictor
 from repro.workloads import build_workload, workload_names
 
-from .reference_executor import ReferenceExecutor
+from .reference_executor import ReferenceExecutor, record
 
 HOOK_SETS = ("none", "generic", "factories", "all")
 
@@ -407,14 +410,40 @@ def test_warmed_executor_pickles_mid_run():
     ex.skip(7_001)            # ends mid-block: compiled blocks + steps
     _consume(ex, 333)
     ex.skip(2_000)
-    assert ex._code is not None
+    assert ex._code is not None and ex._steps
     state = ex.__getstate__()
+    assert "_steps" in FunctionalExecutor._UNPICKLED
     assert not set(FunctionalExecutor._UNPICKLED) & set(state)
 
     restored = pickle.loads(pickle.dumps(ex))
     assert _arch(restored) == _arch(ex)
     assert restored._train_hooks is None and restored._code is None
+    assert restored._steps is None
+    # From the same cursor, the restored copy's run() yields the same
+    # records as the original's, through a step table of its own.
+    records = [record(d) for d in itertools.islice(ex.run(), 1_500)]
+    assert [record(d) for d in itertools.islice(restored.run(), 1_500)] \
+        == records
+    assert len(records) == 1_500 and restored._steps
     # The restored copy fast-forwards plain; its architecture follows
     # the hooked original's exactly.
     assert restored.skip(5_000) == ex.skip(5_000)
     assert _arch(restored) == _arch(ex)
+
+
+def test_drained_executor_is_freed_without_the_collector():
+    # Steps and compiled blocks hold the register lists and the memory
+    # image, never the executor, so reference counting alone frees it.
+    ex = FunctionalExecutor(build_workload("gsmdec"), 6_000)
+    ex.set_train_hooks(**_Warm().hooks("all"))
+    alive = weakref.ref(ex)
+    gc.collect()
+    gc.disable()
+    try:
+        ex.skip(2_500)
+        deque(ex.run(), maxlen=0)
+        assert ex.seq == 6_000 and ex._steps and ex._code is not None
+        del ex
+        assert alive() is None
+    finally:
+        gc.enable()

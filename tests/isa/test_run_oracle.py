@@ -13,58 +13,22 @@ off-segment target and resumes after a partial consumption or a
 
 import copy
 import itertools
-import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa import OPCODES, ProgramBuilder
+from repro.isa import executor
 from repro.isa.executor import ExecutionError, FunctionalExecutor
-from repro.isa.instruction import DynInst, Instruction
+from repro.isa.instruction import Instruction
 from repro.isa.memory_image import MemoryImage
 from repro.isa.program import CODE_BASE, Program
 from repro.workloads import build_workload, workload_names
 
-from .reference_executor import ReferenceExecutor
+from .reference_executor import ReferenceExecutor, record, state
 from .test_fast_forward import (_BODY_OPS, _halting_loop, edge_program,
                                 straight_programs)
-
-
-def _typed(value):
-    """*value* with its type; floats by ``repr`` so nan and -0.0 compare."""
-    if isinstance(value, tuple):
-        return tuple(_typed(v) for v in value)
-    if isinstance(value, float):
-        return float, repr(value)
-    return type(value), value
-
-
-#: The slots that never hold a float, read in one call.
-_plain = operator.attrgetter(*(
-    name for name in DynInst.__slots__
-    if name not in ("src_values", "result", "static")))
-
-
-def record(dyn: DynInst) -> tuple:
-    """Every ``DynInst`` slot with its value's type.
-
-    The result and the source values compare by ``repr``, so nan and
-    -0.0 compare; ``static`` compares by the pc it sits at.
-    """
-    plain = _plain(dyn)
-    values = (dyn.result, *dyn.src_values)
-    return (plain, tuple(map(type, plain)), tuple(map(type, values)),
-            tuple(map(repr, values)), dyn.static.pc)
-
-
-def state(ex) -> tuple:
-    """Registers, memory image and cursor, every value typed."""
-    return ([_typed(v) for v in ex.int_regs],
-            [_typed(v) for v in ex.fp_regs],
-            sorted((k, _typed(v))
-                   for k, v in ex.program.memory._mem.items()),
-            ex.pc, ex.seq, ex.halted)
 
 
 def drain(ex, chunk: int = 0) -> tuple:
@@ -165,9 +129,11 @@ def _stores(offsets) -> Program:
 
 
 @pytest.mark.parametrize("offsets", [(0, 4), (4, 0)])
-def test_offsets_zero_and_four_are_told_apart(offsets):
+def test_offsets_zero_and_four_are_told_apart(offsets, monkeypatch):
     # Instructions that differ only in a zero against a non-zero offset
-    # must not run each other's code, whichever is built first.
+    # must not run each other's code, whichever is built first: start
+    # from no step factories, so this order decides which comes first.
+    monkeypatch.setattr(executor, "_STEP_FACTORIES", {})
     assert_same(_stores(offsets))
 
 

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import OPCODES, ProgramBuilder
-from repro.isa import executor
+from repro.isa import OPCODES, ProgramBuilder, executor
 from repro.isa.executor import ExecutionError, FunctionalExecutor
 from repro.isa.instruction import Instruction
 from repro.isa.memory_image import MemoryImage
@@ -58,8 +57,8 @@ def both(program, cap: int = 10_000):
             ReferenceExecutor(copy.deepcopy(program), cap))
 
 
-def assert_same(program, cap: int = 10_000, chunk: int = 0) -> None:
-    ex, ref = both(program, cap)
+def assert_same(program, chunk: int = 0) -> None:
+    ex, ref = both(program)
     assert drain(ex, chunk) == drain(ref, chunk)
     assert state(ex) == state(ref)
 

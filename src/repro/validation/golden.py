@@ -127,10 +127,13 @@ class GoldenModel:
                 cycle=cycle, pc=dyn.pc, seq=dyn.seq, cluster=cluster,
                 register_diff={name: {"golden": g, "trace": t}
                                for name, (g, t) in diff.items()})
-        # Re-execute pure operations and compare results.
+        # Re-execute pure operations and compare each result with what
+        # the architecture writes: the computed value, or 0 for r0.
         if dyn.dest is not None:
             known, recomputed = recompute_result(dyn.op.name,
                                                  dyn.src_values, None)
+            if dyn.dest == ZERO_REG:
+                recomputed = 0
             if known and recomputed != dyn.result:
                 raise DivergenceError(
                     f"re-executed result diverged at seq {dyn.seq} "

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import make_config, simulate
 from repro.errors import DivergenceError
+from repro.isa import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor, recompute_result
 from repro.validation import GoldenModel
 from repro.workloads import build_workload, workload_trace
@@ -51,6 +52,18 @@ class TestCleanRuns:
         assert golden.int_regs == executor.int_regs
         assert golden.fp_regs == executor.fp_regs
 
+    @pytest.mark.parametrize("clusters", [1, 4])
+    def test_r0_destination_is_compared_as_zero(self, clusters):
+        # add r0 computes 7 and writes nothing: the trace's 0 is right.
+        b = ProgramBuilder()
+        b.emit("li", "r1", 3)
+        b.emit("li", "r2", 4)
+        b.emit("add", "r0", "r1", "r2")
+        b.emit("add", "r3", "r0", "r1")
+        b.emit("halt")
+        result = simulate(b.build(), make_config(clusters), check=True)
+        assert result.validation["golden_commits"] == 4
+
 
 class TestTamperedTraces:
     def test_tampered_result_raises_divergence(self):
@@ -58,6 +71,13 @@ class TestTamperedTraces:
         trace[2] = make_dyn(2, 0x1008, op="add", dest=3, srcs=(1, 2),
                             src_values=(5, 10), result=999)
         with pytest.raises(DivergenceError, match="re-executed result"):
+            simulate(trace, make_config(1), check=True)
+
+    def test_tampered_r0_result_raises_divergence(self):
+        trace = _consistent_trace()
+        trace[1] = make_dyn(1, 0x1004, op="add", dest=0, srcs=(1, 1),
+                            src_values=(5, 5), result=10)
+        with pytest.raises(DivergenceError, match="golden 0 != trace 10"):
             simulate(trace, make_config(1), check=True)
 
     def test_tampered_source_raises_divergence_with_diff(self):

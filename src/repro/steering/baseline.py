@@ -29,7 +29,7 @@ Thresholds come from the paper: Baseline rule 1 uses DCOUNT=32 / 16 for
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Optional, Sequence, Tuple
 
 from .base import SourceView, Steerer
 from .metrics import DCountTracker
@@ -102,17 +102,14 @@ class RMBSSteerer(Steerer):
         "mod2-all" (§3.2/§3.3's relaxation released every operand),
         "no-sources" (rule 2.3).
 
-        With at most two source operands (every ISA op here) the vote
-        tallies collapse to closed forms — two pending votes agree or
-        tie, two mapped sets vote for their intersection when it is
-        non-empty and their union otherwise — so the decode hot path
-        runs allocation-light set arithmetic instead of vote dicts, and
-        hands the map table's cached sets to rule 3 without copying.
-        The candidate *order* may differ from the dict tally, which is
-        immaterial: rule 3's least-loaded pick is order-invariant.
+        No opcode has more than two source operands, so the vote
+        tallies take closed forms: two pending votes agree or tie, and
+        two mapped sets vote for their intersection when it is
+        non-empty and their union otherwise.  The decode hot path runs
+        this as set arithmetic and hands the map table's cached sets to
+        rule 3 without copying; rule 3's least-loaded pick does not
+        depend on the candidates' order.
         """
-        if len(sources) > 2:
-            return self._communication_candidates_general(sources, mod2)
         pend_a = pend_b = None
         map_a = map_b = None
         relevant = 0
@@ -156,45 +153,6 @@ class RMBSSteerer(Steerer):
         # Rule 2.3 (no sources), or every operand released by mod 2.
         return self.all_clusters(), (
             "mod2-all" if mod2_applies else "no-sources")
-
-    def _communication_candidates_general(
-            self, sources: Sequence[SourceView],
-            mod2: bool) -> Tuple[Collection[int], str]:
-        """Dict-tally fallback for hypothetical >2-operand sources."""
-        # Plain dicts, not Counters: vote keys arrive in first-vote
-        # order either way (Counter is a dict subclass), and Counter's
-        # __init__ is pure overhead per call.
-        pending_votes: Dict[int, int] = {}
-        mapped_votes: Dict[int, int] = {}
-        relevant = 0
-        mod2_applies = False
-        for src in sources:
-            predicted = src.predicted
-            available = src.available or (self.use_mod1 and predicted)
-            if mod2 and predicted:
-                mod2_applies = True
-                continue
-            relevant += 1
-            if not available:
-                soonest = src.soonest_cluster
-                if soonest is not None:
-                    pending_votes[soonest] = pending_votes.get(soonest, 0) + 1
-            else:
-                for cluster in src.mapped:
-                    mapped_votes[cluster] = mapped_votes.get(cluster, 0) + 1
-        if pending_votes:
-            return self._argmax(pending_votes), "pending"
-        if relevant and mapped_votes:
-            return self._argmax(mapped_votes), "mapped"
-        if relevant and not mapped_votes and not mod2_applies:
-            return self.all_clusters(), "unconstrained"
-        return self.all_clusters(), (
-            "mod2-all" if mod2_applies else "no-sources")
-
-    @staticmethod
-    def _argmax(votes: Dict[int, int]) -> List[int]:
-        best = max(votes.values())
-        return [cluster for cluster, count in votes.items() if count == best]
 
 
 class BaselineSteerer(RMBSSteerer):

@@ -1,12 +1,14 @@
 """The structured event tracer the timing core emits into.
 
-A :class:`EventTracer` wraps one sink (see :mod:`repro.obs.sinks`) and
-exposes one method per event type; the :class:`~repro.core.processor.
-Processor` calls them from its pipeline hook points when (and only
-when) a tracer is installed — with no tracer, every hook is a single
-``is not None`` test, so the untraced simulation is unperturbed and
-its committed stream and statistics are bit-identical to a build
-without the hooks.
+A :class:`EventTracer` wraps one sink (see :mod:`repro.obs.sinks`).
+Producers emit event tuples (:data:`repro.obs.events.EVENT_FIELDS`)
+straight into it: the :class:`~repro.core.processor.Processor` bumps
+``counts[code]`` and calls ``emit(tuple)`` inline at its pipeline hook
+points, and the interconnect calls :meth:`EventTracer.bus`.  They do so
+when (and only when) a tracer is installed — with no tracer, every hook
+is a single ``is not None`` test, so the untraced simulation is
+unperturbed and its committed stream and statistics are bit-identical
+to a build without the hooks.
 
 The tracer also guarantees a *post-mortem window*: :meth:`recent`
 returns the trailing events for deadlock snapshots (see
@@ -19,9 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .events import (EV_BUS, EV_COMMIT, EV_COMPLETE, EV_COPY_SEND,
-                     EV_DISPATCH, EV_FETCH, EV_ISSUE, EV_SQUASH, EV_STEER,
-                     EV_VCOPY_VERIFY, event_to_dict)
+from .events import EV_BUS, event_to_dict
 from .sinks import RingBufferSink
 
 __all__ = ["EventTracer", "POSTMORTEM_WINDOW"]
@@ -69,64 +69,14 @@ class EventTracer:
                 ring_append(event)
             self.emit = tee
 
-    # -- emission (one method per event type; see obs.events) -----------------
-    # These typed methods are the readable API; the *timing core*
-    # bypasses them and uses ``counts[...] += 1`` + ``emit(tuple)``
-    # directly (a bound C append, ~10x cheaper than a Python method
-    # call per event — tracing several events per instruction, the
-    # difference is the whole overhead budget).  Both paths produce
-    # identical event tuples; keep them in sync with
-    # :data:`repro.obs.events.EVENT_FIELDS`.
-
-    def fetch(self, cycle: int, seq: int, pc: int) -> None:
-        self.counts[EV_FETCH] += 1
-        self.emit((cycle, EV_FETCH, seq, pc))
-
-    def steer(self, cycle: int, seq: int, cluster: int,
-              reason: str) -> None:
-        self.counts[EV_STEER] += 1
-        self.emit((cycle, EV_STEER, seq, cluster, reason))
-
-    def dispatch(self, cycle: int, order: int, kind: int, seq: int,
-                 pc: int, cluster: int, op: str, fetch_cycle: int) -> None:
-        self.counts[EV_DISPATCH] += 1
-        self.emit((cycle, EV_DISPATCH, order, kind, seq, pc, cluster,
-                   op, fetch_cycle))
-
-    def issue(self, cycle: int, order: int, kind: int, cluster: int,
-              reissue: int) -> None:
-        self.counts[EV_ISSUE] += 1
-        self.emit((cycle, EV_ISSUE, order, kind, cluster, reissue))
-
-    def copy_send(self, cycle: int, order: int, src_cluster: int,
-                  dest_cluster: int, arrival: int) -> None:
-        self.counts[EV_COPY_SEND] += 1
-        self.emit((cycle, EV_COPY_SEND, order, src_cluster,
-                   dest_cluster, arrival))
-
-    def vcopy_verify(self, cycle: int, order: int, cluster: int,
-                     hit: bool) -> None:
-        self.counts[EV_VCOPY_VERIFY] += 1
-        self.emit((cycle, EV_VCOPY_VERIFY, order, cluster, hit))
+    # -- emission -------------------------------------------------------------
+    # The timing core emits inline, ``counts[code] += 1`` then
+    # ``emit(tuple)`` (a bound C append, ~10x cheaper than a Python
+    # method call per event); only the bus's event has a method.
 
     def bus(self, cycle: int, dest_cluster: int) -> None:
         self.counts[EV_BUS] += 1
         self.emit((cycle, EV_BUS, dest_cluster, cycle))
-
-    def complete(self, cycle: int, order: int, kind: int,
-                 cluster: int) -> None:
-        self.counts[EV_COMPLETE] += 1
-        self.emit((cycle, EV_COMPLETE, order, kind, cluster))
-
-    def commit(self, cycle: int, order: int, kind: int, seq: int,
-               cluster: int) -> None:
-        self.counts[EV_COMMIT] += 1
-        self.emit((cycle, EV_COMMIT, order, kind, seq, cluster))
-
-    def squash(self, cycle: int, order: int, kind: int, cluster: int,
-               generation: int) -> None:
-        self.counts[EV_SQUASH] += 1
-        self.emit((cycle, EV_SQUASH, order, kind, cluster, generation))
 
     # -- post-mortem / lifecycle ----------------------------------------------
 

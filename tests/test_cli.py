@@ -85,10 +85,11 @@ class TestCrashTraceFlush:
 
     def _crashing_simulate(self, events_before_crash=3):
         from repro.errors import SimulationError
+        from repro.obs.events import EV_FETCH
 
         def fake(trace, config, tracer=None, **kwargs):
             for seq in range(events_before_crash):
-                tracer.fetch(cycle=seq, seq=seq, pc=seq * 4)
+                tracer.emit((seq, EV_FETCH, seq, seq * 4))
             raise SimulationError("deadlock at cycle 3")
 
         return fake

@@ -301,12 +301,9 @@ class _WarmState:
     def install_hooks(self, executor: FunctionalExecutor) -> None:
         """Train this state during the executor's fast-forward."""
         executor.set_train_hooks(
-            value=self.vp.update, branch=self.bpred.update,
+            value=self.vp.trainer, branch=self.bpred.trainer,
             target=self.btb.update if self.btb is not None else None,
-            mem=self.memory.l1d.access,
-            code=self.memory.l1i.access,
-            value_factory=getattr(self.vp, "trainer", None),
-            branch_factory=getattr(self.bpred, "trainer", None))
+            mem=self.memory.l1d.access, code=self.memory.l1i.access)
 
 
 def _seeded_golden(executor: FunctionalExecutor, config: ProcessorConfig):

@@ -8,10 +8,11 @@ predictions at decode and apply their effects at the paper's verification
 points.
 
 Opcode semantics are written once, as source templates (``_EXPRS``,
-``_LOADS``, ``_STORES``, ``_BRANCH_CMP``, ``_WRAP_X``).  ``run()`` builds
-one step function per static instruction from them, through a factory
-compiled once per opcode shape; ``skip()`` compiles one function per
-basic block from them.  :func:`recompute_result`, the golden model's
+``_LOADS``, ``_STORES``, ``_BRANCH_CMP``, ``_WRAP_X``) that one function,
+:func:`_emit`, turns into an instruction's source lines.  ``run()``
+builds one step function per static instruction from it, through a
+factory compiled once per opcode shape; ``skip()`` compiles one function
+per basic block from it.  :func:`recompute_result`, the golden model's
 re-execution, keeps its own lambda tables, independent of the templates.
 
 Integer arithmetic wraps at 64 bits (two's complement), so value
@@ -20,7 +21,9 @@ sequences behave like the Alpha integers the paper's predictor saw.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+import functools
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .instruction import DynInst, Instruction
 from .opcodes import OPCODES
@@ -182,9 +185,8 @@ class FunctionalExecutor:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._train_hooks = None
-        self._code = None
-        self._steps = None
+        for name in self._UNPICKLED:
+            setattr(self, name, None)
 
     # -- main loop ------------------------------------------------------------
 
@@ -240,13 +242,15 @@ class FunctionalExecutor:
         function (:class:`_BlockCode`); mid-block resumes, the tail,
         ``halt`` and off-segment PCs single-step through one-instruction
         functions from the same generator.  Stops early at ``halt`` or
-        the ``max_instructions`` cap, exactly like :meth:`run`.
+        the ``max_instructions`` cap, and raises where :meth:`run`
+        would.
         """
         if self.halted or count <= 0:
             return 0
         left = min(count, self.max_instructions - self.seq)
         if left <= 0:
             return 0
+        _check_pc(self.program, self.pc)
         code = self._code
         if code is None:
             code = self._code = _BlockCode(self.program, self.int_regs,
@@ -254,8 +258,6 @@ class FunctionalExecutor:
         lengths, blocks, steps = code.lengths, code.blocks, code.steps
         base = self.program.code_base
         idx = (self.pc - base) // INSTRUCTION_BYTES
-        if not 0 <= idx < len(steps):
-            raise ExecutionError(f"PC out of code segment: {self.pc:#x}")
         todo = left
         while todo:
             n = lengths[idx]
@@ -283,8 +285,7 @@ class FunctionalExecutor:
     # -- functional warming ---------------------------------------------------
 
     def set_train_hooks(self, value=None, branch=None, target=None,
-                        mem=None, code=None, value_factory=None,
-                        branch_factory=None) -> None:
+                        mem=None, code=None) -> None:
         """Install functional-warming callbacks applied during :meth:`skip`.
 
         With hooks installed, fast-forward additionally *observes* each
@@ -296,12 +297,13 @@ class FunctionalExecutor:
         *value* (slot order), *mem*, *branch*, *target*.
 
         Args:
-            value: ``(pc, slot, actual)`` per integer source operand,
-                in slot order, skipping ``r0`` and fp-bank sources —
-                exactly the operands decode trains the value predictor
-                on.
-            branch: ``(pc, taken)`` per conditional branch, the
-                direction predictor's training event.
+            value: ``factory(pc, slot) -> train(actual)`` per static
+                integer source that is not ``r0`` — exactly the operands
+                decode trains the value predictor on
+                (:meth:`repro.predictor.ValuePredictor.trainer`).
+            branch: ``factory(pc) -> train(taken)`` per static
+                conditional branch, the direction predictor's training
+                (:meth:`repro.frontend.CombinedPredictor.trainer`).
             target: ``(pc, target)`` per taken control transfer
                 (conditional or not), the BTB's training event.
             mem: ``(addr, is_write)`` per load/store, the D-cache
@@ -311,25 +313,14 @@ class FunctionalExecutor:
                 I-cache touch.  The line tracker persists across
                 :meth:`skip` calls and is consulted only where a line
                 starts or a cross-line branch or jump lands.
-            value_factory: optional ``factory(pc, slot) -> train(actual)``
-                pre-binding the value hook per static operand (e.g.
-                :meth:`repro.predictor.StridePredictor.trainer`); used
-                instead of *value* when given, resolving table indices
-                once at compile time instead of per call.
-            branch_factory: optional ``factory(pc) -> train(taken)``
-                pre-binding the branch hook per static branch
-                (:meth:`repro.frontend.CombinedPredictor.trainer`).
 
-        Passing all ``None`` uninstalls.  Hooks do not survive
+        A factory runs once per static site, when its code is compiled,
+        so a trainer resolves its table index once.  Passing all
+        ``None`` uninstalls.  Hooks do not survive
         pickling: a restored executor fast-forwards plain until hooks
         are installed again.
         """
-        if value is None and branch is None and target is None \
-                and mem is None and code is None:
-            self._train_hooks = None
-        else:
-            self._train_hooks = (value, branch, target, mem, code,
-                                 value_factory, branch_factory)
+        self._train_hooks = (value, branch, target, mem, code)
         self._code = None
 
 
@@ -339,9 +330,7 @@ _WRAP_X = "if not -0x8000000000000000 <= x < 0x8000000000000000: x = w(x)"
 
 #: Register-writing operations as source expressions over the operands
 #: ``{a}``/``{b}`` (``{b}`` is the immediate for immediate forms), and
-#: whether the result wraps to 64 bits: the opcode semantics that
-#: ``run()``'s step factories and ``skip()``'s block compiler are both
-#: generated from.
+#: whether the result wraps to 64 bits.
 _EXPRS = {
     "add": ("{a} + {b}", True), "sub": ("{a} - {b}", True),
     "mul": ("{a} * {b}", True), "sll": ("{a} << ({b} & 63)", True),
@@ -376,19 +365,75 @@ _STORES = {"sw": "{}", "sb": "int({}) & 0xFF", "fsw": "{}"}
 _BRANCH_CMP = {"beq": "==", "bne": "!=", "blt": "<", "bge": ">="}
 
 
+def _emit(name: str, regs: Sequence[str], dest: Optional[str], imm,
+          record: bool, touch: Sequence[str] = ()
+          ) -> Tuple[List[str], Optional[str]]:
+    """One instruction's architectural effect as source lines.
+
+    ``run()``'s step factories and ``skip()``'s block compiler both
+    call it.  *regs* and *dest* name the source and destination
+    registers (``r[3]``; ``r[s0]`` in a step); *dest* is ``None`` for
+    ``r0``, whose value is computed (it may raise) but never written.
+    *imm* is the immediate or ``None``; a zero memory offset adds
+    nothing.  *touch* runs once a memory address is in ``x``.  With
+    *record*, sources are read into ``a``/``b``, the immediate is named
+    ``imm`` (*imm* only tells zero from non-zero) and the result stays
+    in ``x``, for ``run()``'s record.  Returns the lines and the branch
+    condition (``None`` unless a conditional branch) for the caller.
+    """
+    op = OPCODES[name]
+    lines = [f"{v} = {reg}" for v, reg in zip("ab", regs)] if record else []
+    offset = imm
+    if record:
+        regs, imm = "ab"[:len(regs)], "imm"
+    if op.is_branch:
+        if name == "j":
+            return lines, None
+        return lines, f"{regs[0]} {_BRANCH_CMP[name]} {regs[1]}"
+    if op.is_load or op.is_store:
+        lines += [f"x = {regs[-1]} + {imm}" if offset else f"x = {regs[-1]}",
+                  _WRAP_X, *touch]
+        if op.is_store:
+            return lines + [f"m[x] = {_STORES[name].format(regs[0])}"], None
+        expr, wraps = _LOADS[name]
+    elif op.has_dest:
+        expr, wraps = _EXPRS[_IMM_ALIAS.get(name, name)]
+        expr = expr.format(a=regs[0] if regs else None,
+                           b=regs[1] if len(regs) > 1 else imm)
+    else:  # nop, halt
+        return lines, None
+    if dest is None:
+        return lines + [f"x = {expr}"], None
+    if wraps:
+        return lines + [f"x = {expr}", _WRAP_X, f"{dest} = x"], None
+    if record:
+        return lines + [f"x = {expr}", f"{dest} = x"], None
+    return lines + [f"{dest} = {expr}"], None
+
+
+def _check_pc(program: Program, pc: int) -> None:
+    """Raise :class:`ExecutionError` unless an instruction starts at *pc*."""
+    offset = pc - program.code_base
+    if not 0 <= offset < len(program) * INSTRUCTION_BYTES:
+        raise ExecutionError(f"PC out of code segment: {pc:#x}")
+    if offset % INSTRUCTION_BYTES:
+        raise ExecutionError(f"PC between instructions: {pc:#x}")
+
+
 # -- run(): one step function per static instruction --------------------------
 
 def _step_shape(inst: Instruction) -> tuple:
     """Every property of *inst* its step's source depends on.
 
-    The opcode, each source's bank, the destination (``None``, ``"r0"``
-    or whether it is fp) and the immediate form (``None``, or whether it
-    is non-zero: a zero offset emits no add).
+    The opcode, each source's bank, the destination as :func:`_emit`
+    takes it (``None`` for none or ``r0``, else ``r[d]`` or ``f[d]``)
+    and the immediate form (``None``, or whether it is non-zero: a zero
+    offset emits no add).
     """
     dest, imm = inst.dest, inst.imm
     return (inst.op.name, inst.srcs_fp,
-            None if dest is None else "r0" if dest == ZERO_REG
-            else inst.dest_fp,
+            None if dest in (None, ZERO_REG)
+            else "f[d]" if inst.dest_fp else "r[d]",
             None if imm is None else imm != 0)
 
 
@@ -400,7 +445,7 @@ _STEP_FACTORIES: Dict[tuple, Callable[..., _Step]] = {}
 _STEP_GLOBALS = {"D": DynInst, "w": _wrap64, "_div": _div, "_rem": _rem}
 
 
-def _step_factory(name: str, srcs_fp: tuple, dest,
+def _step_factory(name: str, srcs_fp: tuple, dest: Optional[str],
                   imm) -> Callable[..., _Step]:
     """Compile the step factory for one shape (see :func:`_step_shape`).
 
@@ -408,46 +453,23 @@ def _step_factory(name: str, srcs_fp: tuple, dest,
     as a factory argument: the live register lists ``r``/``f``, the
     memory dict ``m`` and its ``get`` ``g``, the record's static fields,
     the bank-local source and destination indices ``s0``/``s1``/``d``,
-    the immediate and the branch target.  The step reads the sources
-    into ``a``/``b``, applies the effect and builds the record.
+    the immediate and the branch target.  The step applies the effect
+    (:func:`_emit`) and builds the record.
     """
-    operands = "ab"[:len(srcs_fp)]
-    lines = [f"{v} = {'f' if fp else 'r'}[s{i}]"
-             for i, (v, fp) in enumerate(zip(operands, srcs_fp))]
-    result = addr = taken = target = "None"
     op = OPCODES[name]
+    regs = [f"{'f' if fp else 'r'}[s{i}]" for i, fp in enumerate(srcs_fp)]
+    lines, cond = _emit(name, regs, dest, imm, True,
+                        ["e = x"] if op.is_load else ())
+    if cond is not None:
+        lines.append(f"k = {cond}")
     if name == "halt":
         lines.append("return None")
-    elif name == "j":
-        taken, target = "True", "target"
-    elif op.is_branch:
-        lines.append(f"k = a {_BRANCH_CMP[name]} b")
-        taken, target = "k", "target"
-    elif op.is_load or op.is_store:
-        base = operands[-1]
-        lines += [f"x = {base} + imm" if imm else f"x = {base}", _WRAP_X]
-        if op.is_store:
-            lines.append(f"m[x] = {_STORES[name].format('a')}")
-            addr = "x"
-        else:
-            lines.append("e = x")  # x goes on to hold the loaded value
-            addr = "e"
-    if op.has_dest:
-        if op.is_load:
-            expr, wraps = _LOADS[name]
-        else:
-            expr, wraps = _EXPRS[_IMM_ALIAS.get(name, name)]
-            expr = expr.format(a="a", b="b" if len(operands) > 1 else "imm")
-        lines.append(f"x = {expr}")
-        if dest == "r0":  # computed (it may raise), never written
-            result = "0"
-        else:
-            if wraps:
-                lines.append(_WRAP_X)
-            lines.append(f"{'f' if dest else 'r'}[d] = x")
-            result = "x"
-    if name != "halt":
-        values = "".join(f"{v}, " for v in operands)
+    else:
+        values = "".join(f"{v}, " for v in "ab"[:len(regs)])
+        result = "x" if dest else "0" if op.has_dest else "None"
+        addr = "e" if op.is_load else "x" if op.is_store else "None"
+        taken = "True" if name == "j" else "None" if cond is None else "k"
+        target = "target" if op.is_branch else "None"
         lines.append(f"return D(seq, pc, op, dest, srcs, ({values}), "
                      f"{result}, {addr}, {taken}, {target}, inst)")
     source = ("def factory(r, f, m, g, pc, op, dest, srcs, inst, s0, s1, d,"
@@ -462,11 +484,9 @@ def _step(program: Program, int_regs: list, fp_regs: list,
     """The step function of the instruction at *pc*.
 
     It holds the live register lists and the memory image, never the
-    executor.  Raises :class:`ExecutionError` for an off-segment *pc*.
+    executor.  Raises :class:`ExecutionError` (:func:`_check_pc`).
     """
-    base = program.code_base
-    if not base <= pc < base + len(program) * INSTRUCTION_BYTES:
-        raise ExecutionError(f"PC out of code segment: {pc:#x}")
+    _check_pc(program, pc)
     inst = program.at(pc)
     shape = _step_shape(inst)
     factory = _STEP_FACTORIES.get(shape)
@@ -494,45 +514,44 @@ class _BlockCode:
 
     ``lengths[i]`` is the length of the basic block that starts at
     static index ``i``: 0 inside a block, at ``halt`` and at the
-    off-segment sentinel ``size``.  Blocks end after a branch or jump,
-    before a branch target, and before ``halt``.  ``blocks[i]`` holds
-    that block's compiled function once it has run, ``steps[i]``
-    instruction ``i``'s one-instruction function; each returns the next
-    static index (``-1 - i`` for a ``halt``).  Every function is
-    compiled on first use from its own source, so only code that runs
-    is compiled and no compile call covers more than one block.
+    sentinels past the end.  Blocks end after a branch or jump, before a
+    branch target, and before ``halt``.  ``blocks[i]`` holds that
+    block's compiled function once it has run, ``steps[i]`` instruction
+    ``i``'s one-instruction function; each returns the next static index
+    (``-1 - i`` for a ``halt``).  Every function is compiled on first
+    use from its own source, so only code that runs is compiled and no
+    compile call covers more than one block.  The fall-off and each bad
+    branch target lead to a sentinel index past the end whose step
+    raises as ``run()`` would.
 
     Generated code applies, per instruction, the installed hooks in
     :meth:`FunctionalExecutor.set_train_hooks` order and then the
-    architectural write.  Its globals (``ns``) are the live register
-    lists, the memory image, the hooks, per-site trainers and the
-    fetch-line tracker ``L``; the compiled functions themselves are
-    popped out of ``ns`` so it never references them (a namespace
+    architectural effect (:func:`_emit`).  Its globals (``ns``) are the
+    live register lists, the memory image, the hooks, per-site trainers
+    and the fetch-line tracker ``L``; the compiled functions themselves
+    are popped out of ``ns`` so it never references them (a namespace
     holding its own functions is a reference cycle that keeps the hook
     targets alive until a full garbage collection).
     """
 
     __slots__ = ("insts", "base", "lengths", "blocks", "steps", "ns",
-                 "targets", "line_checks", "value_factory",
-                 "branch_factory")
+                 "targets", "line_checks", "value", "branch")
 
     def __init__(self, program: Program, int_regs: list, fp_regs: list,
                  hooks: Optional[tuple]) -> None:
-        (value, branch, target, mem, code, self.value_factory,
-         self.branch_factory) = hooks or (None,) * 7
+        self.value, self.branch, target, mem, code = hooks or (None,) * 5
         self.insts = insts = program.instructions
         self.base = base = program.code_base
         size = len(insts)
         memory = program.memory._mem
         self.ns = {"r": int_regs, "f": fp_regs, "m": memory,
                    "g": memory.get, "w": _wrap64, "_div": _div, "_rem": _rem,
-                   "L": None,
-                   "V": value, "B": branch, "T": target, "D": mem,
-                   "C": code}
+                   "L": None, "T": target, "D": mem, "C": code}
         leader = [False] * (size + 1)
         leader[0] = True
-        # Branch targets as static indices; an off-segment target goes
-        # to the sentinel, which raises like run() would.
+        # Branch targets as static indices.  The fall-off and each target
+        # with no instruction get sentinel indices, by pc, from ``size``.
+        faults = {base + size * INSTRUCTION_BYTES: size}
         self.targets = targets = [size] * size
         # Sites of the I-cache line check: where a fetch line starts and
         # where a cross-line branch or jump lands.  Only these can
@@ -544,11 +563,14 @@ class _BlockCode:
                 checks[i] = True
             if inst.op.is_branch:
                 leader[i + 1] = True
-                t = (inst.target - base) // INSTRUCTION_BYTES
-                if 0 <= t < size:
-                    targets[i] = t
-                    leader[t] = True
-                    checks[t] = checks[t] or inst.target >> 5 != pc >> 5
+                t, off = divmod(inst.target - base, INSTRUCTION_BYTES)
+                if off or not 0 <= t < size:
+                    targets[i] = faults.setdefault(inst.target,
+                                                   size + len(faults))
+                    continue
+                targets[i] = t
+                leader[t] = True
+                checks[t] = checks[t] or inst.target >> 5 != pc >> 5
         # Straight-line run from each index to its block's end; halt
         # is never part of a block.
         span = [0] * (size + 1)
@@ -557,21 +579,17 @@ class _BlockCode:
             if op.name != "halt":
                 span[i] = 1 if op.is_branch or leader[i + 1] \
                     else 1 + span[i + 1]
-        self.lengths = [n if lead else 0 for n, lead in zip(span, leader)]
+        self.lengths = [n if lead else 0 for n, lead in zip(span, leader)] \
+            + [0] * (len(faults) - 1)
         self.blocks: List[Optional[Callable[[], int]]] = [None] * size
-        end_pc = base + size * INSTRUCTION_BYTES
-
-        def off_segment() -> int:  # pragma: no cover - malformed programs
-            raise ExecutionError(f"PC out of code segment: {end_pc:#x}")
-
-        self.steps: List[Optional[Callable[[], int]]] = [None] * size
-        self.steps.append(off_segment)
+        self.steps: List[Optional[Callable[[], int]]] = [None] * size + [
+            functools.partial(_check_pc, program, pc) for pc in faults]
 
     def build(self, start: int, stop: int) -> Callable[[], int]:
         """Compile static instructions ``[start, stop)`` into a function."""
         lines: List[str] = []
         for i in range(start, stop):
-            lines += self._emit(i)
+            lines += self._lines(i)
         last = self.insts[stop - 1].op
         if not (last.is_branch or last.name == "halt"):
             lines.append(f"return {stop}")
@@ -580,66 +598,45 @@ class _BlockCode:
         exec(compile(source, f"<fast-forward {start}:{stop}>", "exec"), ns)
         return ns.pop("block")
 
-    def _emit(self, i: int) -> List[str]:
+    def _lines(self, i: int) -> List[str]:
         """Source lines for static instruction *i*: hooks, then effect."""
         inst = self.insts[i]
-        name = inst.op.name
+        op = inst.op
+        if op.name == "halt":
+            return [f"return {-1 - i}"]
         pc = self.base + i * INSTRUCTION_BYTES
         ns = self.ns
-        if name == "halt":
-            return [f"return {-1 - i}"]
         lines = []
         if self.line_checks[i] and ns["C"] is not None:
             line = pc >> 5
             lines += [f"if L != {line}:", f" L = {line}", f" C({pc})"]
-        for slot, rid in enumerate(inst.srcs):
-            if rid == ZERO_REG or rid >= FP_BASE:
-                continue  # decode predicts neither r0 nor fp sources
-            if self.value_factory is not None:
+        if self.value is not None:
+            for slot, rid in enumerate(inst.srcs):
+                if rid == ZERO_REG or rid >= FP_BASE:
+                    continue  # decode predicts neither r0 nor fp sources
                 trainer = f"v{i}_{slot}"
                 if trainer not in ns:
-                    ns[trainer] = self.value_factory(pc, slot)
+                    ns[trainer] = self.value(pc, slot)
                 lines.append(f"{trainer}(r[{rid}])")
-            elif ns["V"] is not None:
-                lines.append(f"V({pc}, {slot}, r[{rid}])")
-        srcs = [_reg(s) for s in inst.srcs]
-        if inst.op.is_branch:
-            taken = [f"T({pc}, {inst.target})"] if ns["T"] is not None \
-                else []
-            taken.append(f"return {self.targets[i]}")
-            if name == "j":
-                return lines + taken
-            cond = f"{srcs[0]} {_BRANCH_CMP[name]} {srcs[1]}"
-            if self.branch_factory is not None:
-                if f"b{i}" not in ns:
-                    ns[f"b{i}"] = self.branch_factory(pc)
-                lines += [f"k = {cond}", f"b{i}(k)"]
-                cond = "k"
-            elif ns["B"] is not None:
-                lines += [f"k = {cond}", f"B({pc}, k)"]
-                cond = "k"
-            return lines + [f"if {cond}:"] + [" " + t for t in taken] \
-                + [f"return {i + 1}"]
-        if inst.op.is_load or inst.op.is_store:
-            address = f"{srcs[-1]} + {inst.imm}" if inst.imm else srcs[-1]
-            lines += [f"x = {address}", _WRAP_X]
-            if ns["D"] is not None:
-                lines.append(f"D(x, {inst.op.is_store})")
-            if inst.op.is_store:
-                return lines + [f"m[x] = {_STORES[name].format(srcs[0])}"]
-            expr, wraps = _LOADS[name]
-        elif name == "nop":
-            return lines
-        else:
-            expr, wraps = _EXPRS[_IMM_ALIAS.get(name, name)]
-            expr = expr.format(a=srcs[0] if srcs else None,
-                               b=srcs[1] if len(srcs) > 1 else inst.imm)
         dest = inst.dest
-        if dest is None or dest == ZERO_REG:  # writes to r0 are dropped
+        body, cond = _emit(
+            op.name, [_reg(s) for s in inst.srcs],
+            None if dest in (None, ZERO_REG) else _reg(dest), inst.imm,
+            False, [f"D(x, {op.is_store})"] if ns["D"] is not None else ())
+        lines += body
+        if not op.is_branch:
             return lines
-        if wraps:
-            return lines + [f"x = {expr}", _WRAP_X, f"{_reg(dest)} = x"]
-        return lines + [f"{_reg(dest)} = {expr}"]
+        taken = [f"T({pc}, {inst.target})"] if ns["T"] is not None else []
+        taken.append(f"return {self.targets[i]}")
+        if cond is None:  # j
+            return lines + taken
+        if self.branch is not None:
+            if f"b{i}" not in ns:
+                ns[f"b{i}"] = self.branch(pc)
+            lines += [f"k = {cond}", f"b{i}(k)"]
+            cond = "k"
+        return lines + [f"if {cond}:"] + [" " + t for t in taken] \
+            + [f"return {i + 1}"]
 
 
 def execute(program: Program, max_instructions: int = 1_000_000) -> List[DynInst]:

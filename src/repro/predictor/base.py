@@ -111,6 +111,17 @@ class ValuePredictor:
         """
         return functools.partial(self.predict_update, pc, slot)
 
+    def trainer(self, pc: int, slot: int) -> Callable[[int], None]:
+        """``update`` pre-bound to one static operand.
+
+        The call takes the actual value; functional warming
+        (:meth:`repro.isa.executor.FunctionalExecutor.set_train_hooks`)
+        binds one per predictable source of each static instruction.
+        Implementations may override it to resolve table indices once,
+        at bind time.
+        """
+        return functools.partial(self.update, pc, slot)
+
     def _record(self, prediction: Prediction, actual: int) -> Prediction:
         self.stats.record(prediction.confident, prediction.value == actual)
         return prediction

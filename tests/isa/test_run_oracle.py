@@ -155,11 +155,18 @@ def test_r0_destinations_execute_and_read_zero():
     b.emit("cvtfi", "r0", "f3")     # int(inf) raises, r0 or not
     b.emit("halt")
     program = b.build()
-    records, error = drain(both(program)[0])
+    ran = both(program)[0]
+    records, error = drain(ran)
     assert error[0] is OverflowError
     results = [(r[2][0], r[3][0]) for r in records[2:9]]
     assert results == [(int, "0")] * 4 + [(float, "2.5")] + [(int, "0")] * 2
     assert_same(program)
+    # skip() computes r0 results too, so it raises at the same cvtfi,
+    # with the same registers and memory.
+    skipped = both(program)[0]
+    with pytest.raises(OverflowError):
+        skipped.skip(10_000)
+    assert state(skipped)[:3] == state(ran)[:3]
 
 
 # ---------------------------------------------------------- stream ends --
@@ -205,3 +212,51 @@ def test_off_segment_target_raises_naming_the_pc(case):
     assert (records, error) == drain(ref)
     assert state(ex) == state(ref)
     assert ex.pc == pc and ex.seq == len(records)
+    with pytest.raises(ExecutionError) as info:
+        both(program)[0].skip(10)
+    assert str(info.value) == error[1]
+
+
+def _between_instructions(op: str) -> Program:
+    """*op* at code_base+4 to code_base+6, half-way to the next
+    instruction; a ``j`` at the end goes there too."""
+    srcs = () if op == "j" else (1, 0)
+    return Program([
+        Instruction(OPCODES["li"], 1, (), 7, None, CODE_BASE),
+        Instruction(OPCODES[op], None, srcs, None, CODE_BASE + 6,
+                    CODE_BASE + 4),
+        Instruction(OPCODES["li"], 2, (), 9, None, CODE_BASE + 8),
+        Instruction(OPCODES["j"], None, (), None, CODE_BASE + 6,
+                    CODE_BASE + 12)], MemoryImage(), {}, {})
+
+
+_BETWEEN = (ExecutionError, f"PC between instructions: {CODE_BASE + 6:#x}")
+
+
+@pytest.mark.parametrize("op", ["j", "bne"])
+def test_unaligned_target_raises_naming_the_pc(op):
+    ex = FunctionalExecutor(_between_instructions(op))
+    records, error = drain(ex)
+    assert error == _BETWEEN
+    assert [r[0][1] for r in records] == [CODE_BASE, CODE_BASE + 4]
+    assert ex.pc == CODE_BASE + 6 and ex.seq == 2
+    # skip() from the start, and from the cursor run() left there.
+    for skipped in (FunctionalExecutor(_between_instructions(op)), ex):
+        with pytest.raises(ExecutionError) as info:
+            skipped.skip(10)
+        assert (type(info.value), str(info.value)) == _BETWEEN
+
+
+def test_untaken_unaligned_target_runs_on():
+    # A target is checked where it is taken, not where it is compiled.
+    ex = FunctionalExecutor(_between_instructions("beq"))
+    records, error = drain(ex)
+    assert error == _BETWEEN
+    assert [r[0][1] for r in records] == [CODE_BASE + 4 * i
+                                          for i in range(4)]
+    skipped = FunctionalExecutor(_between_instructions("beq"))
+    assert skipped.skip(3) == 3
+    assert state(skipped)[:2] == state(ex)[:2]
+    with pytest.raises(ExecutionError) as info:
+        skipped.skip(10)
+    assert (type(info.value), str(info.value)) == _BETWEEN

@@ -26,7 +26,6 @@ rescan (property-tested in tests/core/test_wake_invariant.py).
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Iterator, List
 
 __all__ = ["IssueQueue", "NEXT_TRY_IDLE"]
@@ -80,10 +79,15 @@ class IssueQueue:
             self.next_try = min_issue
 
     def reinsert(self, uop) -> None:
-        """Re-enter an invalidated uop at its age position."""
+        """Re-enter an invalidated uop at its age position, found
+        walking back from the youngest entry (orders are unique)."""
         uop.wake_cycle = 0  # its operands changed; rescan immediately
         uop.iq = self
-        insort(self._entries, uop, key=lambda u: u.order)
+        entries = self._entries
+        i = len(entries)
+        while i and entries[i - 1].order > uop.order:
+            i -= 1
+        entries.insert(i, uop)
         min_issue = getattr(uop, "min_issue_cycle", 0)
         if min_issue < self.next_try:
             self.next_try = min_issue

@@ -47,8 +47,7 @@ from ..rename import RenameUnit
 from ..rename.renamer import FP_BANK, INT_BANK
 from ..steering import (BalanceOnlySteerer, BaselineSteerer, DCountTracker,
                         DependenceOnlySteerer, ModifiedSteerer, NReadyMeter,
-                        RoundRobinSteerer, SourceView, StaticSteerer,
-                        VPBSteerer)
+                        RoundRobinSteerer, StaticSteerer, VPBSteerer)
 from ..validation.watchdog import (ClusterSnapshot, PipelineSnapshot,
                                    PipelineWatchdog)
 from .config import ProcessorConfig
@@ -65,6 +64,9 @@ _EV_VDELIVER = 2
 
 #: Profiler phase of each stage of the cycle loop, in loop order.
 _STAGE_PHASES = ("other", "events", "commit", "issue", "decode", "fetch")
+
+#: The zero register's steering view; it never changes.
+_ZERO_VIEW = (True, frozenset(), None, False)
 
 
 def _timed(profiler, phase: str, stage):
@@ -282,9 +284,11 @@ class Processor:
         # With one cluster every operand is local: decode needs no
         # steering views, steering decision or copies.
         self._one_cluster = config.n_clusters == 1
-        # The zero register's steering view never changes; share one.
-        self._zero_view = SourceView(ZERO_REG, False, True, frozenset(),
-                                     None, False)
+        # Read-only operands shared by every non-speculative source: one
+        # per register index (the reader's cluster picks the file).
+        self._local_operands = [Operand(MODE_LOCAL, preg) for preg
+                                in range(2 * config.pregs_per_cluster)]
+        self._zero_operand = Operand(MODE_ZERO)
         self.cycle = 0
         self.watchdog = PipelineWatchdog(config.deadlock_cycles)
 
@@ -517,7 +521,7 @@ class Processor:
     def _run_verifications(self, producer: Uop, cycle: int) -> None:
         """Producer-side verification, one cycle after writeback (§2.2)."""
         pending = producer.verify_list
-        producer.verify_list = []
+        producer.verify_list = ()
         for consumer, operand in pending:
             if operand.verified:
                 continue
@@ -574,7 +578,6 @@ class Processor:
             uop.generation += 1
             uop.state = STATE_WAITING
             uop.complete_cycle = None
-            uop.issue_cycle = None
             if cycle > uop.min_issue_cycle:
                 uop.min_issue_cycle = cycle
             uop.reissue_count += 1
@@ -667,14 +670,6 @@ class Processor:
 
     # ----------------------------------------------------------------- issue --
 
-    def _load_disambiguated(self, uop: Uop) -> bool:
-        """Loads wait until every prior store's address is known (Table 1)."""
-        pending = self._pending_store_addrs
-        if not pending:
-            return True
-        seq = uop.dyn.seq
-        return min(pending) > seq
-
     def _forwarding_store(self, uop: Uop) -> Optional[Uop]:
         """Latest earlier in-flight store to the load's address, if any.
 
@@ -751,6 +746,7 @@ class Processor:
         tracer = self._tracer
         events = self._events
         data_latency = self.memory.data_latency
+        pending_stores = self._pending_store_addrs
         config = self.config
         free_copies = config.free_copy_issue
         dcache_ports = config.dcache_ports
@@ -829,13 +825,15 @@ class Processor:
                         kind = uop.kind
                         if kind == KIND_INST:
                             if uop.is_load and (
-                                    not self._load_disambiguated(uop)
+                                    (pending_stores and min(pending_stores)
+                                     <= uop.dyn.seq)
                                     or ((forward := self._forwarding_store(
                                         uop)) is not None
                                         and forward.state != STATE_DONE)
                                     or self._dports_used >= dcache_ports):
-                                # Disambiguation / same-address store
-                                # data / D-cache port.
+                                # An earlier store's unknown address
+                                # (Table 1) / same-address store data /
+                                # D-cache port.
                                 wake = cycle1
                             elif not fupool.try_issue_desc(uop.fu):
                                 wake = cycle1
@@ -876,7 +874,6 @@ class Processor:
                     if kept is None:
                         kept = entries[:i]
                     uop.state = STATE_ISSUED
-                    uop.issue_cycle = cycle
                     stats.issued_uops += 1
                     issued_per_cluster[cid] += 1
                     if tracer is not None:
@@ -1069,12 +1066,12 @@ class Processor:
         return predictions
 
     def _source_views(self, template: _Template, predictions,
-                      cycle: int) -> List[SourceView]:
+                      cycle: int) -> List[tuple]:
         """Steering's decode-time view of each source operand (§2.3.1).
 
-        Mapped clusters come straight from the map table's caches; a
-        single-mapped operand (the overwhelmingly common case) needs no
-        tournament for the cluster producing it soonest.
+        Plain :class:`~repro.steering.SourceView` tuples.  Mapped clusters
+        come from the map table's caches; a single-mapped operand (the
+        overwhelmingly common case) needs no soonest-cluster tournament.
         """
         map_table = self.renamer.map_table
         mapped_lists = self._mapped_lists
@@ -1084,7 +1081,7 @@ class Processor:
         views = []
         for slot, logical, fp in template.sources:
             if logical == ZERO_REG:
-                views.append(self._zero_view)
+                views.append(_ZERO_VIEW)
                 continue
             mapped = mapped_lists[logical]
             if mapped is None:
@@ -1113,9 +1110,8 @@ class Processor:
                             self.clusters[cluster_id].regfile.producer[preg])
                         if producer is not None and producer.kind == KIND_INST:
                             best = cluster_id
-            views.append(SourceView(logical, fp, best_ready <= cycle,
-                                    mapped_set, best,
-                                    predictions[slot] is not None))
+            views.append((best_ready <= cycle, mapped_set, best,
+                          predictions[slot] is not None))
         return views
 
     def _decode_one(self, fetched: FetchedInst, template: _Template,
@@ -1123,14 +1119,13 @@ class Processor:
         """Predict, steer, plan and dispatch one instruction.
 
         Returns the stall cause when it cannot dispatch this cycle.
-        The operand plan (§2.1/§2.2) builds each source's
-        :class:`Operand`: a local register read, a local speculation
-        the producer verifies, a demand-generated copy, or a remote
-        speculation a verification-copy verifies.  ``specials`` lists,
-        in slot order, the operands whose rename work waits for
-        dispatch, as (operand, logical, fp, source cluster): copies and
-        verification-copies read the source cluster, a second read of
-        a copied register has none.
+        The operand plan (§2.1/§2.2) gives each source a shared register
+        read, a local speculation the producer verifies, a copy, or a
+        remote speculation a verification-copy verifies.  ``specials``
+        lists the rest of the rename work in slot order, as (speculative
+        operand or None, slot, logical, fp, source cluster); a copy's
+        slot stays None until dispatch allocates its replica, and a
+        second read of a copied register has no source cluster.
         """
         dyn = fetched.dyn
         predictions = self._predictions(fetched, template)
@@ -1142,40 +1137,40 @@ class Processor:
         map_rows = self._map_rows
         ready = self._ready_arrays[cluster_id]
         clusters = self.clusters
+        local = self._local_operands
         operands = []
         specials = None
         copied = None               # logical registers copied so far
         helper_queues = None        # issue queue of each (v)copy
         for slot, logical, fp in template.sources:
             if logical == ZERO_REG:
-                operands.append(Operand(MODE_ZERO, None, True, slot))
+                operands.append(self._zero_operand)
                 continue
             prediction = predictions[slot]
             preg = map_rows[logical][cluster_id]
             if preg is not None:
                 if prediction is None or ready[preg] <= cycle:
-                    operands.append(Operand(MODE_LOCAL, preg, True, slot))
+                    operands.append(local[preg])
                     continue
                 # §2.2: source not yet available and confident ->
                 # dispatch speculatively; the producer verifies.
-                operand = Operand(MODE_PRED, preg, prediction[1], slot,
+                operand = Operand(MODE_PRED, preg, prediction[1],
                                   prediction[2])
                 src_cluster = cluster_id
             elif copied is not None and logical in copied:
                 # Same logical register twice: one copy serves both.
-                operand = Operand(MODE_LOCAL, None, True, slot)
-                src_cluster = None
+                operand = src_cluster = None
             else:
-                src_cluster = views[slot].soonest_cluster
+                src_cluster = views[slot][2]    # soonest_cluster
                 source = clusters[src_cluster]
                 if prediction is not None:
                     # §2.2 extension: operand not mapped here -> predict
                     # it regardless of availability, verify with a vcopy.
-                    operand = Operand(MODE_PRED, None, prediction[1], slot,
+                    operand = Operand(MODE_PRED, None, prediction[1],
                                       prediction[2])
                     queue = source.iq_int
                 else:
-                    operand = Operand(MODE_LOCAL, None, True, slot)
+                    operand = None
                     queue = source.iq_fp if fp else source.iq_int
                     if copied is None:
                         copied = []
@@ -1186,7 +1181,7 @@ class Processor:
             operands.append(operand)
             if specials is None:
                 specials = []
-            specials.append((operand, logical, fp, src_cluster))
+            specials.append((operand, slot, logical, fp, src_cluster))
         cluster = clusters[cluster_id]
         own_queue = cluster.iq_int if template.int_side else cluster.iq_fp
         if helper_queues is not None:
@@ -1216,23 +1211,24 @@ class Processor:
         predictions = self._predictions(fetched, template)
         map_rows = self._map_rows
         ready = self._ready_arrays[0]
+        local = self._local_operands
         operands = []
         specials = None
         for slot, logical, fp in template.sources:
             if logical == ZERO_REG:
-                operands.append(Operand(MODE_ZERO, None, True, slot))
+                operands.append(self._zero_operand)
                 continue
             preg = map_rows[logical][0]
             prediction = predictions[slot]
             if prediction is None or ready[preg] <= cycle:
-                operands.append(Operand(MODE_LOCAL, preg, True, slot))
+                operands.append(local[preg])
                 continue
-            operand = Operand(MODE_PRED, preg, prediction[1], slot,
+            operand = Operand(MODE_PRED, preg, prediction[1],
                               prediction[2])
             operands.append(operand)
             if specials is None:
                 specials = []
-            specials.append((operand, logical, fp, 0))
+            specials.append((operand, slot, logical, fp, 0))
         if (template.dest is not None
                 and not self._free_lists[0][template.dest_bank]._free):
             return "pregs"
@@ -1263,8 +1259,8 @@ class Processor:
         needed = [0, 0]
         if template.dest is not None:
             needed[template.dest_bank] += 1
-        for operand, logical, fp, src_cluster in specials:
-            if operand.mode == MODE_LOCAL and src_cluster is not None:
+        for operand, _, _, fp, src_cluster in specials:
+            if operand is None and src_cluster is not None:
                 needed[FP_BANK if fp else INT_BANK] += 1
         free = self._free_lists[cluster_id]
         if (len(free[INT_BANK]._free) < needed[INT_BANK]
@@ -1289,14 +1285,15 @@ class Processor:
         stats = self.stats
         clusters = self.clusters
         map_rows = self._map_rows
+        local = self._local_operands
         helpers = None
         # The rename work planned at decode, in slot order: speculative
         # operands are verified by their producer (local) or by a
         # verification-copy (remote); copies get their replica here.
-        for operand, logical, fp, src_cluster in specials or ():
-            if operand.mode == MODE_PRED:
+        for operand, slot, logical, fp, src_cluster in specials or ():
+            if operand is not None:     # MODE_PRED
                 if operand.injected:
-                    self._injector.note_value_injected(dyn.pc, operand.slot)
+                    self._injector.note_value_injected(dyn.pc, slot)
                 stats.speculative_operands += 1
                 if not operand.correct:
                     stats.mispredicted_operands += 1
@@ -1308,26 +1305,27 @@ class Processor:
                     self._register_verification(cluster_id, operand.preg,
                                                 uop, operand, cycle)
                     continue
-                helper = Uop(KIND_VCOPY, dyn, 0, src_cluster, True, None)
+                helper = Uop(KIND_VCOPY, dyn, 0, src_cluster, True, None,
+                             [local[map_rows[logical][src_cluster]]],
+                             min_issue)
                 helper.consumer = uop
                 helper.consumer_operand = operand
                 stats.dispatched_vcopies += 1
             elif src_cluster is None:
                 # Second read of a register this instruction copies:
                 # share the replica.
-                operand.preg = map_rows[logical][cluster_id]
+                operands[slot] = local[map_rows[logical][cluster_id]]
                 continue
             else:
-                helper = Uop(KIND_COPY, dyn, 0, src_cluster, not fp, None)
+                helper = Uop(KIND_COPY, dyn, 0, src_cluster, not fp, None,
+                             [local[map_rows[logical][src_cluster]]],
+                             min_issue)
                 replica = self.renamer.alloc_replica(logical, cluster_id)
-                operand.preg = helper.dest_preg = replica
+                operands[slot] = local[replica]
+                helper.dest_preg = replica
                 helper.dest_cluster = cluster_id
                 clusters[cluster_id].regfile.set_pending(replica, helper)
                 stats.dispatched_copies += 1
-            helper.min_issue_cycle = min_issue
-            helper.operands.append(Operand(
-                MODE_LOCAL, map_rows[logical][src_cluster], True,
-                operand.slot))
             if helpers is None:
                 helpers = []
             helpers.append(helper)
@@ -1400,7 +1398,6 @@ class Processor:
         if dyn.is_store:
             self._pending_store_addrs.add(dyn.seq)
         self.dcount.dispatch(cluster_id)
-        self.steerer.notify_dispatch(cluster_id)
         stats.dispatched_insts += 1
         stats.dispatch_per_cluster[cluster_id] += 1
 
@@ -1418,6 +1415,7 @@ class Processor:
                 self._note_fault_detected(operand)
                 operand.mode = MODE_LOCAL
             return
+        producer.verify_list = producer.verify_list or []
         producer.verify_list.append((consumer, operand))
         if producer.state == STATE_DONE:
             # Completed this very cycle before we registered: schedule

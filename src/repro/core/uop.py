@@ -12,12 +12,17 @@ Three kinds of uop flow through the back end:
   consumer) only on mismatch.
 
 Operands carry their own speculation state so the issue logic can treat
-"really ready" and "speculatively ready" uniformly.
+"really ready" and "speculatively ready" uniformly.  Only a speculative
+(``MODE_PRED``) operand is ever written after decode — verification
+clears it or turns it into a register read or a forward — so only those
+are built per instruction.  Every other operand is shared and read-only:
+the processor builds one local read per physical register index and one
+zero operand, and decode, dispatch and the copies hand those out.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..isa.instruction import DynInst
 
@@ -46,11 +51,10 @@ class Operand:
     """One source operand of an in-flight uop."""
 
     __slots__ = ("mode", "preg", "ready_override", "correct", "verified",
-                 "slot", "injected")
+                 "injected")
 
     def __init__(self, mode: int, preg: Optional[int] = None,
-                 correct: bool = True, slot: int = 0,
-                 injected: bool = False) -> None:
+                 correct: bool = True, injected: bool = False) -> None:
         self.mode = mode
         #: Local physical register (modes LOCAL and PRED-with-mapping).
         self.preg = preg
@@ -60,8 +64,6 @@ class Operand:
         self.correct = correct
         #: Set once the producer-side verification has cleared this operand.
         self.verified = False
-        #: Operand position (left/right) — predictor index and diagnostics.
-        self.slot = slot
         #: This prediction was corrupted by the fault-injection harness;
         #: its detection is reported back to the injector.
         self.injected = injected
@@ -89,9 +91,11 @@ class Uop:
         readers: issued uops that consumed this uop's result while it
             could still be squashed (the selective-reissue walk).
         verify_list: (consumer_uop, operand) pairs whose predictions
-            this producer must verify at writeback (§2.2).
+            this producer must verify at writeback (§2.2); a shared
+            empty tuple until the first one registers.
         free_on_commit: previous-mapping (cluster, preg) pairs to
-            release at commit.
+            release at commit; a shared empty tuple for a uop that
+            renames no destination.
         consumer / consumer_operand: VCOPY back-references.
         mispredicted_branch: direction predictor missed this branch.
         generation: bumped on invalidation so queued events become stale.
@@ -110,7 +114,7 @@ class Uop:
 
     __slots__ = ("kind", "dyn", "order", "cluster", "int_side", "fu",
                  "operands", "dest_preg", "dest_cluster", "state",
-                 "generation", "issue_cycle", "complete_cycle",
+                 "generation", "complete_cycle",
                  "min_issue_cycle", "unverified", "readers", "verify_list",
                  "free_on_commit", "consumer", "consumer_operand",
                  "mispredicted_branch", "reissue_count", "wake_cycle",
@@ -139,13 +143,12 @@ class Uop:
         self.dest_cluster: Optional[int] = None
         self.state = STATE_WAITING
         self.generation = 0
-        self.issue_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
         self.min_issue_cycle = min_issue_cycle
         self.unverified = 0
         self.readers: List["Uop"] = []
-        self.verify_list: List[Tuple["Uop", Operand]] = []
-        self.free_on_commit: List[Tuple[int, int]] = []
+        self.verify_list: Sequence[Tuple["Uop", Operand]] = ()
+        self.free_on_commit: Sequence[Tuple[int, int]] = ()
         self.consumer: Optional["Uop"] = None
         self.consumer_operand: Optional[Operand] = None
         self.mispredicted_branch = False

@@ -118,7 +118,8 @@ class ValuePredictor:
         (:meth:`repro.isa.executor.FunctionalExecutor.set_train_hooks`)
         binds one per predictable source of each static instruction.
         Implementations may override it to resolve table indices once,
-        at bind time.
+        at bind time.  A predictor whose ``update`` does nothing sets
+        ``trainer = None`` instead, so warming compiles no value hook.
         """
         return functools.partial(self.update, pc, slot)
 
@@ -129,6 +130,8 @@ class ValuePredictor:
 
 class NullPredictor(ValuePredictor):
     """Never offers a prediction — the paper's "no predict" configurations."""
+
+    trainer = None  # nothing to learn
 
     def predict(self, pc: int, slot: int, actual: int) -> Prediction:
         return self._record(Prediction(0, False), actual)

@@ -16,6 +16,8 @@ __all__ = ["PerfectPredictor"]
 class PerfectPredictor(ValuePredictor):
     """Oracle predictor: value = actual, always confident."""
 
+    trainer = None  # nothing to learn
+
     def predict(self, pc: int, slot: int, actual: int) -> Prediction:
         return self._record(Prediction(actual, True), actual)
 

@@ -10,7 +10,7 @@ exists for it.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import FrozenSet, NamedTuple, Optional, Sequence
 
 from .metrics import DCountTracker
 
@@ -27,12 +27,13 @@ def _all_clusters(n: int) -> FrozenSet[int]:
     return cached
 
 
-class SourceView:
+class SourceView(NamedTuple):
     """Decode-time facts about one source operand.
 
+    The core builds plain tuples of these fields, in this order, and
+    steerers unpack them positionally.
+
     Attributes:
-        logical: logical register id.
-        is_fp: operand lives in the fp bank (never predicted).
         available: value is already computed in at least one mapped
             cluster at decode time.
         mapped: clusters with a valid map-table field for the operand.
@@ -43,22 +44,10 @@ class SourceView:
         predicted: a confident value prediction exists for this operand.
     """
 
-    __slots__ = ("logical", "is_fp", "available", "mapped",
-                 "soonest_cluster", "predicted")
-
-    def __init__(self, logical: int, is_fp: bool, available: bool,
-                 mapped: FrozenSet[int], soonest_cluster: Optional[int],
-                 predicted: bool) -> None:
-        self.logical = logical
-        self.is_fp = is_fp
-        self.available = available
-        self.mapped = mapped
-        self.soonest_cluster = soonest_cluster
-        self.predicted = predicted
-
-    def __repr__(self) -> str:
-        return (f"<Src r{self.logical} avail={self.available} "
-                f"mapped={sorted(self.mapped)} pred={self.predicted}>")
+    available: bool
+    mapped: FrozenSet[int]
+    soonest_cluster: Optional[int]
+    predicted: bool
 
 
 class Steerer:
@@ -83,19 +72,20 @@ class Steerer:
                dcount: DCountTracker, pc: Optional[int] = None) -> int:
         """Return the cluster for an instruction with *sources*.
 
-        *pc* is the instruction's address; only PC-indexed schemes
-        (static partitioning) use it.
+        *sources* holds one :class:`SourceView` per source operand, in
+        slot order; the core passes plain tuples, so read them by
+        unpacking, not by field name.  *pc* is the instruction's
+        address; only PC-indexed schemes (static partitioning) use it.
 
         ``choose`` may be called several times for the same instruction
-        (the decode stage retries after structural stalls), so it must
-        be side-effect free; dispatch-dependent state belongs in
-        :meth:`notify_dispatch`.  The core updates DCOUNT after the
-        decision; implementations must not mutate it.
+        (the decode stage retries after structural stalls), so it may
+        set only :attr:`last_reason`.  The core updates *dcount* once
+        per actual dispatch, after the decision, so a scheme that
+        depends on past dispatches reads them there
+        (:attr:`DCountTracker.dispatches`); implementations must not
+        mutate it.
         """
         raise NotImplementedError
-
-    def notify_dispatch(self, cluster: int) -> None:
-        """Called once when an instruction actually dispatches."""
 
     def all_clusters(self) -> FrozenSet[int]:
         """The full candidate set."""

@@ -115,15 +115,13 @@ class RMBSSteerer(Steerer):
         relevant = 0
         mod2_applies = False
         use_mod1 = self.use_mod1
-        for src in sources:
-            predicted = src.predicted
+        for available, mapped, soonest, predicted in sources:
             if mod2 and predicted:
                 # Mod 2: this operand constrains nothing.
                 mod2_applies = True
                 continue
             relevant += 1
-            if src.available or (use_mod1 and predicted):
-                mapped = src.mapped
+            if available or (use_mod1 and predicted):
                 if mapped:
                     if map_a is None:
                         map_a = mapped
@@ -131,7 +129,6 @@ class RMBSSteerer(Steerer):
                         map_b = mapped
             else:
                 # Rule 2.1: vote for the cluster producing it soonest.
-                soonest = src.soonest_cluster
                 if soonest is not None:
                     if pend_a is None:
                         pend_a = soonest

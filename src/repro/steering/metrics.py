@@ -21,12 +21,13 @@ __all__ = ["DCountTracker", "NReadyMeter"]
 class DCountTracker:
     """The paper's DCOUNT workload counters.
 
-    Stored in offset form: ``_raw[c]`` is the true counter plus a
-    shared ``_offset`` that grows by one per dispatch.  That turns the
-    "every other counter falls by 1" part of a dispatch into a single
-    offset bump — O(1) instead of O(N) on the dispatch hot path —
-    while comparisons between counters (least-loaded picks) are
-    offset-invariant.  ``counters`` materializes the true values.
+    Stored in offset form: ``_raw[c]`` is the true counter plus the
+    shared offset ``dispatches``, the number of dispatches so far.
+    That turns the "every other counter falls by 1" part of a dispatch
+    into a single offset bump — O(1) instead of O(N) on the dispatch
+    hot path — while comparisons between counters (least-loaded
+    picks) are offset-invariant.  ``counters`` materializes the true
+    values.
     """
 
     def __init__(self, n_clusters: int) -> None:
@@ -34,22 +35,22 @@ class DCountTracker:
             raise ValueError("need at least one cluster")
         self.n_clusters = n_clusters
         self._raw: List[int] = [0] * n_clusters
-        self._offset = 0
+        self.dispatches = 0
 
     @property
     def counters(self) -> List[int]:
         """The true DCOUNT values (their sum is always zero)."""
-        offset = self._offset
+        offset = self.dispatches
         return [c - offset for c in self._raw]
 
     def dispatch(self, cluster: int) -> None:
         """Account one instruction dispatched to *cluster*."""
-        self._offset += 1
+        self.dispatches += 1
         self._raw[cluster] += self.n_clusters
 
     def imbalance(self) -> int:
         """Maximum absolute counter value (the steering imbalance figure)."""
-        offset = self._offset
+        offset = self.dispatches
         best = 0
         for c in self._raw:
             c -= offset

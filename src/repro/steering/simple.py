@@ -21,23 +21,17 @@ __all__ = ["RoundRobinSteerer", "BalanceOnlySteerer", "DependenceOnlySteerer"]
 class RoundRobinSteerer(Steerer):
     """Dispatch to clusters cyclically; perfect count balance, blind to data.
 
-    The cursor advances on *dispatch*, not on ``choose``, so decode-stage
-    retries after structural stalls do not perturb the rotation.
+    The rotation is DCOUNT's dispatch count, so it advances on
+    *dispatch*, not on ``choose``: decode-stage retries after
+    structural stalls do not perturb it.
     """
 
     name = "round-robin"
     last_reason = "round-robin"
 
-    def __init__(self, n_clusters: int) -> None:
-        super().__init__(n_clusters)
-        self._next = 0
-
     def choose(self, sources: Sequence[SourceView],
                dcount: DCountTracker, pc=None) -> int:
-        return self._next
-
-    def notify_dispatch(self, cluster: int) -> None:
-        self._next = (self._next + 1) % self.n_clusters
+        return dcount.dispatches % self.n_clusters
 
 
 class BalanceOnlySteerer(Steerer):
@@ -66,11 +60,11 @@ class DependenceOnlySteerer(Steerer):
                dcount: DCountTracker, pc=None) -> int:
         pending: Counter = Counter()
         mapped: Counter = Counter()
-        for src in sources:
-            if not src.available and src.soonest_cluster is not None:
-                pending[src.soonest_cluster] += 1
+        for available, mapped_in, soonest, _ in sources:
+            if not available and soonest is not None:
+                pending[soonest] += 1
             else:
-                for cluster in src.mapped:
+                for cluster in mapped_in:
                     mapped[cluster] += 1
         for votes, reason in ((pending, "pending"), (mapped, "mapped")):
             if votes:

@@ -38,17 +38,19 @@ def test_initial_state():
     assert uop.state == STATE_WAITING
     assert uop.generation == 0
     assert uop.unverified == 0
-    assert uop.readers == [] and uop.verify_list == []
+    assert uop.readers == []
+    # Allocated on first use.
+    assert len(uop.verify_list) == 0 and len(uop.free_on_commit) == 0
     assert uop.order == 5 and uop.cluster == 2
 
 
 def test_operand_defaults():
-    operand = Operand(MODE_LOCAL, preg=7, slot=1)
+    operand = Operand(MODE_LOCAL, preg=7)
     assert operand.mode == MODE_LOCAL
     assert operand.preg == 7
     assert operand.correct is True
     assert not operand.verified
-    assert operand.slot == 1
+    assert not operand.injected
     zero = Operand(MODE_ZERO)
     assert zero.preg is None
     pred = Operand(MODE_PRED, 3, correct=False)

@@ -3,6 +3,8 @@ hooks installed must observe exactly what decode observes, and the
 predictors' pre-bound trainers must train bit-identically to one
 ``predict_update``/``update`` call per event."""
 
+import re
+
 import pytest
 
 from repro.analysis.sampling import _WarmState
@@ -82,6 +84,19 @@ class TestFactoryEquivalence:
         called.skip(5_000)
         assert _state(warm.vp) == _state(ref.vp)
         assert _state(warm.vp) != _state(_WarmState(config).vp)
+
+    @pytest.mark.parametrize("predictor", ["none", "perfect"])
+    def test_nothing_to_learn_compiles_no_value_hook(self, predictor):
+        # These predictors' ``update`` does nothing, so warming them
+        # must not cost a call per integer source.
+        config = make_config(2, predictor=predictor, steering="vpb")
+        executor = FunctionalExecutor(build_workload(WORKLOAD), 5_000)
+        _WarmState(config).install_hooks(executor)
+        assert executor.skip(5_000) == 5_000
+        names = executor._code.ns
+        assert not [name for name in names
+                    if re.fullmatch(r"v\d+_\d+", name)]
+        assert [name for name in names if re.fullmatch(r"b\d+", name)]
 
     def test_architectural_results_unchanged_by_hooks(self):
         config = make_config(2, predictor="stride", steering="vpb")

@@ -3,12 +3,11 @@
 from repro.steering import BaselineSteerer, DCountTracker, SourceView
 
 
-def src(logical=1, available=True, mapped=(0,), soonest=None,
-        predicted=False, is_fp=False):
+def src(available=True, mapped=(0,), soonest=None, predicted=False):
     mapped = frozenset(mapped)
     if soonest is None and mapped:
         soonest = min(mapped)
-    return SourceView(logical, is_fp, available, mapped, soonest, predicted)
+    return SourceView(available, mapped, soonest, predicted)
 
 
 def fresh(n=4, threshold=None):
@@ -94,7 +93,7 @@ class TestRule23NoSources:
     def test_zero_register_only_counts_as_unconstrained(self):
         steerer, dcount = fresh()
         dcount.dispatch(0)
-        views = [SourceView(0, False, True, frozenset(), None, False)]
+        views = [SourceView(True, frozenset(), None, False)]
         assert steerer.choose(views, dcount) == dcount.least_loaded()
 
 

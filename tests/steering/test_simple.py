@@ -13,7 +13,7 @@ def test_round_robin_cycles():
     for _ in range(7):
         cluster = steerer.choose([], dcount)
         picks.append(cluster)
-        steerer.notify_dispatch(cluster)
+        dcount.dispatch(cluster)
     assert picks == [0, 1, 2, 0, 1, 2, 0]
 
 
@@ -22,7 +22,7 @@ def test_round_robin_retries_do_not_advance():
     dcount = DCountTracker(3)
     # choose() called repeatedly (decode retries) stays put...
     assert [steerer.choose([], dcount) for _ in range(3)] == [0, 0, 0]
-    steerer.notify_dispatch(0)
+    dcount.dispatch(0)
     # ...and only the dispatch advances the cursor.
     assert steerer.choose([], dcount) == 1
 

@@ -86,8 +86,8 @@ class TestModifiedScheme:
     def test_fp_operands_never_predicted_still_constrain(self):
         steerer = ModifiedSteerer(4)
         dcount = DCountTracker(4)
-        views = [src(available=True, mapped=(2,), predicted=False,
-                     is_fp=True)]
+        # Steering sees an fp operand as one with no prediction.
+        views = [src(available=True, mapped=(2,), predicted=False)]
         assert steerer.choose(views, dcount) == 2
 
 

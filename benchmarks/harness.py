@@ -274,32 +274,38 @@ def sweep_timings(cells, jobs: int) -> dict:
 
 def detailed_vs_sampled(workload: str, config, length: int, sampling,
                         repeats: int = 1) -> Tuple[dict, str]:
-    """One detailed run of *length* instructions against the fastest of
-    *repeats* sampled runs, in-process on one host: the
-    ``sampled_sweep`` entry's per-workload row (``ipc_error`` signed)
-    and both timings with their spread.
+    """A detailed run of *length* instructions and the sampled run of
+    the same workload, timed in one :func:`interleaved` call, *repeats*
+    rounds alternating which side goes first, in-process on one host:
+    the ``sampled_sweep`` entry's per-workload row (``ipc_error``
+    signed; rates and speedup from each side's median seconds) and both
+    timings with their quartiles.
     """
-    program = build_workload(workload)
-    detailed = interleaved({"detailed": lambda: simulate(
-        FunctionalExecutor(program, length).run(), config,
-        max_instructions=length)}, 1)["detailed"]
-    sampled = interleaved({"sampled": lambda: simulate(
-        build_workload(workload), config, max_instructions=length,
-        sampling=sampling, workload_name=workload)}, repeats)["sampled"]
+    timings = interleaved({
+        "detailed": lambda: simulate(
+            FunctionalExecutor(build_workload(workload), length).run(),
+            config, max_instructions=length),
+        "sampled": lambda: simulate(
+            build_workload(workload), config, max_instructions=length,
+            sampling=sampling, workload_name=workload)}, repeats)
+    detailed, sampled = timings["detailed"], timings["sampled"]
     stats, estimate = detailed.result.stats, sampled.result
     ipc = stats.committed_insts / stats.cycles
-    rate = stats.committed_insts / detailed.min
+    detailed_seconds = detailed.quartiles[1]
+    sampled_seconds = sampled.quartiles[1]
+    rate = stats.committed_insts / detailed_seconds
+    effective = estimate.total_insts / sampled_seconds
     return {
         "workload": workload,
         "detailed_ipc": ipc,
         "sampled_ipc": estimate.ipc,
         "ipc_error": (estimate.ipc - ipc) / ipc,
         "ipc_ci95": estimate.ipc_ci95,
-        "detailed_seconds": detailed.min,
-        "sampled_seconds": estimate.wall_seconds,
+        "detailed_seconds": detailed_seconds,
+        "sampled_seconds": sampled_seconds,
         "detailed_insts_per_second": rate,
-        "effective_insts_per_second": estimate.effective_insts_per_second,
-        "speedup": estimate.effective_insts_per_second / rate,
+        "effective_insts_per_second": effective,
+        "speedup": effective / rate,
     }, f"detailed {detailed}, sampled {sampled}"
 
 

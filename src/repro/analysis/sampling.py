@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ProcessorConfig
-from ..core.processor import Processor
+from ..core.processor import Components, Processor
 from ..errors import ConfigError
 from ..isa.executor import FunctionalExecutor
 from ..isa.program import Program
@@ -273,13 +273,12 @@ class SampledResult:
 
 # ------------------------------------------------------- functional warming --
 
-class _WarmState:
+class _WarmState(Components):
     """Predictor/cache state shared by every window of one sampled run.
 
-    One value predictor, direction predictor, BTB, and memory
-    hierarchy are built from the processor configuration, trained
-    continuously during fast-forward (through the executor's compiled
-    hooks) and handed to each window's processor
+    The configuration's cold :class:`~repro.core.processor.Components`,
+    trained continuously during fast-forward (through the executor's
+    compiled hooks) and handed to each window's processor
     (``Processor(..., shared=...)``) in place of the cold instances it
     would build.  The stream these components observe — fast-forward
     training between windows, real front-end/decode traffic inside
@@ -287,16 +286,6 @@ class _WarmState:
     detailed run would have shown them, so each window opens with
     faithfully warmed microarchitectural state.
     """
-
-    def __init__(self, config: ProcessorConfig) -> None:
-        from ..core.processor import _build_predictor
-        from ..frontend import BranchTargetBuffer, CombinedPredictor
-        from ..memory import MemoryHierarchy
-        self.vp = _build_predictor(config)
-        self.bpred = CombinedPredictor()
-        self.btb = (BranchTargetBuffer(config.btb_entries)
-                    if config.btb_entries else None)
-        self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
 
     def install_hooks(self, executor: FunctionalExecutor) -> None:
         """Train this state during the executor's fast-forward."""

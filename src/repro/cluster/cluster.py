@@ -34,12 +34,6 @@ class Cluster:
         """Total queued uops (both sides)."""
         return len(self.iq_int) + len(self.iq_fp)
 
-    def queue_depths(self) -> tuple:
-        """Instant (int, fp) queue occupancies — observability gauges
-        and watchdog snapshots read this instead of poking the queues.
-        """
-        return (len(self.iq_int), len(self.iq_fp))
-
     def __repr__(self) -> str:
         return (f"<Cluster {self.cluster_id}: iq_int={len(self.iq_int)} "
                 f"iq_fp={len(self.iq_fp)}>")

@@ -144,20 +144,6 @@ class FUPool:
         """Unused fp issue slots this cycle."""
         return self.fp_width - self._fp_issued
 
-    def idle_capacity(self, int_side: bool) -> int:
-        """Additional instructions of that side this cluster could issue.
-
-        Used by the NREADY imbalance meter: idle capacity is bounded by
-        both the remaining issue width and the remaining units.
-        """
-        if int_side:
-            units_left = (self.int_units - self._idiv_busy_now
-                          - self._int_units_used)
-            return max(0, min(self.int_width_left(), units_left))
-        units_left = (self.fp_units - self._fdiv_busy_now
-                      - self._fp_units_used)
-        return max(0, min(self.fp_width_left(), units_left))
-
     # -- issue -------------------------------------------------------------------
 
     def descriptor(self, opclass: OpClass) -> tuple:

@@ -7,6 +7,10 @@ latency *l* marks its destination ready at ``c + l``, which lets a local
 dependent issue back-to-back).  ``producer`` links each pending register
 to the uop that will write it, which steering (rule 2.1) and the
 invalidation walk both need.
+
+The cycle loop (:mod:`repro.core.processor`) reads ``ready`` directly,
+and its commit stage resets a freed register's entry (ready ``NEVER``,
+no producer, every waiter woken) next to the free-pool release.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ class RegisterFile:
         #: Issue-stage wakeup: uops parked on a register's readiness.
         #: ``set_ready`` lowers each waiter's ``wake_cycle`` to the new
         #: ready cycle (and its issue queue's ``next_try`` bound through
-        #: the ``Uop.iq`` back-reference).  The list lives until
-        #: ``clear``: selective reissue can reset the register to
+        #: the ``Uop.iq`` back-reference).  The list lives until the
+        #: register is freed: selective reissue can reset the register to
         #: pending and reschedule it *earlier*, and the waiters already
         #: woken for the old cycle must hear of that too.  A stale entry
         #: (the waiter issued or was invalidated meanwhile) only
@@ -57,30 +61,3 @@ class RegisterFile:
         """*preg* is allocated but its value is still being produced."""
         self.ready[preg] = NEVER
         self.producer[preg] = producer
-
-    def is_ready(self, preg: int, cycle: int) -> bool:
-        """True when *preg* can feed an instruction issuing at *cycle*."""
-        return self.ready[preg] <= cycle
-
-    def ready_cycle(self, preg: int) -> int:
-        """Scheduled ready cycle (``NEVER`` when unscheduled)."""
-        return self.ready[preg]
-
-    def clear(self, preg: int) -> None:
-        """Reset scoreboard state when the register is freed.
-
-        The core's commit stage inlines this, next to the free-list
-        release it pairs with.
-        """
-        self.ready[preg] = NEVER
-        self.producer[preg] = None
-        # A reader older than the freeing writer cannot still be parked
-        # here (it must commit first), but wake defensively: a spurious
-        # rescan is harmless, a missed wake would hang the consumer.
-        waiters = self.waiters.pop(preg, None)
-        if waiters:
-            for uop in waiters:
-                uop.wake_cycle = 0
-                iq = uop.iq
-                if iq is not None:
-                    iq.next_try = 0

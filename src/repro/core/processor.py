@@ -43,8 +43,7 @@ from ..obs.interval import IntervalMetrics
 from ..obs.tracer import POSTMORTEM_WINDOW
 from ..predictor import (ContextPredictor, HybridPredictor, NullPredictor,
                          PerfectPredictor, StridePredictor, ValuePredictor)
-from ..rename import RenameUnit
-from ..rename.renamer import FP_BANK, INT_BANK
+from ..rename import FP_BANK, INT_BANK, RenameUnit
 from ..steering import (BalanceOnlySteerer, BaselineSteerer, DCountTracker,
                         DependenceOnlySteerer, ModifiedSteerer, NReadyMeter,
                         RoundRobinSteerer, StaticSteerer, VPBSteerer)
@@ -163,6 +162,23 @@ def _build_predictor(config: ProcessorConfig) -> ValuePredictor:
     raise ValueError(f"unknown predictor {config.predictor!r}")
 
 
+class Components:
+    """The value predictor, branch predictor, BTB and memory hierarchy
+    of a configuration, built cold.
+
+    A :class:`Processor` builds its own unless it is handed one
+    (``shared=``); sampled simulation warms one across its windows
+    (:mod:`repro.analysis.sampling`).
+    """
+
+    def __init__(self, config: ProcessorConfig) -> None:
+        self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
+        self.bpred = CombinedPredictor()
+        self.btb = (BranchTargetBuffer(config.btb_entries)
+                    if config.btb_entries else None)
+        self.vp = _build_predictor(config)
+
+
 class Processor:
     """One simulation instance: a config plus a dynamic trace to replay.
 
@@ -181,11 +197,10 @@ class Processor:
             stages emit typed events into it (docs/OBSERVABILITY.md).
         profiler: optional :class:`~repro.obs.PhaseProfiler`; the run
             loop attributes host wall-clock to its pipeline stages.
-        shared: optional object whose ``vp``, ``bpred``, ``btb`` and
-            ``memory`` replace the cold value predictor, branch
-            predictor, BTB and memory hierarchy this processor would
-            build; sampled simulation passes the state its functional
-            warming trains (:mod:`repro.analysis.sampling`).
+        shared: optional :class:`Components` used in place of the cold
+            ones this processor would build; sampled simulation passes
+            the ones its functional warming trains
+            (:mod:`repro.analysis.sampling`).
 
     All three observers are strictly read-only: with any combination
     installed, the committed instruction stream and every ``SimStats``
@@ -214,16 +229,11 @@ class Processor:
         self.stats.issued_per_cluster = [0] * config.n_clusters
         self.stats.iq_occupancy_sum = [0] * config.n_clusters
         if shared is None:
-            self.memory = MemoryHierarchy(dcache_ports=config.dcache_ports)
-            self.bpred = CombinedPredictor()
-            self.btb = (BranchTargetBuffer(config.btb_entries)
-                        if config.btb_entries else None)
-            self.vp = _build_predictor(config)
-        else:
-            self.memory = shared.memory
-            self.bpred = shared.bpred
-            self.btb = shared.btb
-            self.vp = shared.vp
+            shared = Components(config)
+        self.memory = shared.memory
+        self.bpred = shared.bpred
+        self.btb = shared.btb
+        self.vp = shared.vp
         self.fetch = FetchEngine(trace, self.memory.fetch_latency,
                                  self.bpred, width=config.fetch_width,
                                  buffer_capacity=config.fetch_buffer,
@@ -237,7 +247,7 @@ class Processor:
             for c in range(config.n_clusters)]
         self.renamer = RenameUnit(NUM_LOGICAL_REGS, config.n_clusters,
                                   config.pregs_per_cluster)
-        for _, cluster, preg in self.renamer.initial_mappings():
+        for cluster, preg in self.renamer.reset_mapping():
             self.clusters[cluster].regfile.set_ready(preg, 0)
         self.interconnect = Interconnect(config.n_clusters,
                                          config.comm_latency,
@@ -268,18 +278,8 @@ class Processor:
         # data value (the store-queue data side).
         self._stores_awaiting_data: List[Uop] = []
         self._dports_used = 0
-        # Hot-path views, hoisted once: the decode loop reads the map
-        # table, its mapped-cluster caches, the free lists and the ready
-        # scoreboards for every instruction, so it indexes these
-        # directly instead of chasing renamer -> map_table -> _map (and
-        # cluster -> regfile -> ready) method chains per operand.
-        map_table = self.renamer.map_table
-        self._map_rows = map_table._map
-        self._mapped_lists = map_table._mapped_cache
-        self._mapped_sets = map_table._mapped_sets
-        self._single_lists = map_table._single_lists
-        self._single_sets = map_table._single_sets
-        self._free_lists = self.renamer._free
+        # The decode loop reads every cluster's ready scoreboard for
+        # every source operand.
         self._ready_arrays = [cl.regfile.ready for cl in self.clusters]
         # With one cluster every operand is local: decode needs no
         # steering views, steering decision or copies.
@@ -411,27 +411,6 @@ class Processor:
                          vp_stats, bp_stats, validation,
                          metrics=self.metrics, profile=self.profiler)
 
-    def describe_state(self) -> str:
-        """One-line-per-structure snapshot for debugging stuck runs."""
-        lines = [f"cycle {self.cycle}: ROB {len(self.rob)}"
-                 f"/{self.config.rob_size}, "
-                 f"fetch {'done' if self.fetch.done else 'active'}"]
-        for cluster in self.clusters:
-            lines.append(
-                f"  cluster {cluster.cluster_id}: "
-                f"iq_int {len(cluster.iq_int)}/{cluster.iq_int.capacity} "
-                f"iq_fp {len(cluster.iq_fp)}/{cluster.iq_fp.capacity} "
-                f"dcount {self.dcount.counters[cluster.cluster_id]}")
-        if self.rob:
-            head = self.rob[0]
-            lines.append(f"  ROB head: {head!r} unverified={head.unverified}"
-                         f" min_issue={head.min_issue_cycle}")
-        lines.append(f"  pending store addrs: "
-                     f"{len(self._pending_store_addrs)}, "
-                     f"stores awaiting data: "
-                     f"{len(self._stores_awaiting_data)}")
-        return "\n".join(lines)
-
     def pipeline_snapshot(self, cycle: int, last_commit_cycle: int,
                           budget: int) -> PipelineSnapshot:
         """Structured stall post-mortem (the watchdog's failure payload)."""
@@ -445,8 +424,7 @@ class Processor:
                 iq_int_capacity=cluster.iq_int.capacity,
                 iq_fp_occupancy=len(cluster.iq_fp),
                 iq_fp_capacity=cluster.iq_fp.capacity,
-                free_pregs=[self.renamer.free_count(cid, bank)
-                            for bank in (0, 1)]))
+                free_pregs=[len(pool) for pool in self.renamer.free[cid]]))
         return PipelineSnapshot(
             cycle=cycle,
             last_commit_cycle=last_commit_cycle,
@@ -625,20 +603,25 @@ class Processor:
             uop.state = STATE_COMMITTED
             retired += 1
             if uop.free_on_commit:
-                # Free the previous mapping set (Figure 1), with
-                # RenameUnit.release and RegisterFile.clear inlined.
-                pregs_per_bank = self.config.pregs_per_cluster
+                # Free the previous mapping set (Figure 1): each register
+                # returns to its pool and its scoreboard entry resets.
+                renamer = self.renamer
+                pregs_per_bank = renamer.pregs_per_bank
                 for fcluster, fpreg in uop.free_on_commit:
                     bank, index = divmod(fpreg, pregs_per_bank)
-                    free = self._free_lists[fcluster][bank]
-                    if not free._allocated[index]:
+                    allocated = renamer.allocated[fcluster][bank]
+                    if not allocated[index]:
                         raise ValueError(
                             f"double free of physical register {index}")
-                    free._allocated[index] = False
-                    free._free.append(index)
+                    allocated[index] = False
+                    renamer.free[fcluster][bank].append(index)
                     regfile = clusters[fcluster].regfile
                     regfile.ready[fpreg] = NEVER
                     regfile.producer[fpreg] = None
+                    # A reader older than this writer cannot still be
+                    # parked here (it committed first), but wake
+                    # defensively: a spurious rescan is harmless, a
+                    # missed wake would hang the consumer.
                     waiters = regfile.waiters.pop(fpreg, None)
                     if waiters:
                         for waiter in waiters:
@@ -951,7 +934,7 @@ class Processor:
             pool = cluster.fupool
             if pool._cycle != cycle:
                 pool.begin_cycle(cycle)
-            # FUPool.idle_capacity, per side: the remaining width,
+            # Idle capacity per side: the remaining issue width,
             # bounded by the units left (never negative).
             width = pool.int_width - pool._int_issued
             units = pool.int_units - pool._idiv_busy_now - pool._int_units_used
@@ -1070,13 +1053,13 @@ class Processor:
         """Steering's decode-time view of each source operand (§2.3.1).
 
         Plain :class:`~repro.steering.SourceView` tuples.  Mapped clusters
-        come from the map table's caches; a single-mapped operand (the
+        come from the rename unit's caches; a single-mapped operand (the
         overwhelmingly common case) needs no soonest-cluster tournament.
         """
-        map_table = self.renamer.map_table
-        mapped_lists = self._mapped_lists
-        mapped_sets = self._mapped_sets
-        map_rows = self._map_rows
+        renamer = self.renamer
+        mapped_lists = renamer.mapped_lists
+        mapped_sets = renamer.mapped_sets
+        map_rows = renamer.rows
         ready_arrays = self._ready_arrays
         views = []
         for slot, logical, fp in template.sources:
@@ -1085,10 +1068,10 @@ class Processor:
                 continue
             mapped = mapped_lists[logical]
             if mapped is None:
-                mapped = map_table.mapped_clusters(logical)
+                mapped = renamer.mapped_clusters(logical)
             mapped_set = mapped_sets[logical]
             if mapped_set is None:
-                mapped_set = map_table.mapped_set(logical)
+                mapped_set = renamer.mapped_set(logical)
             row = map_rows[logical]
             if len(mapped) == 1:
                 best = mapped[0]
@@ -1134,7 +1117,7 @@ class Processor:
         if self._injector is not None:
             cluster_id = self._injector.flip_steering(
                 cluster_id, self.config.n_clusters, dyn.pc)
-        map_rows = self._map_rows
+        map_rows = self.renamer.rows
         ready = self._ready_arrays[cluster_id]
         clusters = self.clusters
         local = self._local_operands
@@ -1191,8 +1174,8 @@ class Processor:
                 return stall
         else:
             if (template.dest is not None
-                    and not self._free_lists[cluster_id][
-                        template.dest_bank]._free):
+                    and not self.renamer.free[cluster_id][
+                        template.dest_bank]):
                 return "pregs"
             if len(own_queue._entries) >= own_queue.capacity:
                 return "iq"
@@ -1209,7 +1192,7 @@ class Processor:
         source reads its local register or speculates on a prediction.
         """
         predictions = self._predictions(fetched, template)
-        map_rows = self._map_rows
+        map_rows = self.renamer.rows
         ready = self._ready_arrays[0]
         local = self._local_operands
         operands = []
@@ -1230,7 +1213,7 @@ class Processor:
                 specials = []
             specials.append((operand, slot, logical, fp, 0))
         if (template.dest is not None
-                and not self._free_lists[0][template.dest_bank]._free):
+                and not self.renamer.free[0][template.dest_bank]):
             return "pregs"
         cluster = self.clusters[0]
         queue = cluster.iq_int if template.int_side else cluster.iq_fp
@@ -1262,9 +1245,9 @@ class Processor:
         for operand, _, _, fp, src_cluster in specials:
             if operand is None and src_cluster is not None:
                 needed[FP_BANK if fp else INT_BANK] += 1
-        free = self._free_lists[cluster_id]
-        if (len(free[INT_BANK]._free) < needed[INT_BANK]
-                or len(free[FP_BANK]._free) < needed[FP_BANK]):
+        free = self.renamer.free[cluster_id]
+        if (len(free[INT_BANK]) < needed[INT_BANK]
+                or len(free[FP_BANK]) < needed[FP_BANK]):
             return "pregs"
         # Issue-queue space: the instruction in its cluster/side, each
         # (v)copy in its source cluster on the value's side.
@@ -1284,7 +1267,8 @@ class Processor:
         uop.mispredicted_branch = fetched.mispredicted
         stats = self.stats
         clusters = self.clusters
-        map_rows = self._map_rows
+        renamer = self.renamer
+        map_rows = renamer.rows
         local = self._local_operands
         helpers = None
         # The rename work planned at decode, in slot order: speculative
@@ -1320,7 +1304,8 @@ class Processor:
                 helper = Uop(KIND_COPY, dyn, 0, src_cluster, not fp, None,
                              [local[map_rows[logical][src_cluster]]],
                              min_issue)
-                replica = self.renamer.alloc_replica(logical, cluster_id)
+                replica = renamer.alloc_replica(
+                    logical, cluster_id, FP_BANK if fp else INT_BANK)
                 operands[slot] = local[replica]
                 helper.dest_preg = replica
                 helper.dest_cluster = cluster_id
@@ -1329,16 +1314,15 @@ class Processor:
             if helpers is None:
                 helpers = []
             helpers.append(helper)
-        # Destination rename (Figure 1), RenameUnit.define_dest inlined:
-        # a free register of the bank becomes the only valid mapping,
-        # and the previous mapping set is freed when this one commits.
+        # Destination rename (Figure 1): a free register of the bank
+        # becomes the only valid mapping, and the previous mapping set
+        # is freed when this instruction commits.
         dest = template.dest
         if dest is not None:
             bank = template.dest_bank
-            free = self._free_lists[cluster_id][bank]
-            index = free._free.popleft()
-            free._allocated[index] = True
-            preg = index + bank * self.config.pregs_per_cluster
+            index = renamer.free[cluster_id][bank].popleft()
+            renamer.allocated[cluster_id][bank][index] = True
+            preg = index + bank * renamer.pregs_per_bank
             row = map_rows[dest]
             previous = []
             for c, mapped in enumerate(row):
@@ -1346,16 +1330,17 @@ class Processor:
                     previous.append((c, mapped))
                     row[c] = None
             row[cluster_id] = preg
-            self._mapped_lists[dest] = self._single_lists[cluster_id]
-            self._mapped_sets[dest] = self._single_sets[cluster_id]
+            renamer.mapped_lists[dest] = renamer.single_lists[cluster_id]
+            renamer.mapped_sets[dest] = renamer.single_sets[cluster_id]
             uop.dest_preg = preg
             uop.dest_cluster = cluster_id
             uop.free_on_commit = previous
             self._ready_arrays[cluster_id][preg] = NEVER
             clusters[cluster_id].regfile.producer[preg] = uop
         # Helpers precede the instruction in dispatch (and ROB) order.
-        # Issue-queue insertion is IssueQueue.dispatch() inlined: append
-        # plus a next_try lower-bound update.
+        # Dispatch order is age order: a uop enters its issue queue at
+        # the end, and lowers the queue's next_try bound to its own
+        # earliest issue cycle.
         tracer = self._tracer
         next_order = self._next_order
         rob_append = self.rob.append

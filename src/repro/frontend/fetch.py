@@ -7,16 +7,17 @@ conditional branch until the core reports the branch resolved (plus one
 redirect cycle).  Fetch may continue past taken branches in the same
 cycle ("aggressive instruction fetch mechanism", §2).
 
-Fetched instructions enter an internal fetch buffer; the decode stage
-drains instructions one cycle after they were fetched ("value
-predictions are available 1 cycle after the fetch, i.e. at the decode
-stage" relies on this spacing).
+Fetched instructions enter the fetch buffer (``_buffer``).  The decode
+stage (:mod:`repro.core.processor`) drains it in order, taking only
+instructions fetched in an earlier cycle ("value predictions are
+available 1 cycle after the fetch, i.e. at the decode stage" relies on
+this spacing), and pops each one only once it dispatches.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from ..isa.instruction import DynInst
 
@@ -84,11 +85,6 @@ class FetchEngine:
             return None
 
     @property
-    def trace_exhausted(self) -> bool:
-        """True once every trace instruction has been fetched."""
-        return self._lookahead is None
-
-    @property
     def done(self) -> bool:
         """True when nothing remains to fetch or decode."""
         return self._lookahead is None and not self._buffer
@@ -135,14 +131,6 @@ class FetchEngine:
                 self._waiting_branch = dyn.seq
                 break
         return fetched
-
-    def take_decodable(self, cycle: int, max_count: int) -> List[FetchedInst]:
-        """Pop up to *max_count* instructions fetched before *cycle*."""
-        group: List[FetchedInst] = []
-        while (self._buffer and len(group) < max_count
-               and self._buffer[0].fetch_cycle < cycle):
-            group.append(self._buffer.popleft())
-        return group
 
     def _needs_btb(self, dyn: DynInst) -> bool:
         """True when a taken transfer's target is not in the BTB.

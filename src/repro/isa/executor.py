@@ -243,7 +243,8 @@ class FunctionalExecutor:
         ``halt`` and off-segment PCs single-step through one-instruction
         functions from the same generator.  Stops early at ``halt`` or
         the ``max_instructions`` cap, and raises where :meth:`run`
-        would.
+        would, with the cursor committed through the last completed
+        instruction as :meth:`run` leaves it.
         """
         if self.halted or count <= 0:
             return 0
@@ -256,29 +257,34 @@ class FunctionalExecutor:
             code = self._code = _BlockCode(self.program, self.int_regs,
                                            self.fp_regs, self._train_hooks)
         lengths, blocks, steps = code.lengths, code.blocks, code.steps
-        base = self.program.code_base
-        idx = (self.pc - base) // INSTRUCTION_BYTES
+        idx = (self.pc - self.program.code_base) // INSTRUCTION_BYTES
         todo = left
-        while todo:
-            n = lengths[idx]
-            if 0 < n <= todo:
-                block = blocks[idx]
-                if block is None:
-                    block = blocks[idx] = code.build(idx, idx + n)
-                idx = block()
-                todo -= n
-                continue
-            step = steps[idx]
-            if step is None:
-                step = steps[idx] = code.build(idx, idx + 1)
-            nxt = step()
-            if nxt < 0:  # halt: pc stays on the halt instruction
-                self.halted = True
-                break
-            idx = nxt
-            todo -= 1
+        try:
+            while todo:
+                n = lengths[idx]
+                if 0 < n <= todo:
+                    block = blocks[idx]
+                    if block is None:
+                        block = blocks[idx] = code.build(idx, idx + n)
+                    idx = block()
+                    todo -= n
+                    continue
+                step = steps[idx]
+                if step is None:
+                    step = steps[idx] = code.build(idx, idx + 1)
+                nxt = step()
+                if nxt < 0:  # halt: pc stays on the halt instruction
+                    self.halted = True
+                    break
+                idx = nxt
+                todo -= 1
+        except Exception as exc:
+            failed = code.raised_at(idx, exc.__traceback__)
+            self.pc = code.pc(failed)
+            self.seq += left - todo + failed - idx
+            raise
         done = left - todo
-        self.pc = base + idx * INSTRUCTION_BYTES
+        self.pc = code.pc(idx)
         self.seq += done
         return done
 
@@ -535,7 +541,7 @@ class _BlockCode:
     """
 
     __slots__ = ("insts", "base", "lengths", "blocks", "steps", "ns",
-                 "targets", "line_checks", "value", "branch")
+                 "targets", "faults", "line_checks", "value", "branch")
 
     def __init__(self, program: Program, int_regs: list, fp_regs: list,
                  hooks: Optional[tuple]) -> None:
@@ -551,7 +557,7 @@ class _BlockCode:
         leader[0] = True
         # Branch targets as static indices.  The fall-off and each target
         # with no instruction get sentinel indices, by pc, from ``size``.
-        faults = {base + size * INSTRUCTION_BYTES: size}
+        faults = self.faults = {base + size * INSTRUCTION_BYTES: size}
         self.targets = targets = [size] * size
         # Sites of the I-cache line check: where a fetch line starts and
         # where a cross-line branch or jump lands.  Only these can
@@ -597,6 +603,31 @@ class _BlockCode:
         ns = self.ns
         exec(compile(source, f"<fast-forward {start}:{stop}>", "exec"), ns)
         return ns.pop("block")
+
+    def pc(self, i: int) -> int:
+        """The pc of static index *i*; a sentinel's is the target it
+        stands for."""
+        if i < len(self.insts):
+            return self.base + i * INSTRUCTION_BYTES
+        return list(self.faults)[i - len(self.insts)]
+
+    def raised_at(self, start: int, tb) -> int:
+        """The static index of the instruction that raised in the
+        function run at index *start*, from its traceback *tb*.
+
+        A compiled function's failing line maps back to its instruction
+        by regenerating its lines; a sentinel's step raises for itself.
+        """
+        while tb is not None and not tb.tb_frame.f_code.co_filename \
+                .startswith("<fast-forward "):
+            tb = tb.tb_next
+        i = start
+        if tb is not None:
+            line = tb.tb_lineno - 2    # below "def block():", " global L"
+            while (n := len(self._lines(i))) < line:
+                line -= n
+                i += 1
+        return i
 
     def _lines(self, i: int) -> List[str]:
         """Source lines for static instruction *i*: hooks, then effect."""

@@ -1,7 +1,5 @@
-"""Register renaming substrate: map table, free lists, rename unit."""
+"""Register renaming state: the map table and the free pools."""
 
-from .free_list import FreeList
-from .map_table import MapTable
-from .renamer import RenameUnit
+from .renamer import FP_BANK, INT_BANK, RenameUnit
 
-__all__ = ["FreeList", "MapTable", "RenameUnit"]
+__all__ = ["FP_BANK", "INT_BANK", "RenameUnit"]

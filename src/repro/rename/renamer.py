@@ -1,11 +1,19 @@
-"""Rename unit: map table + free lists + Figure 1 lifecycle.
+"""Rename state: the N-field map table and the per-cluster free pools.
 
-The cycle-level core drives this unit at decode: it pre-checks that
-every allocation an instruction needs (destination register plus one
-replica per remote source that requires a copy) can be satisfied, then
-performs them.  Physical registers are freed when the next writer of
-the same logical register commits, releasing the whole previous mapping
-set (the original plus any replicas), exactly as §2.1 describes.
+§2.1 / Figure 1: one map-table entry per logical register with one
+field per cluster; a valid field names the physical register holding
+(or about to hold) that logical register's value in that cluster.
+"Each cluster has a free pool of physical registers from where they
+are allocated when needed."
+
+The rules live in the cycle loop (:mod:`repro.core.processor`): decode
+checks that every allocation an instruction needs can be satisfied;
+``_dispatch`` renames the destination (a free register of its bank
+becomes the only valid field, and the previous mapping set, original
+plus replicas, rides on the uop) and allocates copy replicas through
+:meth:`RenameUnit.alloc_replica`; ``_commit`` returns a writer's
+previous mapping set to the pools.  This module holds the state they
+read and write.
 
 Like the paper's SimpleScalar substrate (and the Alpha it modelled),
 physical registers come in separate **integer and floating-point banks**
@@ -19,131 +27,95 @@ covers both banks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..isa.registers import is_fp_reg
-from .free_list import FreeList
-from .map_table import MapTable
 
-__all__ = ["RenameUnit"]
+__all__ = ["FP_BANK", "INT_BANK", "RenameUnit"]
 
 INT_BANK = 0
 FP_BANK = 1
 
 
 class RenameUnit:
-    """Owns the map table and the per-cluster, per-bank free pools.
+    """The map table and the free pools of one processor.
 
-    At reset every logical register receives one valid mapping; the
-    mappings are spread round-robin over the clusters so no single free
-    pool starts depleted.
+    Attributes:
+        rows: per logical register, one field per cluster: the physical
+            register of its value there, or ``None``.
+        mapped_lists, mapped_sets: per logical register, the clusters
+            with a valid field, as a list and as a frozenset (steering
+            reads both for every source of every instruction); ``None``
+            until :meth:`mapped_clusters` / :meth:`mapped_set` refill
+            them.  Shared entries: treat them as read-only.
+        single_lists, single_sets: the cache entries of a register
+            mapped in one cluster only, one per cluster, so a
+            destination rename leaves no cache miss.
+        free: per cluster, per bank, the FIFO pool of free bank-local
+            register indices.
+        allocated: per cluster, per bank, whether each bank-local index
+            is checked out.
     """
 
     def __init__(self, n_logical: int, n_clusters: int,
                  pregs_per_bank: int) -> None:
-        self.n_logical = n_logical
         self.n_clusters = n_clusters
         self.pregs_per_bank = pregs_per_bank
-        self.map_table = MapTable(n_logical, n_clusters)
-        self._free: List[List[FreeList]] = [
-            [FreeList(pregs_per_bank), FreeList(pregs_per_bank)]
-            for _ in range(n_clusters)]
-        self._initial: List[Tuple[int, int, int]] = []
-        for logical in range(n_logical):
-            cluster = logical % n_clusters
-            preg = self._alloc(logical, cluster)
-            if preg is None:  # pragma: no cover - config validation prevents
-                raise ValueError("register file too small for the initial "
-                                 "architectural mapping")
-            self.map_table.define(logical, cluster, preg)
-            self._initial.append((logical, cluster, preg))
+        self.rows: List[List[Optional[int]]] = [
+            [None] * n_clusters for _ in range(n_logical)]
+        self.mapped_lists: List[Optional[List[int]]] = [None] * n_logical
+        self.mapped_sets: List[Optional[FrozenSet[int]]] = [None] * n_logical
+        self.single_lists = [[c] for c in range(n_clusters)]
+        self.single_sets = [frozenset((c,)) for c in range(n_clusters)]
+        self.free = [[deque(range(pregs_per_bank)) for _ in range(2)]
+                     for _ in range(n_clusters)]
+        self.allocated = [[[False] * pregs_per_bank for _ in range(2)]
+                          for _ in range(n_clusters)]
 
-    # -- bank plumbing -----------------------------------------------------------
+    def reset_mapping(self) -> List[Tuple[int, int]]:
+        """Give every logical register one valid mapping.
 
-    @staticmethod
-    def bank_of(logical: int) -> int:
-        """INT_BANK or FP_BANK for a logical register id."""
-        return FP_BANK if is_fp_reg(logical) else INT_BANK
-
-    def _alloc(self, logical: int, cluster: int) -> Optional[int]:
-        bank = self.bank_of(logical)
-        preg = self._free[cluster][bank].alloc()
-        if preg is None:
-            return None
-        return preg + bank * self.pregs_per_bank
-
-    def _release_one(self, cluster: int, preg: int) -> None:
-        bank, index = divmod(preg, self.pregs_per_bank)
-        self._free[cluster][bank].free(index)
-
-    # -- queries used by steering and decode ------------------------------------
-
-    def initial_mappings(self) -> List[Tuple[int, int, int]]:
-        """The reset-time (logical, cluster, preg) triples."""
-        return list(self._initial)
-
-    def free_count(self, cluster: int, bank: int) -> int:
-        """Free physical registers remaining in one bank of *cluster*."""
-        return self._free[cluster][bank].available
-
-    def mapped_clusters(self, logical: int) -> List[int]:
-        """Where *logical* currently has valid mappings (shared cache —
-        read-only)."""
-        return self.map_table.mapped_clusters(logical)
-
-    def mapped_set(self, logical: int):
-        """Cached frozenset view of :meth:`mapped_clusters`."""
-        return self.map_table.mapped_set(logical)
-
-    def mapping(self, logical: int, cluster: int) -> Optional[int]:
-        """Physical register of *logical* in *cluster* (or ``None``)."""
-        return self.map_table.get(logical, cluster)
-
-    # -- allocations -------------------------------------------------------------
-
-    def alloc_replica(self, logical: int, cluster: int) -> int:
-        """Allocate the destination of a copy and validate its field.
-
-        Callers must have verified :meth:`free_count`; an empty pool
-        here is a core sequencing bug, not a simulated stall.
+        The mappings are spread round-robin over the clusters so no
+        single free pool starts depleted.  Returns the ``(cluster,
+        preg)`` pairs, whose values are architectural at reset.
         """
-        preg = self._alloc(logical, cluster)
-        if preg is None:
-            raise RuntimeError(
-                f"alloc_replica on empty free list of cluster {cluster}; "
-                f"the decode stage must pre-check free_count()")
-        self.map_table.add_replica(logical, cluster, preg)
+        pairs = []
+        for logical in range(len(self.rows)):
+            cluster = logical % self.n_clusters
+            bank = FP_BANK if is_fp_reg(logical) else INT_BANK
+            pairs.append((cluster,
+                          self.alloc_replica(logical, cluster, bank)))
+        return pairs
+
+    def alloc_replica(self, logical: int, cluster: int, bank: int) -> int:
+        """Allocate a register of *bank* in *cluster* and validate
+        *logical*'s field there (a copy's destination); decode has
+        checked that the pool is not empty."""
+        row = self.rows[logical]
+        if row[cluster] is not None:
+            raise ValueError(
+                f"logical r{logical} already mapped in cluster {cluster}")
+        index = self.free[cluster][bank].popleft()
+        self.allocated[cluster][bank][index] = True
+        preg = row[cluster] = index + bank * self.pregs_per_bank
+        self.mapped_lists[logical] = None
+        self.mapped_sets[logical] = None
         return preg
 
-    def define_dest(self, logical: int, cluster: int
-                    ) -> Tuple[int, List[Tuple[int, int]]]:
-        """Allocate a destination register and install its mapping.
+    def mapped_clusters(self, logical: int) -> List[int]:
+        """Clusters where *logical* has a valid field (cached)."""
+        cached = self.mapped_lists[logical]
+        if cached is None:
+            cached = self.mapped_lists[logical] = [
+                c for c, preg in enumerate(self.rows[logical])
+                if preg is not None]
+        return cached
 
-        Returns ``(preg, previous_mappings)``; the previous mappings
-        must be freed when this instruction commits.
-        """
-        preg = self._alloc(logical, cluster)
-        if preg is None:
-            raise RuntimeError(
-                f"define_dest on empty free list of cluster {cluster}; "
-                f"the decode stage must pre-check free_count()")
-        previous = self.map_table.define(logical, cluster, preg)
-        return preg, previous
-
-    # -- commit-time release -------------------------------------------------------
-
-    def release(self, mappings: List[Tuple[int, int]]) -> None:
-        """Free a previous mapping set at the writer's commit.
-
-        The core's commit stage inlines this, as its dispatch inlines
-        :meth:`define_dest`.
-        """
-        for cluster, preg in mappings:
-            self._release_one(cluster, preg)
-
-    # -- audits (tests) -------------------------------------------------------------
-
-    def allocated_counts(self) -> Dict[Tuple[int, int], int]:
-        """Allocated register counts per (cluster, bank) for invariants."""
-        return {(c, bank): self.pregs_per_bank - self._free[c][bank].available
-                for c in range(self.n_clusters) for bank in (0, 1)}
+    def mapped_set(self, logical: int) -> FrozenSet[int]:
+        """:meth:`mapped_clusters` as a frozenset (cached)."""
+        cached = self.mapped_sets[logical]
+        if cached is None:
+            cached = self.mapped_sets[logical] = frozenset(
+                self.mapped_clusters(logical))
+        return cached

@@ -26,7 +26,7 @@ def test_sampling_gate_passes():
     checks = run_checks(
         length=100_000,
         sampling=SamplingConfig(interval=1200, warmup=200, samples=16),
-        min_speedup=3.0, max_error=0.10)
+        min_speedup=3.0, max_error=0.10, repeats=1)
     failures = [(name, detail) for name, ok, detail in checks if not ok]
     assert not failures, failures
     assert len(checks) == 6

@@ -20,9 +20,8 @@ def test_occupancy_sums_both_queues():
     class U:
         order = 0
 
-    cluster.iq_int.dispatch(U())
-    cluster.iq_fp.dispatch(U())
-    cluster.iq_fp.dispatch(U())
+    cluster.iq_int._entries.append(U())
+    cluster.iq_fp._entries += [U(), U()]
     assert cluster.occupancy == 3
 
 

@@ -103,23 +103,6 @@ class TestCopies:
 
 
 class TestIdleCapacity:
-    def test_idle_capacity_tracks_width_and_units(self):
-        pool = make_pool()
-        pool.begin_cycle(0)
-        assert pool.idle_capacity(True) == 2
-        pool.try_issue(OpClass.IALU)
-        assert pool.idle_capacity(True) == 1
-        pool.try_issue(OpClass.IALU)
-        assert pool.idle_capacity(True) == 0
-        assert pool.idle_capacity(False) == 1
-
-    def test_idle_capacity_bounded_by_busy_divider(self):
-        pool = make_pool(latencies={OpClass.IDIV: 10})
-        pool.begin_cycle(0)
-        pool.try_issue(OpClass.IDIV)
-        pool.begin_cycle(1)
-        assert pool.idle_capacity(True) == 1   # one unit parked on the div
-
     def test_latency_lookup(self):
         pool = make_pool()
         assert pool.latency(OpClass.IALU) == 1

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import FUPool
+from repro.core import make_config
+from repro.core.processor import Processor
+from repro.isa import execute
 from repro.isa.opcodes import OpClass
+
+from ..core.test_processor_properties import random_programs
 
 INT_OPS = [OpClass.IALU, OpClass.IMUL, OpClass.IDIV, OpClass.LOAD,
            OpClass.STORE]
@@ -44,22 +49,25 @@ def test_single_cycle_never_exceeds_any_limit(config, requests):
     assert len(fpmuldiv) <= config["fp_muldiv"]
 
 
-@settings(max_examples=40)
-@given(config=pool_configs(),
-       cycles=st.lists(st.lists(st.sampled_from(INT_OPS + FP_OPS),
-                                max_size=12), min_size=2, max_size=10))
-def test_idle_capacity_consistent_across_cycles(config, cycles):
-    pool = FUPool(**config)
-    for cycle, requests in enumerate(cycles):
-        pool.begin_cycle(cycle)
-        assert pool.idle_capacity(True) <= min(config["int_width"],
-                                               config["int_units"])
-        assert pool.idle_capacity(False) <= min(config["fp_width"],
-                                                config["fp_units"])
-        for op in requests:
-            pool.try_issue(op)
-        assert pool.idle_capacity(True) >= 0
-        assert pool.idle_capacity(False) >= 0
+@settings(max_examples=10, deadline=None)
+@given(program=random_programs(), n_clusters=st.sampled_from([2, 4]))
+def test_idle_capacity_consistent_across_cycles(program, n_clusters):
+    """Every cycle the issue stage measures NREADY, each cluster's idle
+    capacity per side lies within [0, min(issue width, units)]."""
+    config = make_config(n_clusters, predictor="stride", steering="vpb")
+    trace = execute(program, 1_500)
+    processor = Processor(config, iter(trace))
+    record = processor.nready.record
+
+    def checked(leftover_int, idle_int, leftover_fp, idle_fp):
+        for idle, width, units in (
+                (idle_int, config.int_issue_width, config.int_units),
+                (idle_fp, config.fp_issue_width, config.fp_units)):
+            assert len(idle) == n_clusters
+            assert all(0 <= i <= min(width, units) for i in idle)
+        record(leftover_int, idle_int, leftover_fp, idle_fp)
+    processor.nready.record = checked
+    assert processor.run().stats.committed_insts == len(trace)
 
 
 @settings(max_examples=30)

@@ -1,13 +1,28 @@
-"""Unit tests for the age-ordered issue queue."""
+"""The age-ordered issue queue, as the cycle loop drives it.
+
+Dispatch appends (``_dispatch``), issue rebuilds the entry list without
+the uops it issued (``_issue``), decode stalls on a full queue, and the
+invalidation walk re-enters a reissuing uop in age order
+(:meth:`~repro.cluster.IssueQueue.reinsert`).
+"""
 
 import pytest
 
 from repro.cluster import IssueQueue
+from repro.core import make_config
+from repro.core.processor import Processor
+from repro.core.uop import STATE_WAITING
+from repro.workloads import workload_trace
+
+from ..conftest import at_cycle_boundaries
 
 
 class FakeUop:
-    def __init__(self, order):
+    def __init__(self, order, min_issue_cycle=0):
         self.order = order
+        self.min_issue_cycle = min_issue_cycle
+        self.wake_cycle = 99
+        self.iq = None
 
     def __repr__(self):
         return f"U{self.order}"
@@ -17,30 +32,49 @@ def orders(queue):
     return [u.order for u in queue]
 
 
+def queues(processor):
+    return [q for cluster in processor.clusters
+            for q in (cluster.iq_int, cluster.iq_fp)]
+
+
+def run_checked(check, n_clusters=4, **overrides):
+    """cjpeg through a processor, *check* at every cycle boundary."""
+    trace = workload_trace("cjpeg", 3_000)
+    processor = Processor(make_config(n_clusters, **overrides),
+                          iter(trace))
+    result = at_cycle_boundaries(processor, check)
+    assert result.stats.committed_insts == len(trace)
+    return result
+
+
 def test_dispatch_preserves_arrival_order():
-    queue = IssueQueue(4)
-    for i in (1, 2, 5):
-        queue.dispatch(FakeUop(i))
-    assert orders(queue) == [1, 2, 5]
+    # Dispatch order is age order, and reissues (value speculation
+    # here) re-enter at their age position.
+    def check(processor):
+        for queue in queues(processor):
+            assert orders(queue) == sorted(orders(queue))
+    result = run_checked(check, predictor="stride", steering="vpb")
+    assert result.stats.invalidations > 0
 
 
 def test_capacity_gates_new_dispatches():
-    queue = IssueQueue(2)
-    queue.dispatch(FakeUop(1))
-    assert queue.has_space and queue.space_left() == 1
-    queue.dispatch(FakeUop(2))
-    assert not queue.has_space and queue.space_left() == 0
+    # Without value speculation nothing reissues, so no queue ever
+    # holds more than its capacity, and decode stalls on a full one.
+    def check(processor):
+        for queue in queues(processor):
+            assert len(queue) <= queue.capacity
+    result = run_checked(check, n_clusters=1, iq_size=4)
+    assert result.stats.decode_stalls["iq"] > 0
 
 
 def test_reinsert_restores_age_position():
     queue = IssueQueue(8)
-    uops = [FakeUop(i) for i in range(5)]
-    for uop in uops:
-        queue.dispatch(uop)
-    queue.remove(uops[2])
-    queue.dispatch(FakeUop(10))
-    queue.reinsert(uops[2])
+    queue._entries = [FakeUop(i) for i in (0, 1, 3, 4, 10)]
+    uop = FakeUop(2, min_issue_cycle=7)
+    queue.reinsert(uop)
     assert orders(queue) == [0, 1, 2, 3, 4, 10]
+    assert uop.iq is queue and uop.wake_cycle == 0
+    assert queue.next_try == 7
 
 
 def test_reinsert_may_exceed_capacity():
@@ -48,31 +82,20 @@ def test_reinsert_may_exceed_capacity():
     restart penalty — the paper's selective reissue reuses the normal
     issue mechanism)."""
     queue = IssueQueue(2)
-    a, b = FakeUop(0), FakeUop(1)
-    queue.dispatch(a)
-    queue.dispatch(b)
-    queue.remove(a)
-    queue.dispatch(FakeUop(2))
-    queue.reinsert(a)
-    assert len(queue) == 3
-    assert not queue.has_space
+    queue._entries = [FakeUop(1), FakeUop(2)]
+    queue.reinsert(FakeUop(0))
+    assert len(queue) == 3 > queue.capacity
     assert orders(queue) == [0, 1, 2]
 
 
 def test_remove_many():
-    queue = IssueQueue(8)
-    uops = [FakeUop(i) for i in range(6)]
-    for uop in uops:
-        queue.dispatch(uop)
-    queue.remove_many([uops[0], uops[3], uops[5]])
-    assert orders(queue) == [1, 2, 4]
-
-
-def test_remove_many_empty_noop():
-    queue = IssueQueue(2)
-    queue.dispatch(FakeUop(1))
-    queue.remove_many([])
-    assert len(queue) == 1
+    # The issue stage drops exactly the uops it issued: at every cycle
+    # boundary each queue holds only waiting uops that point back at it.
+    def check(processor):
+        for queue in queues(processor):
+            for uop in queue:
+                assert uop.state == STATE_WAITING and uop.iq is queue
+    run_checked(check, predictor="stride", steering="vpb")
 
 
 def test_zero_capacity_rejected():

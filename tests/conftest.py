@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import make_config
+from repro.core.processor import Processor
+from repro.isa import ProgramBuilder, execute
 from repro.isa.instruction import DynInst, Instruction
 from repro.isa.opcodes import opinfo
 
@@ -36,3 +39,51 @@ def linear_trace(count: int, base_pc: int = 0x1000):
 @pytest.fixture
 def linear_trace_factory():
     return linear_trace
+
+
+def pop_fetched(engine, cycle: int, max_count: int) -> list:
+    """Pop up to *max_count* instructions fetched before *cycle* from
+    *engine*'s fetch buffer, the way the decode stage drains it."""
+    buffer = engine._buffer
+    group = []
+    while (buffer and len(group) < max_count
+           and buffer[0].fetch_cycle < cycle):
+        group.append(buffer.popleft())
+    return group
+
+
+def program_processor(lines, n_clusters: int = 1, **overrides):
+    """A :class:`~repro.core.processor.Processor` replaying *lines*
+    (``(op, *operands)`` tuples, then ``halt``), steered round-robin:
+    instruction *i* dispatches to cluster ``i % n_clusters``.
+    """
+    builder = ProgramBuilder()
+    for line in lines:
+        builder.emit(*line)
+    builder.emit("halt")
+    config = make_config(n_clusters, steering="round-robin", **overrides)
+    return Processor(config, iter(execute(builder.build(), 1_000)))
+
+
+def dispatch_all(processor) -> None:
+    """Advance *processor* until its whole trace has dispatched.
+
+    A short program is fetched in one group and decoded in one cycle,
+    so nothing has committed yet."""
+    while not processor.fetch.done:
+        processor.run_until(max_cycles=processor.cycle + 1)
+    assert processor.stats.committed_insts == 0
+
+
+def at_cycle_boundaries(processor, check):
+    """Run *processor* to the end, calling ``check(processor)`` before
+    every cycle's stages and once after the drain; returns the result."""
+    bookkeeping = processor._bookkeeping
+
+    def checked(cycle):
+        check(processor)
+        bookkeeping(cycle)
+    processor._bookkeeping = checked
+    result = processor.run()
+    check(processor)
+    return result

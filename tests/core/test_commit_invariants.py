@@ -54,13 +54,14 @@ class TestDrainInvariants:
         n_clusters = kwargs.pop("n_clusters")
         processor, _ = run_processor(mixed_trace,
                                      make_config(n_clusters, **kwargs))
-        counts = processor.renamer.allocated_counts()
-        total_mapped = sum(
-            len(processor.renamer.mapped_clusters(logical))
-            for logical in range(NUM_LOGICAL_REGS))
-        assert sum(counts.values()) == total_mapped
+        unit = processor.renamer
+        allocated = sum(sum(flags) for banks in unit.allocated
+                        for flags in banks)
+        total_mapped = sum(len(unit.mapped_clusters(logical))
+                           for logical in range(NUM_LOGICAL_REGS))
+        assert allocated == total_mapped
         for logical in range(NUM_LOGICAL_REGS):
-            assert len(processor.renamer.mapped_clusters(logical)) >= 1
+            assert len(unit.mapped_clusters(logical)) >= 1
 
     def test_stats_arithmetic(self, overrides, mixed_trace):
         kwargs = dict(overrides)

@@ -115,10 +115,10 @@ class TestDescribeState:
         trace = workload_trace("rawcaudio", 2000)
         processor = Processor(make_config(4), iter(list(trace)))
         processor.run(max_cycles=30)
-        text = processor.describe_state()
+        text = processor.pipeline_snapshot(processor.cycle, 0, 0).render()
         assert "cycle 30" in text
         assert "cluster 3" in text
         assert "ROB" in text
         processor.run()
-        done = processor.describe_state()
+        done = processor.pipeline_snapshot(processor.cycle, 0, 0).render()
         assert "fetch done" in done

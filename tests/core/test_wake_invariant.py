@@ -12,10 +12,11 @@ issued.  Two properties pin it:
    (the plain linear rescan the batching replaced) issues the same
    uops, in the same order, on the same cycles, and retires the same
    committed stream with bit-identical stats.
-2. **Bound soundness** — under random dispatch / reinsert / issue
-   sequences against a bare queue, ``next_try`` never exceeds any
-   entry's earliest possible issue cycle (``max(min_issue_cycle,
-   wake_cycle)``), so the issue stage can never skip a wakeable entry.
+2. **Bound soundness** — at every cycle boundary of a real processor
+   on random programs, no queue's ``next_try`` lies beyond both the
+   current cycle and its waiting entries' earliest possible issue
+   cycle (``max(min_issue_cycle, wake_cycle)``), so the issue stage can
+   never skip a wakeable entry.
 """
 
 import pytest
@@ -24,14 +25,17 @@ from hypothesis import strategies as st
 
 import repro.cluster.cluster as cluster_mod
 import repro.core.processor as processor_mod
-from repro.cluster.issue_queue import NEXT_TRY_IDLE, IssueQueue
+from repro.cluster.issue_queue import IssueQueue
 from repro.core import make_config, simulate
-from repro.core.uop import Uop
+from repro.core.processor import Processor
+from repro.core.uop import STATE_WAITING, Uop
 from repro.isa import ProgramBuilder, execute
 from repro.obs import EventTracer, RingBufferSink
 from repro.obs.events import EV_COMMIT, EV_ISSUE
 from repro.validation.faults import FaultPlan
 from repro.workloads import workload_trace
+
+from ..conftest import at_cycle_boundaries
 
 INT_BINOPS = ["add", "sub", "and", "or", "xor", "min", "max", "mul"]
 SCRATCH = [f"r{i}" for i in range(8, 24)]
@@ -172,43 +176,29 @@ def test_rescheduled_value_wakes_already_woken_consumers(
     assert batched == linear
 
 
-class _StubUop:
-    """Duck-typed queue entry (the queue never inspects anything else)."""
+@settings(max_examples=12, deadline=None)
+@given(program=random_programs(),
+       config=st.sampled_from([
+           dict(n_clusters=1),
+           dict(n_clusters=4, predictor="stride", steering="vpb"),
+           dict(n_clusters=2, predictor="stride", steering="vpb",
+                comm_latency=4, comm_paths_per_cluster=1)]))
+def test_next_try_bound_never_skips_a_wakeable_entry(program, config):
+    """At every cycle boundary, no queue's ``next_try`` lies beyond both
+    the current cycle and its waiting entries' earliest possible issue
+    cycle (``max(min_issue_cycle, wake_cycle)``)."""
+    trace = execute(program, 1_500)
+    overrides = dict(config)
+    processor = Processor(make_config(overrides.pop("n_clusters"),
+                                      **overrides), iter(trace))
 
-    __slots__ = ("order", "min_issue_cycle", "wake_cycle", "iq")
-
-    def __init__(self, order, min_issue_cycle, wake_cycle=0):
-        self.order = order
-        self.min_issue_cycle = min_issue_cycle
-        self.wake_cycle = wake_cycle
-        self.iq = None
-
-
-@settings(max_examples=60, deadline=None)
-@given(ops=st.lists(
-    st.tuples(st.sampled_from(["dispatch", "reinsert", "issue"]),
-              st.integers(0, 50)),
-    min_size=1, max_size=40))
-def test_next_try_bound_never_skips_a_wakeable_entry(ops):
-    """``next_try`` stays <= every entry's earliest possible issue cycle."""
-    queue = IssueQueue(capacity=64)
-    order = 0
-    for action, min_issue in ops:
-        if action == "dispatch" and queue.has_space:
-            queue.dispatch(_StubUop(order, min_issue))
-            order += 1
-        elif action == "reinsert":
-            # Invalidated uops re-enter at age order with their wake
-            # cleared; bias the age into the middle of the queue.
-            queue.reinsert(_StubUop(order - min_issue, min_issue,
-                                    wake_cycle=NEXT_TRY_IDLE))
-            order += 1
-        elif action == "issue" and len(queue) > 0:
-            entries = list(queue)
-            queue.remove_many(entries[:1 + min_issue % len(entries)])
-        earliest = [max(u.min_issue_cycle, u.wake_cycle) for u in queue]
-        if earliest:
-            assert queue.next_try <= min(earliest)
-        # Removals may leave the bound stale-low; that costs a wasted
-        # scan, never a missed wake.
-        assert queue.next_try <= NEXT_TRY_IDLE
+    def check(processor):
+        for cluster in processor.clusters:
+            for queue in (cluster.iq_int, cluster.iq_fp):
+                earliest = [max(u.min_issue_cycle, u.wake_cycle)
+                            for u in queue if u.state == STATE_WAITING]
+                if earliest:
+                    assert queue.next_try <= max(processor.cycle,
+                                                 min(earliest))
+    result = at_cycle_boundaries(processor, check)
+    assert result.stats.committed_insts == len(trace)

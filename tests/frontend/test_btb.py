@@ -6,7 +6,7 @@ from repro.core import make_config, simulate
 from repro.frontend import BranchTargetBuffer, FetchEngine, TakenPredictor
 from repro.workloads import workload_trace
 
-from ..conftest import make_dyn
+from ..conftest import make_dyn, pop_fetched
 
 
 class TestBTBTable:
@@ -59,12 +59,12 @@ class TestFetchWithBTB:
     def drain(engine, max_cycles=300):
         delivered = []
         for cycle in range(max_cycles):
-            for fetched in engine.take_decodable(cycle, 100):
+            for fetched in pop_fetched(engine, cycle, 100):
                 delivered.append(fetched)
                 engine.branch_resolved(fetched.dyn.seq, cycle)
             engine.tick(cycle)
             if engine.done:
-                delivered.extend(engine.take_decodable(cycle + 1, 100))
+                delivered.extend(pop_fetched(engine, cycle + 1, 100))
                 break
         return delivered
 

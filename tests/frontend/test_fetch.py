@@ -1,9 +1,14 @@
 """Unit tests for the fetch engine (width, stalls, branch handling)."""
 
+from repro.core import make_config, simulate
+from repro.core.uop import KIND_INST
 from repro.frontend import FetchEngine, TakenPredictor
 from repro.frontend.branch_predictor import BimodalPredictor
+from repro.obs import EventTracer, RingBufferSink
+from repro.obs.events import EV_DISPATCH
+from repro.workloads import workload_trace
 
-from ..conftest import linear_trace, make_dyn
+from ..conftest import linear_trace, make_dyn, pop_fetched
 
 
 def always_hit(pc):
@@ -26,12 +31,12 @@ def drain(engine, max_cycles=200):
     """Run fetch/decode cycles; returns list of decoded DynInsts."""
     decoded = []
     for cycle in range(max_cycles):
-        decoded.extend(f.dyn for f in engine.take_decodable(cycle, 100))
+        decoded.extend(f.dyn for f in pop_fetched(engine, cycle, 100))
         engine.tick(cycle)
         if engine.done:
             break
     # final drain
-    decoded.extend(f.dyn for f in engine.take_decodable(max_cycles + 1, 100))
+    decoded.extend(f.dyn for f in pop_fetched(engine, max_cycles + 1, 100))
     return decoded
 
 
@@ -48,15 +53,23 @@ class TestWidthAndBuffering:
                              TakenPredictor(), width=8, buffer_capacity=8)
         assert engine.tick(0) == 8
         assert engine.tick(1) == 0         # buffer full, nothing drained
-        engine.take_decodable(2, 4)
+        pop_fetched(engine, 2, 4)
         assert engine.tick(2) == 4
 
     def test_one_cycle_fetch_to_decode_gap(self):
-        engine = FetchEngine(iter(linear_trace(8)), always_hit,
-                             TakenPredictor(), width=8)
-        engine.tick(0)
-        assert engine.take_decodable(0, 8) == []     # not visible yet
-        assert len(engine.take_decodable(1, 8)) == 8
+        # Read from a real run's dispatch events, which carry each
+        # instruction's fetch cycle: decode never takes an instruction
+        # in the cycle it was fetched.
+        sink = RingBufferSink(capacity=1 << 16)
+        trace = workload_trace("rawcaudio", 2_000)
+        simulate(trace, make_config(2, predictor="stride", steering="vpb"),
+                 tracer=EventTracer(sink))
+        dispatches = [(ev[0], ev[8]) for ev in sink.events
+                      if ev[1] == EV_DISPATCH and ev[3] == KIND_INST]
+        assert len(dispatches) == len(trace)
+        assert all(cycle > fetch_cycle for cycle, fetch_cycle in dispatches)
+        assert any(cycle == fetch_cycle + 1
+                   for cycle, fetch_cycle in dispatches)
 
     def test_all_instructions_eventually_decoded_in_order(self):
         trace = linear_trace(50)
@@ -70,8 +83,8 @@ class TestWidthAndBuffering:
                              TakenPredictor(), width=8)
         assert not engine.done
         engine.tick(0)
-        assert engine.trace_exhausted and not engine.done
-        engine.take_decodable(1, 8)
+        assert engine.fetched_count == 2 and not engine.done
+        pop_fetched(engine, 1, 8)
         assert engine.done
 
 
@@ -115,7 +128,7 @@ class TestBranchHandling:
         engine = FetchEngine(iter(self.trace_with_branch(taken=False)),
                              always_hit, TakenPredictor(), width=8)
         assert engine.tick(0) == 2          # stops after the branch
-        fetched = engine.take_decodable(1, 8)
+        fetched = pop_fetched(engine, 1, 8)
         assert fetched[-1].mispredicted
         assert engine.tick(1) == 0          # waiting on resolution
         engine.branch_resolved(seq=1, cycle=5)
@@ -137,10 +150,10 @@ class TestBranchHandling:
         engine = FetchEngine(iter(trace), always_hit, predictor, width=1,
                              buffer_capacity=64)
         for cycle in range(20):
-            engine.take_decodable(cycle, 8)
+            pop_fetched(engine, cycle, 8)
             engine.tick(cycle)
             engine.branch_resolved(cycle, cycle)  # resolve eagerly
-            if engine.trace_exhausted:
+            if engine.fetched_count == len(trace):
                 break
         assert predictor.stats.lookups > 0
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.frontend import FetchEngine, TakenPredictor
 
-from ..conftest import make_dyn
+from ..conftest import make_dyn, pop_fetched
 
 
 def build_trace(shape):
@@ -45,14 +45,14 @@ def test_every_instruction_delivered_in_order(scenario):
                          width=width, buffer_capacity=buffer_capacity)
     delivered = []
     for cycle in range(20 * len(trace) + 50):
-        for fetched in engine.take_decodable(cycle, 100):
+        for fetched in pop_fetched(engine, cycle, 100):
             delivered.append(fetched.dyn.seq)
             # resolve any branch immediately so fetch can resume
             engine.branch_resolved(fetched.dyn.seq, cycle)
         engine.tick(cycle)
         if engine.done:
             delivered.extend(f.dyn.seq for f
-                             in engine.take_decodable(cycle + 1, 100))
+                             in pop_fetched(engine, cycle + 1, 100))
             break
     assert delivered == list(range(len(trace)))
 
@@ -68,7 +68,7 @@ def test_buffer_never_overflows(scenario):
         engine.tick(cycle)
         assert len(engine._buffer) <= buffer_capacity
         # drain slowly (1/cycle) to maximize pressure
-        taken = engine.take_decodable(cycle, 1)
+        taken = pop_fetched(engine, cycle, 1)
         for fetched in taken:
             engine.branch_resolved(fetched.dyn.seq, cycle)
         if engine.done:

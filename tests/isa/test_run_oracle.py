@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sampling import _WarmState
+from repro.core import make_config
 from repro.isa import OPCODES, ProgramBuilder, executor
 from repro.isa.executor import ExecutionError, FunctionalExecutor
 from repro.isa.instruction import Instruction
@@ -162,11 +164,11 @@ def test_r0_destinations_execute_and_read_zero():
     assert results == [(int, "0")] * 4 + [(float, "2.5")] + [(int, "0")] * 2
     assert_same(program)
     # skip() computes r0 results too, so it raises at the same cvtfi,
-    # with the same registers and memory.
+    # with the same registers, memory and cursor.
     skipped = both(program)[0]
     with pytest.raises(OverflowError):
         skipped.skip(10_000)
-    assert state(skipped)[:3] == state(ran)[:3]
+    assert state(skipped) == state(ran)
 
 
 # ---------------------------------------------------------- stream ends --
@@ -215,6 +217,57 @@ def test_off_segment_target_raises_naming_the_pc(case):
     with pytest.raises(ExecutionError) as info:
         both(program)[0].skip(10)
     assert str(info.value) == error[1]
+
+
+def _raising_mid_block(op: str) -> Program:
+    """A counted loop, then a block with *op* ("inf" or "nan") taking
+    ``int()`` of a non-finite value in its middle."""
+    b = ProgramBuilder()
+    b.emit("li", "r1", 0)
+    b.emit("li", "r2", 3)
+    b.label("loop")
+    b.emit("addi", "r1", "r1", 1)
+    b.emit("blt", "r1", "r2", "loop")
+    b.emit("li", "r3", 1 << 62)
+    b.emit("cvtif", "f3", "r3")
+    for _ in range(5):      # 4.6e18 squared five times overflows to inf
+        b.emit("fmul", "f3", "f3", "f3")
+    if op == "nan":
+        b.emit("fsub", "f3", "f3", "f3")
+    b.emit("cvtfi", "r4", "f3")
+    b.emit("addi", "r5", "r1", 1)
+    b.emit("halt")
+    return b.build()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["plain", "warmed"])
+@pytest.mark.parametrize("chunk", [1, 3, 10_000])
+@pytest.mark.parametrize("case", ["inf", "nan", "falls-off",
+                                  "jumps-past", "below", "between"])
+def test_skip_commits_the_cursor_where_run_stops(case, chunk, warm):
+    # The error ends skip() where it ends run(): registers, memory and
+    # the cursor through the last completed instruction, whether it
+    # raises inside a compiled block, in a single step after a resume,
+    # or at a target with no instruction.
+    if case in ("inf", "nan"):
+        program = _raising_mid_block(case)
+    elif case == "between":
+        program = _between_instructions("j")
+    else:
+        program = _off_segment_programs()[
+            ["falls-off", "jumps-past", "below"].index(case)][0]
+    ran = both(program)[0]
+    records, error = drain(ran)
+    skipped = both(program)[0]
+    if warm:
+        _WarmState(make_config(2, predictor="stride", steering="vpb")
+                   ).install_hooks(skipped)
+    with pytest.raises(error[0]) as info:
+        while skipped.skip(chunk):
+            pass
+    assert str(info.value) == error[1]
+    assert state(skipped) == state(ran)
+    assert skipped.seq == len(records)
 
 
 def _between_instructions(op: str) -> Program:

@@ -1,82 +1,91 @@
-"""Unit tests for the rename unit (banked free pools + Figure 1 flow)."""
+"""The rename unit's state (banked free pools + map table) and the
+Figure 1 flow dispatch and commit run on it."""
+
+import dataclasses
 
 import pytest
 
+from repro.core import make_config
+from repro.core.processor import Processor
 from repro.isa.registers import FP_BASE, NUM_LOGICAL_REGS
-from repro.rename import RenameUnit
-from repro.rename.renamer import FP_BANK, INT_BANK
+from repro.rename import FP_BANK, INT_BANK, RenameUnit
+
+from ..conftest import dispatch_all, program_processor
 
 
 def test_initial_mapping_covers_every_logical_register():
     unit = RenameUnit(NUM_LOGICAL_REGS, 4, 56)
-    mapped = {logical for logical, _, _ in unit.initial_mappings()}
-    assert mapped == set(range(NUM_LOGICAL_REGS))
+    pairs = unit.reset_mapping()
+    assert pairs == [(logical % 4, unit.rows[logical][logical % 4])
+                     for logical in range(NUM_LOGICAL_REGS)]
     for logical in range(NUM_LOGICAL_REGS):
         assert unit.mapped_clusters(logical) == [logical % 4]
 
 
 def test_banks_split_int_and_fp():
     unit = RenameUnit(NUM_LOGICAL_REGS, 2, 40)
-    counts = unit.allocated_counts()
+    unit.reset_mapping()
     # 32 int and 32 fp logical registers spread over 2 clusters.
-    assert counts[(0, INT_BANK)] == 16
-    assert counts[(1, INT_BANK)] == 16
-    assert counts[(0, FP_BANK)] == 16
-    assert counts[(1, FP_BANK)] == 16
+    for cluster in (0, 1):
+        for bank in (INT_BANK, FP_BANK):
+            assert 40 - len(unit.free[cluster][bank]) == 16
+            assert sum(unit.allocated[cluster][bank]) == 16
 
 
 def test_bank_of():
-    assert RenameUnit.bank_of(0) == INT_BANK
-    assert RenameUnit.bank_of(31) == INT_BANK
-    assert RenameUnit.bank_of(FP_BASE) == FP_BANK
+    unit = RenameUnit(NUM_LOGICAL_REGS, 1, 40)
+    unit.reset_mapping()
+    for logical, (preg,) in enumerate(unit.rows):
+        bank = FP_BANK if logical >= FP_BASE else INT_BANK
+        assert preg // 40 == bank
 
 
 def test_fp_pregs_are_offset():
-    unit = RenameUnit(NUM_LOGICAL_REGS, 1, 64)
-    preg, _ = unit.define_dest(FP_BASE + 1, 0)
-    assert preg >= 64          # fp bank ids live above the int bank
-    ipreg, _ = unit.define_dest(1, 0)
-    assert ipreg < 64
+    processor = program_processor([("cvtif", "f1", "r0"), ("li", "r1", 1)],
+                                  pregs_per_cluster=64)
+    dispatch_all(processor)
+    fp_writer, int_writer = processor.rob
+    assert fp_writer.dest_preg >= 64    # fp bank ids live above the int bank
+    assert int_writer.dest_preg < 64
 
 
 def test_define_dest_returns_previous_for_commit_free():
-    unit = RenameUnit(NUM_LOGICAL_REGS, 2, 40)
-    original = unit.mapping(3, 1)
-    preg, previous = unit.define_dest(3, 0)
-    assert previous == [(1, original)]
-    assert unit.mapping(3, 0) == preg
-    assert unit.mapping(3, 1) is None
+    processor = program_processor([("li", "r3", 1)], n_clusters=2)
+    unit = processor.renamer
+    original = unit.rows[3][1]
+    dispatch_all(processor)
+    (writer,) = processor.rob
+    assert writer.free_on_commit == [(1, original)]
+    assert unit.rows[3] == [writer.dest_preg, None]
+    processor.run()
+    assert not unit.allocated[1][INT_BANK][original]
 
 
 def test_replica_then_redefine_then_release_roundtrip():
-    unit = RenameUnit(NUM_LOGICAL_REGS, 2, 40)
-    before = unit.free_count(0, INT_BANK) + unit.free_count(1, INT_BANK)
-    replica = unit.alloc_replica(2, 1)
-    assert unit.mapping(2, 1) == replica
-    _, previous = unit.define_dest(2, 0)
-    assert len(previous) == 2
-    unit.release(previous)
-    after = unit.free_count(0, INT_BANK) + unit.free_count(1, INT_BANK)
+    processor = program_processor([("li", "r2", 5), ("add", "r3", "r2", "r2"),
+                                   ("li", "r2", 6)], n_clusters=2)
+    unit = processor.renamer
+
+    def free_int():
+        return len(unit.free[0][INT_BANK]) + len(unit.free[1][INT_BANK])
+    before = free_int()
+    processor.run()
     # The replica and the original were freed, the new dest was
-    # allocated: one mapping before, one mapping after.
-    assert after == before
+    # allocated: one mapping per register before, one after.
+    assert free_int() == before
+    assert unit.mapped_clusters(2) == [0]
 
 
 def test_free_count_decrements_per_bank():
-    unit = RenameUnit(NUM_LOGICAL_REGS, 2, 40)
-    before = unit.free_count(0, FP_BANK)
-    unit.define_dest(FP_BASE + 4, 0)
-    assert unit.free_count(0, FP_BANK) == before - 1
-    assert unit.free_count(0, INT_BANK) == 40 - 16
-
-
-def test_exhausted_pool_raises_runtime_error():
-    unit = RenameUnit(NUM_LOGICAL_REGS, 1, 33)   # 32 int mappings + 1 free
-    unit.define_dest(1, 0)
-    with pytest.raises(RuntimeError, match="pre-check"):
-        unit.define_dest(2, 0)
+    processor = program_processor([("cvtif", "f4", "r0")], n_clusters=2)
+    free = processor.renamer.free[0]
+    before = len(free[INT_BANK]), len(free[FP_BANK])
+    dispatch_all(processor)
+    assert (len(free[INT_BANK]), len(free[FP_BANK])) == (before[0],
+                                                         before[1] - 1)
 
 
 def test_too_small_register_file_rejected_at_reset():
-    with pytest.raises(ValueError):
-        RenameUnit(NUM_LOGICAL_REGS, 1, 16)   # cannot hold 32 per bank
+    config = dataclasses.replace(make_config(1), pregs_per_cluster=16)
+    with pytest.raises(ValueError, match="initial mapping"):
+        Processor(config, iter([]))   # cannot hold 32 per bank

@@ -106,6 +106,58 @@ def test_docs_reference_real_files():
             assert (README.parent / match).exists(), match
 
 
+def _table_under(text: str, heading: str) -> list:
+    """Cells of the first markdown table under *heading*, per row."""
+    rows = []
+    for line in text.split(heading, 1)[1].splitlines():
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return rows
+
+
+def _numbers(cell: str) -> list:
+    """The numbers a table cell prints outside its parentheses."""
+    return re.findall(r"\d+(?:\.\d+)?", re.sub(r"\(.*?\)", "", cell))
+
+
+def _as_printed(values, printed) -> list:
+    """*values* rounded to the decimals of the matching *printed*."""
+    return [f"{v:.{len((p + '.').split('.')[1])}f}"
+            for v, p in zip(values, printed)]
+
+
+def test_experiments_headline_matches_results():
+    """EXPERIMENTS.md's measured headline column is results/headline.txt
+    at the precision it prints."""
+    rows = _table_under((README.parent / "EXPERIMENTS.md").read_text(),
+                        "## Headline")
+    column = rows[0].index("measured")
+    printed = [n for row in rows[2:] for n in _numbers(row[column])]
+    lines = (README.parent / "results" / "headline.txt").read_text()
+    measured = [float(line.split()[-1]) for line in lines.splitlines()[3:]]
+    assert len(printed) == len(measured) == 10
+    assert printed == _as_printed(measured, printed)
+
+
+def test_experiments_figure2_matches_results():
+    """Figure 2's measured averages (and their VP gains) in
+    EXPERIMENTS.md are the AVERAGE row of results/figure2_ipc.txt."""
+    rows = _table_under((README.parent / "EXPERIMENTS.md").read_text(),
+                        "## Figure 2")
+    cells = [row[rows[0].index("measured avg")] for row in rows[2:]]
+    printed = [n for cell in cells for n in _numbers(cell)]
+    text = (README.parent / "results" / "figure2_ipc.txt").read_text()
+    average = re.search(r"^\s*AVERAGE\s+(.*)$", text, flags=re.M).group(1)
+    measured = [float(v) for v in average.split()]
+    assert len(printed) == len(measured) == 6
+    assert printed == _as_printed(measured, printed)
+    gains = [g for cell in cells for g in re.findall(r"\(\+([\d.]+)%\)",
+                                                    cell)]
+    assert gains == re.findall(r"\dc: \+([\d.]+)%", text)
+
+
 def test_every_module_imports_cleanly():
     import importlib
     import pkgutil

@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import SimResult
 from ..errors import WorkloadError
+from ..predictor import PREDICTORS
 from ..workloads import workload_names, workload_trace
 from .metrics import mean, pct_change
 from .parallel import (SweepCell, resolve_trace_length, run_cells,
@@ -699,8 +700,7 @@ _ENTRIES = (
         "perfect is the ceiling)",
         [Variant(predictor, 4, predictor,
                  "vpb" if predictor != "none" else "baseline")
-         for predictor in ("none", "stride", "context", "hybrid",
-                           "perfect")],
+         for predictor in PREDICTORS],
         "ipc", "comm", "hit_ratio", "confident"),
 )
 

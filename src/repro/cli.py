@@ -57,6 +57,8 @@ from .analysis.experiments import (ABLATIONS, EXPERIMENTS, render,
                                    run_experiment, selected_workloads)
 from .core import make_config, simulate
 from .errors import ConfigError, SimulationError, WorkloadError
+from .predictor import PREDICTORS
+from .steering import STEERERS
 from .validation import FaultPlan, format_campaign, run_fault_campaign
 from .workloads import SUITE, workload_names, workload_trace
 
@@ -66,6 +68,10 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_SIMULATION_ERROR = 1
 EXIT_USAGE_ERROR = 2
+
+#: Steering schemes a run command accepts: ``static`` needs a profiled
+#: assignment, which no flag supplies.
+_CLI_STEERING = tuple(name for name in STEERERS if name != "static")
 
 #: Sampled-run defaults (docs/SAMPLING.md's validated plan).
 SAMPLE_WARMUP_DEFAULT = 200
@@ -214,12 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     ck_resume.add_argument("--clusters", type=int, default=4,
                            choices=(1, 2, 4))
     ck_resume.add_argument("--predictor", default="none",
-                           choices=("none", "stride", "context",
-                                    "hybrid", "perfect"))
+                           choices=tuple(PREDICTORS))
     ck_resume.add_argument("--steering", default="baseline",
-                           choices=("baseline", "modified", "vpb",
-                                    "round-robin", "balance-only",
-                                    "dependence-only"))
+                           choices=_CLI_STEERING)
     ck_resume.add_argument("--comm-latency", type=int, default=1)
     ck_resume.add_argument("--paths", type=int, default=None)
 
@@ -256,12 +259,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clusters", type=int, default=4,
                         choices=(1, 2, 4))
     parser.add_argument("--predictor", default="none",
-                        choices=("none", "stride", "context", "hybrid",
-                                 "perfect"))
+                        choices=tuple(PREDICTORS))
     parser.add_argument("--steering", default="baseline",
-                        choices=("baseline", "modified", "vpb",
-                                 "round-robin", "balance-only",
-                                 "dependence-only"))
+                        choices=_CLI_STEERING)
     parser.add_argument("--length", type=int, default=12_000,
                         help="dynamic instructions to simulate")
     parser.add_argument("--comm-latency", type=int, default=1)

@@ -43,8 +43,8 @@ _INT_SIDE = frozenset({OpClass.IALU, OpClass.IMUL, OpClass.IDIV,
 class FUPool:
     """Issue-resource tracker for one cluster.
 
-    Call :meth:`begin_cycle` once per cycle, then :meth:`try_issue` for
-    each candidate; ``try_issue`` reserves the resources on success.
+    Call :meth:`begin_cycle` once per cycle, then :meth:`try_issue_desc`
+    for each candidate; it reserves the resources on success.
 
     The opclass → (side, muldiv, div, latency) classification is folded
     into a per-instance descriptor table at construction.  The timing
@@ -132,10 +132,6 @@ class FUPool:
 
     # -- queries -----------------------------------------------------------------
 
-    def latency(self, opclass: OpClass) -> int:
-        """Execution latency of *opclass* (loads exclude cache time)."""
-        return self.latencies[opclass]
-
     def int_width_left(self) -> int:
         """Unused integer issue slots this cycle."""
         return self.int_width - self._int_issued
@@ -148,16 +144,14 @@ class FUPool:
 
     def descriptor(self, opclass: OpClass) -> tuple:
         """``(is_int_side, is_muldiv, is_div, latency)`` of *opclass*:
-        what :meth:`try_issue_desc` takes.  Pools built with the same
+        what :meth:`try_issue_desc` takes, its last field the execution
+        latency (loads exclude cache time).  Pools built with the same
         latencies have equal descriptors."""
         return self._desc[opclass]
 
-    def try_issue(self, opclass: OpClass) -> bool:
-        """Reserve width + unit for one instruction; True on success."""
-        return self.try_issue_desc(self._desc[opclass])
-
     def try_issue_desc(self, desc: tuple) -> bool:
-        """:meth:`try_issue` for the :meth:`descriptor` of an opclass."""
+        """Reserve issue width and a unit for one instruction of the
+        opclass whose :meth:`descriptor` is *desc*; True on success."""
         is_int, is_muldiv, is_div, latency = desc
         if is_int:
             if self._int_issued >= self.int_width:
@@ -217,4 +211,4 @@ class FUPool:
                     self._fdiv_max_until = freed
                 return
         raise RuntimeError("divide issued with no free unit "
-                           "(try_issue accounting bug)")
+                           "(try_issue_desc accounting bug)")

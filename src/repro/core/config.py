@@ -29,6 +29,8 @@ from typing import Dict, Optional
 from ..errors import ConfigError
 from ..isa.opcodes import OpClass
 from ..isa.registers import NUM_LOGICAL_REGS
+from ..predictor import PREDICTORS
+from ..steering import STEERERS
 
 __all__ = ["ProcessorConfig", "make_config", "derive_preset",
            "CLUSTER_PRESETS"]
@@ -71,8 +73,7 @@ class ProcessorConfig:
     comm_latency: int = 1
     comm_paths_per_cluster: Optional[int] = None  # None = unbounded
 
-    # Value prediction: "none" | "stride" | "context" | "hybrid" |
-    # "perfect".
+    # Value prediction: a name in repro.predictor.PREDICTORS.
     predictor: str = "none"
     vp_entries: int = 128 * 1024
     vp_confidence_threshold: int = 1
@@ -81,8 +82,7 @@ class ProcessorConfig:
     # replace-on-mismatch entry.
     vp_two_delta: bool = True
 
-    # Steering: "baseline" | "modified" | "vpb" | "round-robin" |
-    # "balance-only" | "dependence-only" | "static".
+    # Steering: a name in repro.steering.STEERERS.
     steering: str = "baseline"
     balance_threshold: Optional[int] = None
     vpb_threshold: Optional[int] = None
@@ -140,12 +140,9 @@ class ProcessorConfig:
                 f"hold the initial mapping of {per_bank_logical} logical "
                 f"registers over {self.n_clusters} clusters plus in-flight "
                 f"values")
-        if self.predictor not in ("none", "stride", "context", "hybrid",
-                                  "perfect"):
+        if self.predictor not in PREDICTORS:
             raise ConfigError(f"unknown predictor {self.predictor!r}")
-        if self.steering not in ("baseline", "modified", "vpb", "round-robin",
-                                 "balance-only", "dependence-only",
-                                 "static"):
+        if self.steering not in STEERERS:
             raise ConfigError(f"unknown steering {self.steering!r}")
         if self.comm_latency < 1:
             raise ConfigError("comm_latency must be >= 1")
@@ -237,8 +234,8 @@ def make_config(n_clusters: int, predictor: str = "none",
         n_clusters: 1, 2 or 4 use the exact Table 1 presets; other
             power-of-two counts up to 8 use :func:`derive_preset`'s
             extension of the same scaling rule.
-        predictor: "none", "stride", "context", "hybrid" or "perfect".
-        steering: any supported scheme name.
+        predictor: a name in :data:`repro.predictor.PREDICTORS`.
+        steering: a name in :data:`repro.steering.STEERERS`.
         **overrides: any :class:`ProcessorConfig` field.
     """
     preset = CLUSTER_PRESETS.get(n_clusters)

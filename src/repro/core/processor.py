@@ -41,12 +41,9 @@ from ..obs.events import (EV_COMMIT, EV_COMPLETE, EV_COPY_SEND,
                           EV_STEER, EV_VCOPY_VERIFY)
 from ..obs.interval import IntervalMetrics
 from ..obs.tracer import POSTMORTEM_WINDOW
-from ..predictor import (ContextPredictor, HybridPredictor, NullPredictor,
-                         PerfectPredictor, StridePredictor, ValuePredictor)
+from ..predictor import PREDICTORS, ValuePredictor
 from ..rename import FP_BANK, INT_BANK, RenameUnit
-from ..steering import (BalanceOnlySteerer, BaselineSteerer, DCountTracker,
-                        DependenceOnlySteerer, ModifiedSteerer, NReadyMeter,
-                        RoundRobinSteerer, StaticSteerer, VPBSteerer)
+from ..steering import STEERERS, DCountTracker, NReadyMeter
 from ..validation.watchdog import (ClusterSnapshot, PipelineSnapshot,
                                    PipelineWatchdog)
 from .config import ProcessorConfig
@@ -92,8 +89,9 @@ class _Template:
             order, *fp* marking the fp register bank.
         predictors: ``(slot, predict)`` per predictable source (integer
             and not the zero register), *predict* the value predictor's
-            :meth:`~repro.predictor.ValuePredictor.bind` call for it;
-            empty without a value predictor.
+            ``bind(pc, slot)`` call for it
+            (:class:`~repro.predictor.ValuePredictor`); empty when the
+            predictor never predicts.
         unpredicted: one ``None`` per source: the predictions of a
             dynamic instance with no confident prediction.
         dest: logical register to rename, ``None`` when the instruction
@@ -124,44 +122,6 @@ class _Template:
         self.fu = fupool.descriptor(static.op.opclass)
 
 
-def _build_steerer(config: ProcessorConfig):
-    name = config.steering
-    n = config.n_clusters
-    if name == "baseline":
-        return BaselineSteerer(n, config.balance_threshold)
-    if name == "modified":
-        return ModifiedSteerer(n, config.balance_threshold)
-    if name == "vpb":
-        return VPBSteerer(n, config.balance_threshold, config.vpb_threshold)
-    if name == "round-robin":
-        return RoundRobinSteerer(n)
-    if name == "balance-only":
-        return BalanceOnlySteerer(n)
-    if name == "dependence-only":
-        return DependenceOnlySteerer(n)
-    if name == "static":
-        return StaticSteerer(n, config.static_assignment)
-    raise ValueError(f"unknown steering scheme {name!r}")
-
-
-def _build_predictor(config: ProcessorConfig) -> ValuePredictor:
-    if config.predictor == "none":
-        return NullPredictor()
-    if config.predictor == "stride":
-        return StridePredictor(config.vp_entries,
-                               config.vp_confidence_threshold,
-                               two_delta=config.vp_two_delta)
-    if config.predictor == "context":
-        return ContextPredictor(
-            l2_entries=config.vp_entries,
-            confidence_threshold=config.vp_confidence_threshold)
-    if config.predictor == "hybrid":
-        return HybridPredictor(stride_entries=config.vp_entries)
-    if config.predictor == "perfect":
-        return PerfectPredictor()
-    raise ValueError(f"unknown predictor {config.predictor!r}")
-
-
 class Components:
     """The value predictor, branch predictor, BTB and memory hierarchy
     of a configuration, built cold.
@@ -176,7 +136,7 @@ class Components:
         self.bpred = CombinedPredictor()
         self.btb = (BranchTargetBuffer(config.btb_entries)
                     if config.btb_entries else None)
-        self.vp = _build_predictor(config)
+        self.vp = PREDICTORS[config.predictor](config)
 
 
 class Processor:
@@ -254,14 +214,14 @@ class Processor:
                                          config.comm_paths_per_cluster,
                                          fault_injector=injector)
         self.interconnect.tracer = tracer
-        self._vp_enabled = config.predictor != "none"
+        self._vp_enabled = self.vp.bind is not None
         # The perfect predictor is the paper's idealized upper bound
         # (§3.3): predictions are free and always right, so no
         # verification-copies are dispatched and no verification latency
         # is charged — the study isolates what communication removal
         # alone could buy.
         self._oracle = config.predictor == "perfect"
-        self.steerer = _build_steerer(config)
+        self.steerer = STEERERS[config.steering](config)
         self.dcount = DCountTracker(config.n_clusters)
         self.nready = NReadyMeter(config.n_clusters)
         self.rob: deque = deque()

@@ -1,10 +1,8 @@
 """Processor front end: branch prediction and the fetch engine."""
 
 from .btb import BranchTargetBuffer
-from .branch_predictor import (BimodalPredictor, BranchPredictorStats,
-                               CombinedPredictor, GsharePredictor,
-                               TakenPredictor)
+from .branch_predictor import BranchPredictorStats, CombinedPredictor
 from .fetch import FetchEngine, FetchedInst
 
-__all__ = ["BranchTargetBuffer", "BimodalPredictor", "BranchPredictorStats", "CombinedPredictor",
-           "GsharePredictor", "TakenPredictor", "FetchEngine", "FetchedInst"]
+__all__ = ["BranchTargetBuffer", "BranchPredictorStats", "CombinedPredictor",
+           "FetchEngine", "FetchedInst"]

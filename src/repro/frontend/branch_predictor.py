@@ -1,27 +1,20 @@
-"""Branch direction predictors.
+"""The branch direction predictor.
 
 Table 1 of the paper: "Combined predictor of 1K entries with a Gshare
 with 64K 2-bit counters, 16 bit global history, and a bimodal predictor
 of 2K entries with 2-bit counters."
 
-All predictors share the classic 2-bit saturating-counter discipline
-(predict taken when the counter is >= 2).  Branch *targets* are assumed
-perfect (no BTB); only conditional-branch direction is predicted — the
-standard simplification for trace-driven simulation, applied uniformly
-to every configuration (see DESIGN.md §3).
+Every table holds classic 2-bit saturating counters, initialized weakly
+taken, that predict taken when the counter is >= 2.  Branch *targets*
+are assumed perfect unless a BTB is configured (:mod:`.btb`); only
+conditional-branch direction is predicted — the standard simplification
+for trace-driven simulation, applied uniformly to every configuration
+(see DESIGN.md §3).
 """
 
 from __future__ import annotations
 
-from typing import List
-
-__all__ = ["BimodalPredictor", "GsharePredictor", "CombinedPredictor",
-           "BranchPredictorStats", "TakenPredictor"]
-
-
-def _check_power_of_two(value: int, what: str) -> None:
-    if value <= 0 or value & (value - 1):
-        raise ValueError(f"{what} must be a power of two, got {value}")
+__all__ = ["CombinedPredictor", "BranchPredictorStats"]
 
 
 class BranchPredictorStats:
@@ -40,170 +33,88 @@ class BranchPredictorStats:
         return 1.0 - self.mispredictions / self.lookups
 
 
-class _CounterTable:
-    """A table of 2-bit saturating counters, initialized weakly taken."""
-
-    __slots__ = ("counters", "mask")
-
-    def __init__(self, entries: int) -> None:
-        _check_power_of_two(entries, "predictor entries")
-        self.counters: List[int] = [2] * entries
-        self.mask = entries - 1
-
-    def predict(self, index: int) -> bool:
-        return self.counters[index & self.mask] >= 2
-
-    def update(self, index: int, taken: bool) -> None:
-        index &= self.mask
-        counter = self.counters[index]
-        if taken:
-            if counter < 3:
-                self.counters[index] = counter + 1
-        elif counter > 0:
-            self.counters[index] = counter - 1
-
-
-class BimodalPredictor:
-    """PC-indexed table of 2-bit counters (paper: 2K entries)."""
-
-    def __init__(self, entries: int = 2048) -> None:
-        self._table = _CounterTable(entries)
-        self.stats = BranchPredictorStats()
-
-    def _index(self, pc: int) -> int:
-        return pc >> 2
-
-    def predict(self, pc: int) -> bool:
-        """Predicted direction for the branch at *pc*."""
-        return self._table.predict(self._index(pc))
-
-    def update(self, pc: int, taken: bool) -> None:
-        """Train with the resolved direction."""
-        self.stats.lookups += 1
-        if self._table.predict(self._index(pc)) != taken:
-            self.stats.mispredictions += 1
-        self._table.update(self._index(pc), taken)
-
-
-class GsharePredictor:
-    """Gshare: PC xor global-history indexed counters (paper: 64K, 16-bit)."""
-
-    def __init__(self, entries: int = 64 * 1024,
-                 history_bits: int = 16) -> None:
-        self._table = _CounterTable(entries)
-        self._history_mask = (1 << history_bits) - 1
-        self.history = 0
-        self.stats = BranchPredictorStats()
-
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) ^ self.history
-
-    def predict(self, pc: int) -> bool:
-        return self._table.predict(self._index(pc))
-
-    def update(self, pc: int, taken: bool) -> None:
-        index = self._index(pc)
-        self.stats.lookups += 1
-        if self._table.predict(index) != taken:
-            self.stats.mispredictions += 1
-        self._table.update(index, taken)
-        self.history = ((self.history << 1) | int(taken)) & self._history_mask
-
-
 class CombinedPredictor:
     """McFarling-style combined predictor (the paper's configuration).
 
-    A 1K-entry chooser of 2-bit counters selects between gshare and
-    bimodal per branch; the chooser trains toward whichever component
-    was right when they disagree.
+    A chooser table selects, per branch, between gshare (indexed by the
+    PC xor the global history) and bimodal (indexed by the PC); the
+    chooser trains toward whichever component was right when they
+    disagree.  The three counter tables are flat lists, and the global
+    history is an int of *history_bits* bits, newest outcome lowest.
     """
 
     def __init__(self, chooser_entries: int = 1024,
                  gshare_entries: int = 64 * 1024, history_bits: int = 16,
                  bimodal_entries: int = 2048) -> None:
-        self.gshare = GsharePredictor(gshare_entries, history_bits)
-        self.bimodal = BimodalPredictor(bimodal_entries)
-        self._chooser = _CounterTable(chooser_entries)
+        for entries in (chooser_entries, gshare_entries, bimodal_entries):
+            if entries <= 0 or entries & (entries - 1):
+                raise ValueError(f"predictor entries must be a power of "
+                                 f"two, got {entries}")
+        self.chooser = [2] * chooser_entries
+        self.gshare = [2] * gshare_entries
+        self.bimodal = [2] * bimodal_entries
+        self.history = 0
+        self._chooser_mask = chooser_entries - 1
+        self._gshare_mask = gshare_entries - 1
+        self._bimodal_mask = bimodal_entries - 1
+        self._history_mask = (1 << history_bits) - 1
         self.stats = BranchPredictorStats()
 
     def predict(self, pc: int) -> bool:
-        if self._chooser.predict(pc >> 2):
-            return self.gshare.predict(pc)
-        return self.bimodal.predict(pc)
+        """Predicted direction of the conditional branch at *pc*."""
+        index = pc >> 2
+        if self.chooser[index & self._chooser_mask] >= 2:
+            return self.gshare[(index ^ self.history)
+                               & self._gshare_mask] >= 2
+        return self.bimodal[index & self._bimodal_mask] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        gshare_pred = self.gshare.predict(pc)
-        bimodal_pred = self.bimodal.predict(pc)
-        chose_gshare = self._chooser.predict(pc >> 2)
-        prediction = gshare_pred if chose_gshare else bimodal_pred
-        self.stats.lookups += 1
-        if prediction != taken:
-            self.stats.mispredictions += 1
-        if gshare_pred != bimodal_pred:
-            self._chooser.update(pc >> 2, gshare_pred == taken)
-        self.gshare.update(pc, taken)
-        self.bimodal.update(pc, taken)
+        """Fetch's training on a resolved branch: counts the lookup and
+        whether :meth:`predict` missed it, then trains through
+        :meth:`trainer`'s closure."""
+        stats = self.stats
+        stats.lookups += 1
+        if self.predict(pc) != taken:
+            stats.mispredictions += 1
+        self.trainer(pc)(taken)
 
     def trainer(self, pc: int):
-        """A pre-bound ``train(taken)`` closure for one static branch.
+        """``train(taken)`` for the conditional branch at *pc*: the
+        training rule.
 
-        Evolves chooser/gshare/bimodal counters and the global history
-        exactly as :meth:`update` does for this ``pc``; the three table
-        indices (bar gshare's history xor) are resolved at bind time.
-        Stats are *not* recorded — training observes the committed
-        stream, it does not predict.
+        When gshare and bimodal disagree, the chooser counter moves
+        toward the one that was right; both components' counters move
+        toward *taken*, and *taken* enters the global history.  The
+        chooser and bimodal indices are resolved once; gshare's depends
+        on the history at each call.  Records no stats.
         """
-        gshare = self.gshare
-        gshare_counters = gshare._table.counters
-        gshare_mask = gshare._table.mask
-        history_mask = gshare._history_mask
-        bimodal_counters = self.bimodal._table.counters
-        bimodal_index = (pc >> 2) & self.bimodal._table.mask
-        chooser_counters = self._chooser.counters
-        chooser_index = (pc >> 2) & self._chooser.mask
-        gshare_pc = pc >> 2
+        index = pc >> 2
 
-        def train(taken, gshare=gshare, gt=gshare_counters,
-                  gmask=gshare_mask, hmask=history_mask,
-                  bt=bimodal_counters, bi=bimodal_index,
-                  ct=chooser_counters, ci=chooser_index, gpc=gshare_pc):
-            history = gshare.history
-            gi = (gpc ^ history) & gmask
-            gshare_pred = gt[gi] >= 2
-            bimodal_pred = bt[bi] >= 2
-            if gshare_pred != bimodal_pred:
-                c = ct[ci]
-                if gshare_pred == taken:
+        def train(taken, bp=self, index=index,
+                  chooser=self.chooser, ci=index & self._chooser_mask,
+                  gshare=self.gshare, gmask=self._gshare_mask,
+                  bimodal=self.bimodal, bi=index & self._bimodal_mask,
+                  hmask=self._history_mask):
+            history = bp.history
+            gi = (index ^ history) & gmask
+            g = gshare[gi]
+            b = bimodal[bi]
+            if (g >= 2) != (b >= 2):
+                c = chooser[ci]
+                if (g >= 2) == taken:
                     if c < 3:
-                        ct[ci] = c + 1
+                        chooser[ci] = c + 1
                 elif c > 0:
-                    ct[ci] = c - 1
-            c = gt[gi]
+                    chooser[ci] = c - 1
             if taken:
-                if c < 3:
-                    gt[gi] = c + 1
-            elif c > 0:
-                gt[gi] = c - 1
-            gshare.history = ((history << 1) | taken) & hmask
-            c = bt[bi]
-            if taken:
-                if c < 3:
-                    bt[bi] = c + 1
-            elif c > 0:
-                bt[bi] = c - 1
+                if g < 3:
+                    gshare[gi] = g + 1
+                if b < 3:
+                    bimodal[bi] = b + 1
+            else:
+                if g > 0:
+                    gshare[gi] = g - 1
+                if b > 0:
+                    bimodal[bi] = b - 1
+            bp.history = ((history << 1) | taken) & hmask
         return train
-
-
-class TakenPredictor:
-    """Always predicts taken — a degenerate baseline for tests/ablations."""
-
-    def __init__(self) -> None:
-        self.stats = BranchPredictorStats()
-
-    def predict(self, pc: int) -> bool:
-        return True
-
-    def update(self, pc: int, taken: bool) -> None:
-        self.stats.lookups += 1
-        if not taken:
-            self.stats.mispredictions += 1

@@ -305,8 +305,9 @@ class FunctionalExecutor:
         Args:
             value: ``factory(pc, slot) -> train(actual)`` per static
                 integer source that is not ``r0`` — exactly the operands
-                decode trains the value predictor on
-                (:meth:`repro.predictor.ValuePredictor.trainer`).
+                decode trains the value predictor on (a value
+                predictor's ``trainer``,
+                :class:`repro.predictor.ValuePredictor`).
             branch: ``factory(pc) -> train(taken)`` per static
                 conditional branch, the direction predictor's training
                 (:meth:`repro.frontend.CombinedPredictor.trainer`).

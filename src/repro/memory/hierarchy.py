@@ -51,10 +51,6 @@ class MemoryHierarchy:
         """Latency of a data access at *addr* (port arbitration elsewhere)."""
         return self.l1d.access(addr, is_write)
 
-    def line_of(self, pc: int) -> int:
-        """I-cache line number of *pc* (used to batch fetch lookups)."""
-        return pc >> (self.l1i.line_bytes.bit_length() - 1)
-
     def stats(self) -> dict:
         """Hit/miss statistics of every level."""
         return {"l1i": self.l1i.stats.as_dict(),

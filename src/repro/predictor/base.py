@@ -13,24 +13,7 @@ assume integer values.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, NamedTuple
-
-__all__ = ["Prediction", "ValuePredictor", "NullPredictor",
-           "ValuePredictorStats"]
-
-
-class Prediction(NamedTuple):
-    """Outcome of a decode-time lookup.
-
-    Attributes:
-        value: the predicted operand value.
-        confident: True when the confidence counter clears the paper's
-            threshold (counter > 1) and the prediction may be used.
-    """
-
-    value: int
-    confident: bool
+__all__ = ["ValuePredictor", "NullPredictor", "ValuePredictorStats"]
 
 
 class ValuePredictorStats:
@@ -70,71 +53,42 @@ class ValuePredictorStats:
 
 
 class ValuePredictor:
-    """Interface all value predictors implement.
+    """Base of every value predictor: two per-operand factories.
 
-    ``predict`` receives the architecturally correct value so that (a)
-    the perfect predictor can be expressed and (b) accuracy statistics
-    are collected in one place.  Real predictors must not peek at it
-    when forming the prediction.
+    Subclasses define both, each taking a static operand ``(pc, slot)``
+    and returning a call that takes the operand's actual value:
+
+    * ``trainer(pc, slot)`` returns ``train(actual)``, the predictor's
+      training rule with its table indices resolved once.  Functional
+      warming binds one per predictable source of each static
+      instruction (:meth:`repro.isa.executor.FunctionalExecutor.
+      set_train_hooks`).  It records no stats: warming observes the
+      committed stream, it does not predict.  A predictor with nothing
+      to learn sets ``trainer = None``, so warming compiles no value
+      hook for it.
+    * ``bind(pc, slot)`` returns ``predict(actual) -> (value,
+      confident)``, decode's call: it looks the prediction up, records
+      it in :attr:`stats`, then trains through the same ``train``
+      closure that :meth:`trainer` returns.  *actual* lets the perfect
+      predictor exist and the stats be counted in one place; a real
+      predictor never reads it before its lookup is made.  A predictor
+      that never predicts sets ``bind = None``, and decode skips it.
     """
 
     def __init__(self) -> None:
         self.stats = ValuePredictorStats()
 
-    def predict(self, pc: int, slot: int, actual: int) -> Prediction:
-        """Decode-time lookup for operand *slot* of the instruction at *pc*."""
-        raise NotImplementedError
+    def predict_update(self, pc: int, slot: int, actual: int) -> tuple:
+        """One decode-time lookup and training: ``bind(pc, slot)(actual)``.
 
-    def update(self, pc: int, slot: int, actual: int) -> None:
-        """Decode-time training with the correct operand value."""
-        raise NotImplementedError
-
-    def predict_update(self, pc: int, slot: int, actual: int) -> Prediction:
-        """Fused lookup + training — the decode stage's hot-path entry.
-
-        Semantically identical to ``predict`` followed by ``update``;
-        implementations may override it to do both in one table walk.
-        The core only unpacks the result as ``(value, confident)``, so
-        an override may return a plain tuple.
+        Binds afresh on every call, so it suits probes and tests, not a
+        per-instruction loop.
         """
-        prediction = self.predict(pc, slot, actual)
-        self.update(pc, slot, actual)
-        return prediction
-
-    def bind(self, pc: int, slot: int) -> Callable[[int], tuple]:
-        """``predict_update`` pre-bound to one static operand.
-
-        The call takes the actual value and returns ``(value,
-        confident)``; the decode stage binds one per predictable source
-        of each static instruction.  Implementations may override it to
-        resolve table indices once, at bind time.
-        """
-        return functools.partial(self.predict_update, pc, slot)
-
-    def trainer(self, pc: int, slot: int) -> Callable[[int], None]:
-        """``update`` pre-bound to one static operand.
-
-        The call takes the actual value; functional warming
-        (:meth:`repro.isa.executor.FunctionalExecutor.set_train_hooks`)
-        binds one per predictable source of each static instruction.
-        Implementations may override it to resolve table indices once,
-        at bind time.  A predictor whose ``update`` does nothing sets
-        ``trainer = None`` instead, so warming compiles no value hook.
-        """
-        return functools.partial(self.update, pc, slot)
-
-    def _record(self, prediction: Prediction, actual: int) -> Prediction:
-        self.stats.record(prediction.confident, prediction.value == actual)
-        return prediction
+        return self.bind(pc, slot)(actual)
 
 
 class NullPredictor(ValuePredictor):
     """Never offers a prediction — the paper's "no predict" configurations."""
 
+    bind = None  # nothing to predict
     trainer = None  # nothing to learn
-
-    def predict(self, pc: int, slot: int, actual: int) -> Prediction:
-        return self._record(Prediction(0, False), actual)
-
-    def update(self, pc: int, slot: int, actual: int) -> None:
-        pass

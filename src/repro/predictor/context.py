@@ -19,7 +19,7 @@ finite-context-method family — their own reference [19]):
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .base import Prediction, ValuePredictor
+from .base import ValuePredictor
 from .stride import StridePredictor
 
 __all__ = ["ContextPredictor", "HybridPredictor"]
@@ -65,30 +65,44 @@ class ContextPredictor(ValuePredictor):
     def _l1_index(self, pc: int, slot: int) -> int:
         return (((pc >> 2) << 1) | (slot & 1)) & self._l1_mask
 
-    def _l2_index(self, history: int) -> int:
-        return history & self._l2_mask
-
-    def predict(self, pc: int, slot: int, actual: int) -> Prediction:
-        history = self._history[self._l1_index(pc, slot)]
-        index = self._l2_index(history)
-        prediction = Prediction(self._value[index],
-                                self._counter[index]
-                                > self.confidence_threshold)
-        return self._record(prediction, actual)
-
-    def update(self, pc: int, slot: int, actual: int) -> None:
-        l1 = self._l1_index(pc, slot)
-        history = self._history[l1]
-        index = self._l2_index(history)
-        if self._value[index] == actual:
-            if self._counter[index] < 3:
-                self._counter[index] += 1
-        else:
-            if self._counter[index] > 0:
-                self._counter[index] -= 1
+    def trainer(self, pc: int, slot: int):
+        """``train(actual)`` for one static operand: the entry its
+        history selects gains confidence when it held *actual* and
+        loses it otherwise, taking *actual* once confidence is gone;
+        *actual* then joins the operand's history."""
+        def train(actual, l1=self._l1_index(pc, slot),
+                  history=self._history, value=self._value,
+                  counter=self._counter, mask=self._l2_mask):
+            hashed = history[l1]
+            index = hashed & mask
+            c = counter[index]
+            if value[index] == actual:
+                if c < 3:
+                    counter[index] = c + 1
+            elif c > 0:
+                counter[index] = c - 1
             else:
-                self._value[index] = actual
-        self._history[l1] = _mix(history, actual)
+                value[index] = actual
+            history[l1] = _mix(hashed, actual)
+        return train
+
+    def bind(self, pc: int, slot: int):
+        """``predict(actual) -> (value, confident)`` for one static
+        operand: the value its history selects, recorded in the stats
+        and then trained on *actual* by :meth:`trainer`'s closure."""
+        def predict(actual, l1=self._l1_index(pc, slot),
+                    history=self._history, value=self._value,
+                    counter=self._counter, mask=self._l2_mask,
+                    record=self.stats.record,
+                    threshold=self.confidence_threshold,
+                    train=self.trainer(pc, slot)):
+            index = history[l1] & mask
+            predicted = value[index]
+            confident = counter[index] > threshold
+            record(confident, predicted == actual)
+            train(actual)
+            return predicted, confident
+        return predict
 
 
 class HybridPredictor(ValuePredictor):
@@ -116,25 +130,37 @@ class HybridPredictor(ValuePredictor):
     def _chooser_index(self, pc: int, slot: int) -> int:
         return (((pc >> 2) << 1) | (slot & 1)) & self._chooser_mask
 
-    def predict(self, pc: int, slot: int, actual: int) -> Prediction:
-        stride_pred = self.stride.predict(pc, slot, actual)
-        context_pred = self.context.predict(pc, slot, actual)
-        use_context = self._chooser[self._chooser_index(pc, slot)] >= 2
-        chosen = context_pred if use_context else stride_pred
-        return self._record(Prediction(chosen.value, chosen.confident),
-                            actual)
+    def trainer(self, pc: int, slot: int):
+        """``train(actual)`` for one static operand: each component's
+        ``bind`` call, so each predicts and trains as it would alone
+        (and counts its own stats, which nothing reports), then the
+        chooser moves toward whichever was right when they disagree.
+        Returns the ``(value, confident)`` the chooser picked before it
+        moved, which :meth:`bind` reports."""
+        def train(actual, stride=self.stride.bind(pc, slot),
+                  context=self.context.bind(pc, slot),
+                  chooser=self._chooser,
+                  index=self._chooser_index(pc, slot)):
+            by_stride = stride(actual)
+            by_context = context(actual)
+            c = chooser[index]
+            stride_right = by_stride[0] == actual
+            if stride_right != (by_context[0] == actual):
+                if stride_right:
+                    if c > 0:
+                        chooser[index] = c - 1
+                elif c < 3:
+                    chooser[index] = c + 1
+            return by_context if c >= 2 else by_stride
+        return train
 
-    def update(self, pc: int, slot: int, actual: int) -> None:
-        index = self._chooser_index(pc, slot)
-        stride_right = (self.stride.predict(pc, slot, actual).value
-                        == actual)
-        context_right = (self.context.predict(pc, slot, actual).value
-                         == actual)
-        if stride_right != context_right:
-            counter = self._chooser[index]
-            if context_right and counter < 3:
-                self._chooser[index] = counter + 1
-            elif stride_right and counter > 0:
-                self._chooser[index] = counter - 1
-        self.stride.update(pc, slot, actual)
-        self.context.update(pc, slot, actual)
+    def bind(self, pc: int, slot: int):
+        """``predict(actual) -> (value, confident)`` for one static
+        operand: :meth:`trainer`'s call, its pick recorded in the
+        stats."""
+        def predict(actual, train=self.trainer(pc, slot),
+                    record=self.stats.record):
+            predicted, confident = train(actual)
+            record(confident, predicted == actual)
+            return predicted, confident
+        return predict

@@ -8,7 +8,7 @@ the paper's perfect-prediction communication rate is not zero
 
 from __future__ import annotations
 
-from .base import Prediction, ValuePredictor
+from .base import ValuePredictor
 
 __all__ = ["PerfectPredictor"]
 
@@ -18,8 +18,9 @@ class PerfectPredictor(ValuePredictor):
 
     trainer = None  # nothing to learn
 
-    def predict(self, pc: int, slot: int, actual: int) -> Prediction:
-        return self._record(Prediction(actual, True), actual)
-
-    def update(self, pc: int, slot: int, actual: int) -> None:
-        pass
+    def bind(self, pc: int, slot: int):
+        """``predict(actual)``: *actual*, confident, recorded a hit."""
+        def predict(actual, record=self.stats.record):
+            record(True, True)
+            return actual, True
+        return predict

@@ -25,10 +25,8 @@ configurations of Figure 5.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..errors import ConfigError
-from .base import Prediction, ValuePredictor
+from .base import ValuePredictor
 
 __all__ = ["StridePredictor"]
 
@@ -69,175 +67,57 @@ class StridePredictor(ValuePredictor):
     def _index(self, pc: int, slot: int) -> int:
         return (((pc >> 2) << 1) | (slot & 1)) & self._mask
 
-    def predict(self, pc: int, slot: int, actual: int) -> Prediction:
-        index = self._index(pc, slot)
-        predicted = _wrap64(self._last[index] + self._stride[index])
-        confident = self._counter[index] > self.confidence_threshold
-        return self._record(Prediction(predicted, confident), actual)
+    def trainer(self, pc: int, slot: int):
+        """``train(actual)`` for one static operand: the training rule.
 
-    def update(self, pc: int, slot: int, actual: int) -> None:
-        index = self._index(pc, slot)
-        new_stride = _wrap64(actual - self._last[index])
-        if new_stride == self._stride[index]:
-            if self._counter[index] < 3:
-                self._counter[index] += 1
-        elif self.two_delta:
-            if new_stride == self._prev_stride[index]:
-                # Seen twice in a row: adopt it, confidence restarts.
-                self._stride[index] = new_stride
-                self._counter[index] = 1
-            elif self._counter[index] > 0:
-                self._counter[index] -= 1
-        else:
-            self._stride[index] = new_stride
-            if self._counter[index] > 0:
-                self._counter[index] -= 1
-        self._prev_stride[index] = new_stride
-        self._last[index] = actual
-
-    def predict_update(self, pc: int, slot: int,
-                       actual: int) -> Tuple[int, bool]:
-        """Fused lookup + two-delta training in a single table walk.
-
-        Exactly ``predict`` followed by ``update`` (the two read the
-        same entry), folded together for the decode hot path, which
-        unpacks the result: it is a plain ``(value, confident)`` tuple,
-        because building a :class:`Prediction` costs about as much as
-        the table walk.
+        The new stride is ``actual - last``.  Seen again, it raises the
+        counter (saturating at 3); otherwise the counter drops
+        (saturating at 0) and, without two-delta, the new stride
+        replaces the old one at once.  With two-delta a new stride
+        replaces the old one only when it repeats the previous
+        observation, and the counter restarts at 1.  The table index
+        and list handles are bound once, so a call does no index
+        arithmetic or attribute lookups.
         """
-        index = (((pc >> 2) << 1) | (slot & 1)) & self._mask
-        last = self._last[index]
-        stride = self._stride[index]
-        counter = self._counter[index]
-        predicted = (last + stride - _INT_MIN) % _WRAP + _INT_MIN
-        confident = counter > self.confidence_threshold
-        stats = self.stats
-        stats.lookups += 1
-        if confident:
-            stats.confident += 1
-            if predicted == actual:
-                stats.confident_correct += 1
-        new_stride = (actual - last - _INT_MIN) % _WRAP + _INT_MIN
-        if new_stride == stride:
-            if counter < 3:
-                self._counter[index] = counter + 1
-        elif self.two_delta:
-            if new_stride == self._prev_stride[index]:
-                # Seen twice in a row: adopt it, confidence restarts.
-                self._stride[index] = new_stride
-                self._counter[index] = 1
-            elif counter > 0:
-                self._counter[index] = counter - 1
-        else:
-            self._stride[index] = new_stride
-            if counter > 0:
-                self._counter[index] = counter - 1
-        self._prev_stride[index] = new_stride
-        self._last[index] = actual
-        return predicted, confident
-
-    def bind(self, pc: int, slot: int):
-        """A pre-bound ``predict_update(actual)`` for one static operand.
-
-        Returns exactly what :meth:`predict_update` returns for this
-        ``(pc, slot)`` and leaves the same table state and stats; the
-        table index and list handles are resolved once, at bind time,
-        as :meth:`trainer` does.
-        """
-        index = self._index(pc, slot)
-
-        def predict_update(actual, index=index, last=self._last,
-                           stride=self._stride, prev=self._prev_stride,
-                           counter=self._counter, stats=self.stats,
-                           threshold=self.confidence_threshold,
-                           two_delta=self.two_delta):
-            value = last[index]
-            step = stride[index]
-            c = counter[index]
-            predicted = value + step
-            if not -0x8000000000000000 <= predicted < 0x8000000000000000:
-                predicted = _wrap64(predicted)
-            confident = c > threshold
-            stats.lookups += 1
-            if confident:
-                stats.confident += 1
-                if predicted == actual:
-                    stats.confident_correct += 1
-            new_stride = actual - value
+        def train(actual, index=self._index(pc, slot), last=self._last,
+                  stride=self._stride, prev=self._prev_stride,
+                  counter=self._counter, two_delta=self.two_delta):
+            new_stride = actual - last[index]
             if not -0x8000000000000000 <= new_stride < 0x8000000000000000:
                 new_stride = _wrap64(new_stride)
-            if new_stride == step:
+            if new_stride == stride[index]:
+                c = counter[index]
                 if c < 3:
                     counter[index] = c + 1
-            elif two_delta:
-                if new_stride == prev[index]:
-                    stride[index] = new_stride
-                    counter[index] = 1
-                elif c > 0:
-                    counter[index] = c - 1
-            else:
+            elif two_delta and new_stride == prev[index]:
+                # Seen twice in a row: adopt it, confidence restarts.
                 stride[index] = new_stride
+                counter[index] = 1
+            else:
+                if not two_delta:
+                    stride[index] = new_stride
+                c = counter[index]
                 if c > 0:
                     counter[index] = c - 1
             prev[index] = new_stride
             last[index] = actual
-            return predicted, confident
-        return predict_update
-
-    def trainer(self, pc: int, slot: int):
-        """A pre-bound ``train(actual)`` closure for one static operand.
-
-        State evolution is exactly :meth:`update` for this ``(pc,
-        slot)``; the table index and list handles are resolved once at
-        bind time, so the functional-warming fast path pays no index
-        arithmetic or attribute lookups per call.  Stats are *not*
-        recorded — training observes the committed stream, it does not
-        predict.
-        """
-        index = self._index(pc, slot)
-        last, stride = self._last, self._stride
-        prev, counter = self._prev_stride, self._counter
-        if self.two_delta:
-            def train(actual, index=index, last=last, stride=stride,
-                      prev=prev, counter=counter):
-                new_stride = actual - last[index]
-                if not -0x8000000000000000 <= new_stride \
-                        < 0x8000000000000000:
-                    new_stride = _wrap64(new_stride)
-                if new_stride == stride[index]:
-                    c = counter[index]
-                    if c < 3:
-                        counter[index] = c + 1
-                elif new_stride == prev[index]:
-                    stride[index] = new_stride
-                    counter[index] = 1
-                else:
-                    c = counter[index]
-                    if c > 0:
-                        counter[index] = c - 1
-                prev[index] = new_stride
-                last[index] = actual
-        else:
-            def train(actual, index=index, last=last, stride=stride,
-                      prev=prev, counter=counter):
-                new_stride = actual - last[index]
-                if not -0x8000000000000000 <= new_stride \
-                        < 0x8000000000000000:
-                    new_stride = _wrap64(new_stride)
-                if new_stride == stride[index]:
-                    c = counter[index]
-                    if c < 3:
-                        counter[index] = c + 1
-                else:
-                    stride[index] = new_stride
-                    c = counter[index]
-                    if c > 0:
-                        counter[index] = c - 1
-                prev[index] = new_stride
-                last[index] = actual
         return train
 
-    def entry(self, pc: int, slot: int) -> tuple:
-        """(last, stride, counter) for tests and introspection."""
-        index = self._index(pc, slot)
-        return (self._last[index], self._stride[index], self._counter[index])
+    def bind(self, pc: int, slot: int):
+        """``predict(actual) -> (value, confident)`` for one static
+        operand: ``last + stride``, confident when the counter clears
+        the threshold, recorded in the stats and then trained on
+        *actual* by :meth:`trainer`'s closure."""
+        def predict(actual, index=self._index(pc, slot), last=self._last,
+                    stride=self._stride, counter=self._counter,
+                    record=self.stats.record,
+                    threshold=self.confidence_threshold,
+                    train=self.trainer(pc, slot)):
+            predicted = last[index] + stride[index]
+            if not -0x8000000000000000 <= predicted < 0x8000000000000000:
+                predicted = _wrap64(predicted)
+            confident = counter[index] > threshold
+            record(confident, predicted == actual)
+            train(actual)
+            return predicted, confident
+        return predict

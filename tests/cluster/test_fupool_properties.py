@@ -35,7 +35,8 @@ def pool_configs(draw):
 def test_single_cycle_never_exceeds_any_limit(config, requests):
     pool = FUPool(**config)
     pool.begin_cycle(0)
-    granted = [op for op in requests if pool.try_issue(op)]
+    granted = [op for op in requests
+               if pool.try_issue_desc(pool.descriptor(op))]
     int_granted = [op for op in granted if op in INT_OPS]
     fp_granted = [op for op in granted if op in FP_OPS]
     assert len(int_granted) <= min(config["int_width"],
@@ -78,7 +79,8 @@ def test_divides_eventually_all_issue(config, divs):
     remaining = divs
     for cycle in range(divs * 6 + 10):
         pool.begin_cycle(cycle)
-        while remaining and pool.try_issue(OpClass.IDIV):
+        while remaining and pool.try_issue_desc(
+                pool.descriptor(OpClass.IDIV)):
             remaining -= 1
         if not remaining:
             break

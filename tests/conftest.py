@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import make_config
 from repro.core.processor import Processor
+from repro.frontend import BranchPredictorStats
 from repro.isa import ProgramBuilder, execute
 from repro.isa.instruction import DynInst, Instruction
 from repro.isa.opcodes import opinfo
@@ -28,6 +29,22 @@ def make_dyn(seq: int, pc: int, op: str = "add", dest=None, srcs=(),
 def dyn_factory():
     """The :func:`make_dyn` factory as a fixture."""
     return make_dyn
+
+
+class TakenPredictor:
+    """Always predicts taken: a direction predictor stand-in for fetch
+    tests."""
+
+    def __init__(self) -> None:
+        self.stats = BranchPredictorStats()
+
+    def predict(self, pc: int) -> bool:
+        return True
+
+    def update(self, pc: int, taken: bool) -> None:
+        self.stats.lookups += 1
+        if not taken:
+            self.stats.mispredictions += 1
 
 
 def linear_trace(count: int, base_pc: int = 0x1000):

@@ -19,14 +19,16 @@ SCRATCH = [f"r{i}" for i in range(8, 24)]
 
 
 @st.composite
-def random_programs(draw):
+def random_programs(draw, max_body=40, max_iters=40):
+    """A counted loop of 3 to *max_body* body ops, 2 to *max_iters*
+    iterations."""
     body_ops = draw(st.lists(
         st.tuples(st.sampled_from(INT_BINOPS + ["lw", "sw", "addi", "fp"]),
                   st.integers(0, len(SCRATCH) - 1),
                   st.integers(0, len(SCRATCH) - 1),
                   st.integers(0, 15)),
-        min_size=3, max_size=40))
-    iters = draw(st.integers(min_value=2, max_value=40))
+        min_size=3, max_size=max_body))
+    iters = draw(st.integers(min_value=2, max_value=max_iters))
     b = ProgramBuilder()
     buf = b.data("buf", list(range(16)))
     b.emit("li", "r1", buf)

@@ -29,16 +29,14 @@ from repro.cluster.issue_queue import IssueQueue
 from repro.core import make_config, simulate
 from repro.core.processor import Processor
 from repro.core.uop import STATE_WAITING, Uop
-from repro.isa import ProgramBuilder, execute
+from repro.isa import execute
 from repro.obs import EventTracer, RingBufferSink
 from repro.obs.events import EV_COMMIT, EV_ISSUE
 from repro.validation.faults import FaultPlan
 from repro.workloads import workload_trace
 
 from ..conftest import at_cycle_boundaries
-
-INT_BINOPS = ["add", "sub", "and", "or", "xor", "min", "max", "mul"]
-SCRATCH = [f"r{i}" for i in range(8, 24)]
+from .test_processor_properties import random_programs
 
 
 class AlwaysScanQueue(IssueQueue):
@@ -80,44 +78,6 @@ class NeverSleepingUop(Uop):
         pass
 
 
-@st.composite
-def random_programs(draw):
-    body_ops = draw(st.lists(
-        st.tuples(st.sampled_from(INT_BINOPS + ["lw", "sw", "addi", "fp"]),
-                  st.integers(0, len(SCRATCH) - 1),
-                  st.integers(0, len(SCRATCH) - 1),
-                  st.integers(0, 15)),
-        min_size=3, max_size=30))
-    iters = draw(st.integers(min_value=2, max_value=25))
-    b = ProgramBuilder()
-    buf = b.data("buf", list(range(16)))
-    b.emit("li", "r1", buf)
-    b.emit("li", "r6", 0)
-    b.emit("li", "r7", iters)
-    for i, reg in enumerate(SCRATCH):
-        b.emit("li", reg, i + 1)
-    b.emit("li", "r24", 2)
-    b.emit("cvtif", "f8", "r24")
-    b.emit("cvtif", "f9", "r24")
-    b.label("loop")
-    for op, a, c, imm in body_ops:
-        ra, rc = SCRATCH[a], SCRATCH[c]
-        if op == "lw":
-            b.emit("lw", ra, "r1", 4 * (imm % 16))
-        elif op == "sw":
-            b.emit("sw", ra, "r1", 4 * (imm % 16))
-        elif op == "addi":
-            b.emit("addi", ra, rc, imm - 8)
-        elif op == "fp":
-            b.emit("fadd", "f8", "f8", "f9")
-        else:
-            b.emit(op, ra, ra, rc)
-    b.emit("addi", "r6", "r6", 1)
-    b.emit("blt", "r6", "r7", "loop")
-    b.emit("halt")
-    return b.build()
-
-
 def _issue_and_commit_stream(trace, config, force_linear, fault_plan=None):
     """(issue events, commit events, stats dict) of one simulation."""
     sink = RingBufferSink(capacity=1 << 20)
@@ -136,7 +96,7 @@ def _issue_and_commit_stream(trace, config, force_linear, fault_plan=None):
 
 
 @settings(max_examples=12, deadline=None)
-@given(program=random_programs(),
+@given(program=random_programs(max_body=30, max_iters=25),
        n_clusters=st.sampled_from([1, 2, 4]),
        predictor=st.sampled_from(["none", "stride", "context"]),
        steering=st.sampled_from(["baseline", "vpb", "dependence-only"]))
@@ -177,7 +137,7 @@ def test_rescheduled_value_wakes_already_woken_consumers(
 
 
 @settings(max_examples=12, deadline=None)
-@given(program=random_programs(),
+@given(program=random_programs(max_body=30, max_iters=25),
        config=st.sampled_from([
            dict(n_clusters=1),
            dict(n_clusters=4, predictor="stride", steering="vpb"),

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import make_config, simulate
-from repro.frontend import BranchTargetBuffer, FetchEngine, TakenPredictor
+from repro.frontend import BranchTargetBuffer, FetchEngine
 from repro.workloads import workload_trace
 
-from ..conftest import make_dyn, pop_fetched
+from ..conftest import TakenPredictor, make_dyn, pop_fetched
 
 
 class TestBTBTable:

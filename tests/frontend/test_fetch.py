@@ -2,13 +2,12 @@
 
 from repro.core import make_config, simulate
 from repro.core.uop import KIND_INST
-from repro.frontend import FetchEngine, TakenPredictor
-from repro.frontend.branch_predictor import BimodalPredictor
+from repro.frontend import CombinedPredictor, FetchEngine
 from repro.obs import EventTracer, RingBufferSink
 from repro.obs.events import EV_DISPATCH
 from repro.workloads import workload_trace
 
-from ..conftest import linear_trace, make_dyn, pop_fetched
+from ..conftest import TakenPredictor, linear_trace, make_dyn, pop_fetched
 
 
 def always_hit(pc):
@@ -144,7 +143,7 @@ class TestBranchHandling:
         assert engine.tick(4) == 0
 
     def test_predictor_trained_at_fetch(self):
-        predictor = BimodalPredictor(64)
+        predictor = CombinedPredictor(64, 64, 4, 64)
         trace = [make_dyn(i, 0x1000, op="bne", srcs=(1, 2), taken=True,
                           target=0x1000) for i in range(6)]
         engine = FetchEngine(iter(trace), always_hit, predictor, width=1,

@@ -3,9 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import FetchEngine, TakenPredictor
+from repro.frontend import FetchEngine
 
-from ..conftest import make_dyn, pop_fetched
+from ..conftest import TakenPredictor, make_dyn, pop_fetched
 
 
 def build_trace(shape):

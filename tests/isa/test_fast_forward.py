@@ -29,13 +29,12 @@ from repro.isa.executor import (ExecutionError, FunctionalExecutor,
                                 recompute_result)
 from repro.isa.program import INSTRUCTION_BYTES, _expected_banks
 from repro.memory import MemoryHierarchy
-from repro.predictor import ValuePredictor
 from repro.predictor.stride import StridePredictor
 from repro.workloads import build_workload, workload_names
 
 from .reference_executor import ReferenceExecutor, record
 
-HOOK_SETS = ("none", "base", "trainers", "all")
+HOOK_SETS = ("none", "calls", "trainers", "all")
 
 
 def _halting_loop(seed: int):
@@ -86,21 +85,21 @@ class _Warm:
     def hooks(self, kind: str) -> dict:
         """The executor's hooks of set *kind*.
 
-        "base": the value predictor through the base class's trainer
-        and the branch predictor through ``update`` pre-bound to the
-        pc, plus both caches.  "trainers": the predictors' own trainers
-        alone.  "all": those trainers and every other hook.
+        "calls": the predictors' decode and fetch calls
+        (``predict_update``, ``update``) pre-bound to the site, plus
+        both caches.  "trainers": the predictors' trainers alone.
+        "all": those trainers and every other hook.
         """
         if kind == "none":
             return {}
-        if kind == "base":
-            hooks = dict(value=functools.partial(ValuePredictor.trainer,
-                                                 self.vp),
+        if kind == "calls":
+            hooks = dict(value=lambda pc, slot: functools.partial(
+                self.vp.predict_update, pc, slot),
                          branch=lambda pc: functools.partial(self.bp.update,
                                                              pc))
         else:
             hooks = dict(value=self.vp.trainer, branch=self.bp.trainer)
-        if kind in ("base", "all"):
+        if kind in ("calls", "all"):
             hooks.update(mem=self.memory.l1d.access,
                          code=self.memory.l1i.access)
         if kind == "all":
@@ -108,10 +107,12 @@ class _Warm:
         return hooks
 
     def calls(self, kind: str) -> dict:
-        """The hooks of set *kind* as one call per event."""
+        """The hooks of set *kind* as one decode or fetch call per
+        event."""
         hooks = self.hooks(kind)
         if hooks:
-            hooks.update(value=self.vp.update, branch=self.bp.update)
+            hooks.update(value=self.vp.predict_update,
+                         branch=self.bp.update)
         return hooks
 
     def state(self) -> dict:
@@ -120,9 +121,8 @@ class _Warm:
             "stride": (self.vp._last, self.vp._stride, self.vp._prev_stride,
                        self.vp._counter),
             # Trainers record no stats, so compare tables only.
-            "branch": (self.bp.bimodal._table.counters,
-                       self.bp.gshare._table.counters,
-                       self.bp._chooser.counters, self.bp.gshare.history),
+            "branch": (self.bp.bimodal, self.bp.gshare, self.bp.chooser,
+                       self.bp.history),
             "btb": (self.btb._tags, self.btb._targets),
             "caches": [(c._sets, c._stamp, c.stats.accesses, c.stats.misses)
                        for c in caches],

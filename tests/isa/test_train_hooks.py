@@ -1,7 +1,7 @@
 """Functional-warming train hooks: the compiled fast-forward path with
-hooks installed must observe exactly what decode observes, and the
-predictors' pre-bound trainers must train bit-identically to one
-``predict_update``/``update`` call per event."""
+hooks installed must train the predictors exactly as the detailed
+model's decode and fetch do, and the trainers bound once per static
+site must train like a fresh decode or fetch call per event."""
 
 import re
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.sampling import _WarmState
 from repro.core import make_config
+from repro.core.processor import Processor
 from repro.frontend.branch_predictor import CombinedPredictor
 from repro.isa.executor import FunctionalExecutor
 from repro.predictor.stride import StridePredictor
@@ -32,14 +33,12 @@ def _vp_state(vp):
 
 
 def _bp_state(bp):
-    return (list(bp.bimodal._table.counters),
-            list(bp.gshare._table.counters),
-            list(bp._chooser.counters),
-            bp.gshare.history)
+    return (list(bp.bimodal), list(bp.gshare), list(bp.chooser),
+            bp.history)
 
 
 def _per_call(vp, bp) -> dict:
-    """Hooks whose trainers make one public call per event."""
+    """Hooks that make decode's and fetch's public call per event."""
     return dict(
         value=lambda pc, slot:
             lambda actual: vp.predict_update(pc, slot, actual),
@@ -68,27 +67,29 @@ class TestFactoryEquivalence:
         assert _vp_state(gvp) == _vp_state(fvp)
         assert _bp_state(gbp) == _bp_state(fbp)
 
-    @pytest.mark.parametrize("predictor", ["context", "hybrid"])
-    def test_base_trainer_is_update(self, predictor):
-        # Predictors without a trainer of their own warm through the
-        # base class's: ``update`` pre-bound to the operand.
+    @pytest.mark.parametrize("predictor", ["stride", "context", "hybrid"])
+    def test_warming_matches_decode_training(self, predictor):
+        # Decode trains the value predictor, and fetch the branch
+        # predictor, once per instruction in program order; a warmed
+        # skip() over the same instructions must leave both predictors'
+        # tables exactly as a detailed run of them does.
         config = make_config(2, predictor=predictor, steering="vpb")
         warmed = FunctionalExecutor(build_workload(WORKLOAD), 5_000)
         warm = _WarmState(config)
         warm.install_hooks(warmed)
         warmed.skip(5_000)
-        called = FunctionalExecutor(build_workload(WORKLOAD), 5_000)
-        ref = _WarmState(config)
-        called.set_train_hooks(value=lambda pc, slot: lambda actual:
-                               ref.vp.update(pc, slot, actual))
-        called.skip(5_000)
-        assert _state(warm.vp) == _state(ref.vp)
+        detailed = Processor(config, FunctionalExecutor(
+            build_workload(WORKLOAD), 5_000).run())
+        assert detailed.run().stats.committed_insts == 5_000
+        assert _state(warm.vp, stats=False) \
+            == _state(detailed.vp, stats=False)
+        assert _bp_state(warm.bpred) == _bp_state(detailed.bpred)
         assert _state(warm.vp) != _state(_WarmState(config).vp)
 
     @pytest.mark.parametrize("predictor", ["none", "perfect"])
     def test_nothing_to_learn_compiles_no_value_hook(self, predictor):
-        # These predictors' ``update`` does nothing, so warming them
-        # must not cost a call per integer source.
+        # These predictors have no trainer, so warming them must not
+        # cost a call per integer source.
         config = make_config(2, predictor=predictor, steering="vpb")
         executor = FunctionalExecutor(build_workload(WORKLOAD), 5_000)
         _WarmState(config).install_hooks(executor)

@@ -47,11 +47,6 @@ class TestHierarchy:
         h.l1d.flush()
         assert h.data_latency(0x8000) == 7   # L2 hit from the D side
 
-    def test_line_of_matches_l1_line_size(self):
-        h = MemoryHierarchy()
-        assert h.line_of(0) == h.line_of(31)
-        assert h.line_of(31) != h.line_of(32)
-
     def test_stats_bundle(self):
         h = MemoryHierarchy()
         h.fetch_latency(0)

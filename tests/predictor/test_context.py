@@ -4,13 +4,7 @@ import pytest
 
 from repro.predictor import ContextPredictor, HybridPredictor, StridePredictor
 
-
-def feed(predictor, pc, slot, values):
-    out = []
-    for value in values:
-        out.append(predictor.predict(pc, slot, value))
-        predictor.update(pc, slot, value)
-    return out
+from .test_stride import feed
 
 
 class TestContextPredictor:
@@ -22,20 +16,19 @@ class TestContextPredictor:
         context_preds = feed(context, 0x100, 0, list(cycle))
         stride_preds = feed(stride, 0x100, 0, list(cycle))
         def correct_confident(preds, values):
-            return sum(1 for p, v in zip(preds, values)
-                       if p.confident and p.value == v)
+            return sum(1 for p, v in zip(preds, values) if p == (v, True))
         assert (correct_confident(context_preds, cycle)
                 > correct_confident(stride_preds, cycle) + 5)
 
     def test_constant_value_learned(self):
         predictor = ContextPredictor(256, 1024)
         preds = feed(predictor, 0x40, 0, [9] * 10)
-        assert preds[-1].confident and preds[-1].value == 9
+        assert preds[-1] == (9, True)
 
     def test_random_values_not_confident(self):
         predictor = ContextPredictor(256, 1024)
         preds = feed(predictor, 0x40, 0, [3, 1, 4, 159, 26, 535, 8, 97])
-        assert not any(p.confident and p.value == v
+        assert not any(p == (v, True)
                        for p, v in zip(preds[2:], [4, 159, 26, 535, 8, 97]))
 
     def test_parameter_validation(self):
@@ -50,7 +43,7 @@ class TestContextPredictor:
         predictor = ContextPredictor(1024, 4096)
         feed(predictor, 0x80, 0, [1, 2, 3] * 6)
         preds = feed(predictor, 0x80, 1, [9] * 6)
-        assert preds[-1].value == 9
+        assert preds[-1][0] == 9
 
 
 class TestHybridPredictor:
@@ -62,9 +55,9 @@ class TestHybridPredictor:
         s_preds = feed(hybrid, 0x100, 0, stride_values)
         c_preds = feed(hybrid, 0x200, 0, cycle_values)
         s_hits = sum(1 for p, v in zip(s_preds, stride_values)
-                     if p.confident and p.value == v)
+                     if p == (v, True))
         c_hits = sum(1 for p, v in zip(c_preds, cycle_values)
-                     if p.confident and p.value == v)
+                     if p == (v, True))
         assert s_hits > len(stride_values) // 2
         assert c_hits > len(cycle_values) // 3
 

@@ -1,5 +1,6 @@
 """Property-based tests of the stride predictor's invariants, and of
-the three equivalent call forms of every value predictor."""
+every value predictor's call forms against its test-only reference
+(``reference_predictors``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,11 @@ from repro.predictor import (ContextPredictor, HybridPredictor,
                              PerfectPredictor, StridePredictor,
                              ValuePredictor, ValuePredictorStats)
 
+from .reference_predictors import (_EDGE, ReferenceContext,
+                                   ReferenceHybrid, ReferencePerfect,
+                                   ReferenceStride, _wrap)
+
 int64 = st.integers(min_value=-(1 << 62), max_value=(1 << 62) - 1)
-
-_EDGE = 1 << 63
-
-
-def _wrap(value):
-    return (value + _EDGE) % (1 << 64) - _EDGE
 
 
 #: Runs of operand values for one (pc, slot): strided runs starting
@@ -36,31 +35,35 @@ _runs = st.lists(st.tuples(
     min_size=1, max_size=8)
 
 
+def entry(predictor, pc, slot):
+    """(last, stride, counter) of the stride entry for *(pc, slot)*."""
+    index = predictor._index(pc, slot)
+    return (predictor._last[index], predictor._stride[index],
+            predictor._counter[index])
+
+
 @settings(max_examples=50, deadline=None)
 @given(start=int64, stride=st.integers(min_value=-(1 << 30),
                                        max_value=1 << 30),
        warmup=st.integers(min_value=5, max_value=12))
 def test_constant_stride_always_learned(start, stride, warmup):
     """After >=3 constant-stride observations the prediction is exact."""
-    predictor = StridePredictor(256)
+    predict = StridePredictor(256).bind(0x40, 0)
     value = start
     for _ in range(warmup):
-        predictor.predict(0x40, 0, value)
-        predictor.update(0x40, 0, value)
+        predict(value)
         value += stride
-    prediction = predictor.predict(0x40, 0, value)
-    assert prediction.confident
-    assert prediction.value == value
+    assert predict(value) == (value, True)
 
 
 @settings(max_examples=50)
 @given(values=st.lists(int64, min_size=1, max_size=60))
 def test_counter_stays_in_2bit_range(values):
     predictor = StridePredictor(64)
+    predict = predictor.bind(0x40, 1)
     for value in values:
-        predictor.predict(0x40, 1, value)
-        predictor.update(0x40, 1, value)
-        _, _, counter = predictor.entry(0x40, 1)
+        predict(value)
+        _, _, counter = entry(predictor, 0x40, 1)
         assert 0 <= counter <= 3
 
 
@@ -68,9 +71,9 @@ def test_counter_stays_in_2bit_range(values):
 @given(values=st.lists(int64, min_size=1, max_size=40))
 def test_stats_consistency(values):
     predictor = StridePredictor(64)
+    predict = predictor.bind(0x80, 0)
     for value in values:
-        predictor.predict(0x80, 0, value)
-        predictor.update(0x80, 0, value)
+        predict(value)
     stats = predictor.stats
     assert stats.confident <= stats.lookups == len(values)
     assert stats.confident_correct <= stats.confident
@@ -84,9 +87,10 @@ def test_stats_consistency(values):
 def test_last_value_always_tracked(values, entries):
     """Whatever happens, the entry's last value is the latest actual."""
     predictor = StridePredictor(entries)
+    train = predictor.trainer(0x100, 0)
     for value in values:
-        predictor.update(0x100, 0, value)
-    last, _, _ = predictor.entry(0x100, 0)
+        train(value)
+    last, _, _ = entry(predictor, 0x100, 0)
     assert last == values[-1]
 
 
@@ -97,39 +101,52 @@ def test_large_table_no_interference(pcs):
     """Distinct PCs in a big table never share an entry."""
     predictor = StridePredictor(1 << 18)
     for i, pc in enumerate(pcs):
+        train = predictor.trainer(pc, 0)
         for k in range(4):
-            predictor.update(pc, 0, i * 1000 + k)
+            train(i * 1000 + k)
     for i, pc in enumerate(pcs):
-        last, stride, _ = predictor.entry(pc, 0)
+        last, stride, _ = entry(predictor, pc, 0)
         assert last == i * 1000 + 3
         assert stride == 1
 
 
-def _state(obj):
-    """Every table and counter of a predictor, nested ones included."""
+def _state(obj, stats=True):
+    """Every table and counter of a predictor, nested ones included;
+    without *stats*, the tables alone."""
     if isinstance(obj, ValuePredictorStats):
-        return (obj.lookups, obj.confident, obj.confident_correct)
+        return (obj.lookups, obj.confident, obj.confident_correct) \
+            if stats else None
     if isinstance(obj, ValuePredictor):
-        return {name: _state(value) for name, value in vars(obj).items()}
+        return {name: _state(value, stats)
+                for name, value in vars(obj).items()}
     return obj
 
 
-def _check_call_forms(make, runs):
-    """``bind(pc, slot)(v)``, ``predict_update`` and ``predict`` then
-    ``update`` agree on every result and leave the same state."""
-    bound, fused, split = make(), make(), make()
-    calls = {}
+def _check_call_forms(make, reference, runs):
+    """``bind(pc, slot)(v)`` and ``predict_update`` return what the
+    reference's ``predict`` returns and leave the state its ``predict``
+    then ``update`` leave; ``trainer(pc, slot)(v)``, unless the
+    predictor has nothing to learn, leaves the same tables and records
+    nothing."""
+    bound, fused, split, trained = make(), make(), reference(), make()
+    learns = trained.trainer is not None
+    calls, trainers = {}, {}
     for pc, slot, values in runs:
         for actual in values:
             predict = calls.get((pc, slot))
             if predict is None:
                 predict = calls[(pc, slot)] = bound.bind(pc, slot)
-            got = tuple(predict(actual))
-            assert got == tuple(fused.predict_update(pc, slot, actual))
-            reference = split.predict(pc, slot, actual)
+                if learns:
+                    trainers[(pc, slot)] = trained.trainer(pc, slot)
+            got = predict(actual)
+            assert got == fused.predict_update(pc, slot, actual)
+            assert got == split.predict(pc, slot, actual)
             split.update(pc, slot, actual)
-            assert got == (reference.value, reference.confident)
+            if learns:
+                trainers[(pc, slot)](actual)
     assert _state(bound) == _state(fused) == _state(split)
+    assert _state(trained, stats=False) == _state(split, stats=False)
+    assert trained.stats.lookups == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,16 +154,21 @@ def _check_call_forms(make, runs):
 def test_bound_stride_matches_fused_and_split(runs, two_delta):
     """Two entries: the slots of every pc alias onto them."""
     _check_call_forms(lambda: StridePredictor(2, two_delta=two_delta),
+                      lambda: ReferenceStride(2, two_delta=two_delta),
                       runs)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ContextPredictor(l1_entries=2, l2_entries=2),
-    lambda: HybridPredictor(stride_entries=2, context_l1=2, context_l2=2,
-                            chooser_entries=2),
-    PerfectPredictor,
+@pytest.mark.parametrize("make, reference", [
+    (lambda: ContextPredictor(l1_entries=2, l2_entries=2),
+     lambda: ReferenceContext(l1_entries=2, l2_entries=2)),
+    (lambda: HybridPredictor(stride_entries=2, context_l1=2, context_l2=2,
+                             chooser_entries=2),
+     lambda: ReferenceHybrid(stride_entries=2, context_l1=2, context_l2=2,
+                             chooser_entries=2)),
+    (PerfectPredictor, ReferencePerfect),
 ], ids=["context", "hybrid", "perfect"])
 @settings(max_examples=30, deadline=None)
 @given(runs=_runs)
-def test_default_binding_matches_fused_and_split(make, runs):
-    _check_call_forms(make, runs)
+def test_default_binding_matches_fused_and_split(make, reference, runs):
+    """The other predictors' call forms against their references."""
+    _check_call_forms(make, reference, runs)

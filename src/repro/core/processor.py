@@ -1000,8 +1000,8 @@ class Processor:
                     continue
                 injected = False
                 if injector is not None:
-                    corrupted = injector.corrupt_prediction(dyn.pc, slot,
-                                                            actual)
+                    corrupted = injector.corrupt_prediction(
+                        dyn.static.pc, slot, actual)
                     if corrupted is not None:
                         value, injected = corrupted, True
                 predictions[slot] = (value, value == actual, injected)
@@ -1070,13 +1070,13 @@ class Processor:
         slot stays None until dispatch allocates its replica, and a
         second read of a copied register has no source cluster.
         """
-        dyn = fetched.dyn
+        pc = fetched.dyn.static.pc
         predictions = self._predictions(fetched, template)
         views = self._source_views(template, predictions, cycle)
-        cluster_id = self.steerer.choose(views, self.dcount, dyn.pc)
+        cluster_id = self.steerer.choose(views, self.dcount, pc)
         if self._injector is not None:
             cluster_id = self._injector.flip_steering(
-                cluster_id, self.config.n_clusters, dyn.pc)
+                cluster_id, self.config.n_clusters, pc)
         map_rows = self.renamer.rows
         ready = self._ready_arrays[cluster_id]
         clusters = self.clusters
@@ -1184,7 +1184,7 @@ class Processor:
             # the reason the steer event reports.
             self.steerer.choose(
                 self._source_views(template, predictions, cycle),
-                self.dcount, fetched.dyn.pc)
+                self.dcount, fetched.dyn.static.pc)
         self._dispatch(fetched, template, 0, operands, specials, cycle)
         return None
 
@@ -1237,7 +1237,7 @@ class Processor:
         for operand, slot, logical, fp, src_cluster in specials or ():
             if operand is not None:     # MODE_PRED
                 if operand.injected:
-                    self._injector.note_value_injected(dyn.pc, slot)
+                    self._injector.note_value_injected(dyn.static.pc, slot)
                 stats.speculative_operands += 1
                 if not operand.correct:
                     stats.mispredicted_operands += 1
@@ -1316,10 +1316,12 @@ class Processor:
                 if min_issue < queue.next_try:
                     queue.next_try = min_issue
                 if tracer is not None:
+                    static = dyn.static
                     tracer.counts[EV_DISPATCH] += 1
                     tracer.emit((cycle, EV_DISPATCH, helper.order,
-                                 helper.kind, dyn.seq, dyn.pc, helper.cluster,
-                                 dyn.op.name, fetched.fetch_cycle))
+                                 helper.kind, dyn.seq, static.pc,
+                                 helper.cluster, static.op.name,
+                                 fetched.fetch_cycle))
         uop.order = next_order
         self._next_order = next_order + 1
         rob_append(uop)
@@ -1330,17 +1332,19 @@ class Processor:
         if min_issue < queue.next_try:
             queue.next_try = min_issue
         if tracer is not None:
+            static = dyn.static
             counts = tracer.counts
             emit = tracer.emit
             counts[EV_FETCH] += 1
-            emit((fetched.fetch_cycle, EV_FETCH, dyn.seq, dyn.pc))
+            emit((fetched.fetch_cycle, EV_FETCH, dyn.seq, static.pc))
             counts[EV_STEER] += 1
             emit((cycle, EV_STEER, dyn.seq, cluster_id,
                   self.steerer.last_reason))
             counts[EV_DISPATCH] += 1
             emit((cycle, EV_DISPATCH, uop.order, KIND_INST, dyn.seq,
-                  dyn.pc, cluster_id, dyn.op.name, fetched.fetch_cycle))
-        if dyn.is_store:
+                  static.pc, cluster_id, static.op.name,
+                  fetched.fetch_cycle))
+        if uop.is_store:
             self._pending_store_addrs.add(dyn.seq)
         self.dcount.dispatch(cluster_id)
         stats.dispatched_insts += 1

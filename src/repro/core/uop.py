@@ -131,8 +131,9 @@ class Uop:
         self.int_side = int_side
         self.fu = fu
         if kind == KIND_INST and dyn is not None:
-            self.is_load = dyn.is_load
-            self.is_store = dyn.is_store
+            static = dyn.static
+            self.is_load = static.is_load
+            self.is_store = static.is_store
         else:
             self.is_load = False
             self.is_store = False
@@ -155,24 +156,10 @@ class Uop:
         self.reissue_count = 0
         self.wake_cycle = 0
 
-    # -- classification helpers ------------------------------------------------
-
-    @property
-    def is_inst(self) -> bool:
-        return self.kind == KIND_INST
-
-    @property
-    def is_copy(self) -> bool:
-        return self.kind == KIND_COPY
-
-    @property
-    def is_vcopy(self) -> bool:
-        return self.kind == KIND_VCOPY
-
     def kind_name(self) -> str:
         return ("inst", "copy", "vcopy")[self.kind]
 
     def __repr__(self) -> str:
-        what = self.dyn.op.name if self.dyn is not None else "?"
+        what = self.dyn.static.op.name if self.dyn is not None else "?"
         return (f"<Uop {self.kind_name()} order={self.order} {what} "
                 f"cl={self.cluster} state={self.state}>")

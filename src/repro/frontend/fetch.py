@@ -103,9 +103,10 @@ class FetchEngine:
         while (fetched < self.width and self._lookahead is not None
                and len(self._buffer) < self.buffer_capacity):
             dyn = self._lookahead
-            line = dyn.pc >> 5  # any fixed granularity works; L1I decides
+            static = dyn.static
+            line = static.pc >> 5  # any fixed granularity works; L1I decides
             if line != self._last_line:
-                latency = self._icache_access(dyn.pc)
+                latency = self._icache_access(static.pc)
                 self._last_line = line
                 if latency > self._hit_time:
                     # Miss: this group ends here; fetch resumes after the
@@ -114,14 +115,14 @@ class FetchEngine:
                     self._stalled_until = cycle + latency
                     break
             mispredicted = False
-            if dyn.is_cond_branch:
-                prediction = self._bpred.predict(dyn.pc)
-                self._bpred.update(dyn.pc, dyn.taken)
+            if static.is_cond_branch:
+                prediction = self._bpred.predict(static.pc)
+                self._bpred.update(static.pc, dyn.taken)
                 mispredicted = prediction != dyn.taken
                 if (not mispredicted and prediction
                         and self._needs_btb(dyn)):
                     mispredicted = True   # taken but target unknown
-            elif dyn.is_branch and self._needs_btb(dyn):
+            elif static.is_branch and self._needs_btb(dyn):
                 mispredicted = True       # unconditional, target unknown
             self._buffer.append(FetchedInst(dyn, cycle, mispredicted))
             self._lookahead = self._advance()
@@ -141,10 +142,11 @@ class FetchEngine:
         """
         if self._btb is None:
             return False
-        cached = self._btb.lookup(dyn.pc)
+        static = dyn.static
+        cached = self._btb.lookup(static.pc)
         if dyn.taken:
-            self._btb.update(dyn.pc, dyn.target)
-        return cached != dyn.target
+            self._btb.update(static.pc, static.target)
+        return cached != static.target
 
     def branch_resolved(self, seq: int, cycle: int) -> None:
         """Core notification: the mispredicted branch *seq* resolved.

@@ -225,7 +225,7 @@ class FunctionalExecutor:
                 self.halted = True
                 return
             seq += 1
-            pc = dyn.target if dyn.taken else pc + width
+            pc = dyn.static.target if dyn.taken else pc + width
             self.seq = seq
             self.pc = pc
             yield dyn
@@ -458,10 +458,11 @@ def _step_factory(name: str, srcs_fp: tuple, dest: Optional[str],
 
     Only the shape reaches the generated source.  Everything else enters
     as a factory argument: the live register lists ``r``/``f``, the
-    memory dict ``m`` and its ``get`` ``g``, the record's static fields,
-    the bank-local source and destination indices ``s0``/``s1``/``d``,
-    the immediate and the branch target.  The step applies the effect
-    (:func:`_emit`) and builds the record.
+    memory dict ``m`` and its ``get`` ``g``, the static instruction the
+    record references, the bank-local source and destination indices
+    ``s0``/``s1``/``d`` and the immediate.  The step applies the effect
+    (:func:`_emit`) and builds the record from the values that vary per
+    execution.
     """
     op = OPCODES[name]
     regs = [f"{'f' if fp else 'r'}[s{i}]" for i, fp in enumerate(srcs_fp)]
@@ -476,11 +477,10 @@ def _step_factory(name: str, srcs_fp: tuple, dest: Optional[str],
         result = "x" if dest else "0" if op.has_dest else "None"
         addr = "e" if op.is_load else "x" if op.is_store else "None"
         taken = "True" if name == "j" else "None" if cond is None else "k"
-        target = "target" if op.is_branch else "None"
-        lines.append(f"return D(seq, pc, op, dest, srcs, ({values}), "
-                     f"{result}, {addr}, {taken}, {target}, inst)")
-    source = ("def factory(r, f, m, g, pc, op, dest, srcs, inst, s0, s1, d,"
-              " imm, target):\n def step(seq):\n  " + "\n  ".join(lines)
+        lines.append(f"return D(seq, inst, ({values}), {result}, {addr}, "
+                     f"{taken})")
+    source = ("def factory(r, f, m, g, inst, s0, s1, d, imm):\n"
+              " def step(seq):\n  " + "\n  ".join(lines)
               + "\n return step\n")
     exec(compile(source, f"<step {name}>", "exec"), _STEP_GLOBALS)
     return _STEP_GLOBALS.pop("factory")
@@ -503,10 +503,9 @@ def _step(program: Program, int_regs: list, fp_regs: list,
              for s, fp in zip(inst.srcs, inst.srcs_fp)] + [None, None]
     dest = inst.dest
     memory = program.memory._mem
-    return factory(int_regs, fp_regs, memory, memory.get, pc, inst.op, dest,
-                   inst.srcs, inst, local[0], local[1],
-                   dest - FP_BASE if inst.dest_fp else dest, inst.imm,
-                   inst.target)
+    return factory(int_regs, fp_regs, memory, memory.get, inst, local[0],
+                   local[1], dest - FP_BASE if inst.dest_fp else dest,
+                   inst.imm)
 
 
 # -- skip(): one compiled function per basic block ----------------------------

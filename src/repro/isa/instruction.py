@@ -4,17 +4,19 @@
 one entry per line of assembly, with register ids already resolved.
 
 :class:`DynInst` is one element of the *dynamic* trace produced by the
-functional executor — the unit the timing simulator consumes.  It carries
-everything the timing model needs and nothing else: operand **values**
-(for the value predictor), the memory address (for the cache model) and
-the branch outcome (for the branch predictor).
+functional executor — the unit the timing simulator consumes.  It holds
+only what varies between executions of one instruction: operand
+**values** (for the value predictor), the memory address (for the cache
+model) and the branch outcome (for the branch predictor).  The pc,
+registers, target and opcode flags stay on its :class:`Instruction`.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Tuple
 
-from .opcodes import OpClass, OpInfo
+from .opcodes import OpInfo
 from .registers import is_fp_reg, reg_name
 
 
@@ -31,10 +33,14 @@ class Instruction:
         pc: code address of this instruction (assigned by the builder).
         srcs_fp: per source, whether it lives in the fp register bank.
         dest_fp: whether the destination is an fp register.
+        is_branch / is_cond_branch / is_load / is_store: the opcode's
+            flags, copied from *op* so fetch and dispatch read them
+            with one attribute load.
     """
 
     __slots__ = ("op", "dest", "srcs", "imm", "target", "pc", "srcs_fp",
-                 "dest_fp")
+                 "dest_fp", "is_branch", "is_cond_branch", "is_load",
+                 "is_store")
 
     def __init__(self, op: OpInfo, dest: Optional[int],
                  srcs: Tuple[int, ...], imm: Optional[int],
@@ -47,6 +53,10 @@ class Instruction:
         self.pc = pc
         self.srcs_fp = tuple(is_fp_reg(s) for s in srcs)
         self.dest_fp = dest is not None and is_fp_reg(dest)
+        self.is_branch = op.is_branch
+        self.is_cond_branch = op.is_cond_branch
+        self.is_load = op.is_load
+        self.is_store = op.is_store
 
     def __repr__(self) -> str:
         parts = [self.op.name]
@@ -69,66 +79,52 @@ class DynInst:
 
     Attributes:
         seq: position in the dynamic stream (0-based).
-        pc: instruction address.
-        op: opcode metadata (shared :class:`OpInfo`).
-        dest: destination register id or ``None``.
-        srcs: source register ids.
+        static: the :class:`Instruction` this record is an execution
+            of; the timing core keys its per-static-instruction decode
+            facts on it.
         src_values: architecturally correct source operand values,
-            aligned with ``srcs``.
-        result: value written to ``dest`` (``None`` when no dest).
+            aligned with ``static.srcs``.
+        result: value written to the destination (``None`` when the
+            instruction has none).
         mem_addr: byte address for loads/stores, else ``None``.
         taken: branch outcome (``None`` for non-branches).
-        target: next PC when taken (``None`` for non-branches).
 
-    The opcode views (``is_branch``, ``is_load``, ``opclass``, ...) are
-    materialized once at construction: the timing core reads them every
-    cycle an instruction sits in the window, so they are plain slot
-    attributes rather than properties chasing ``self.op`` each access.
-    ``static`` is the :class:`Instruction` this record is an execution
-    of; the timing core keys its per-static-instruction decode facts on
-    it.  ``srcs_fp`` is shared from it.
+    Every static fact — ``pc``, ``op``, ``dest``, ``srcs``, ``target``
+    (next pc when taken), ``srcs_fp`` and the opcode views
+    ``is_branch``, ``is_cond_branch``, ``is_load``, ``is_store``,
+    ``is_int`` and ``opclass`` — is a read-only property over
+    ``static``.  The timing core's fetch, decode and dispatch read
+    ``static`` once per instruction instead.
     """
 
-    __slots__ = ("seq", "pc", "op", "dest", "srcs", "src_values",
-                 "result", "mem_addr", "taken", "target",
-                 "is_branch", "is_cond_branch", "is_load", "is_store",
-                 "is_int", "opclass", "srcs_fp", "static")
+    __slots__ = ("seq", "static", "src_values", "result", "mem_addr",
+                 "taken")
 
-    def __init__(self, seq: int, pc: int, op: OpInfo,
-                 dest: Optional[int], srcs: Tuple[int, ...],
-                 src_values: tuple, result,
-                 mem_addr: Optional[int],
-                 taken: Optional[bool], target: Optional[int],
-                 static: Instruction) -> None:
+    def __init__(self, seq: int, static: Instruction, src_values: tuple,
+                 result, mem_addr: Optional[int],
+                 taken: Optional[bool]) -> None:
         self.seq = seq
-        self.pc = pc
-        self.op = op
-        self.dest = dest
-        self.srcs = srcs
+        self.static = static
         self.src_values = src_values
         self.result = result
         self.mem_addr = mem_addr
         self.taken = taken
-        self.target = target
-        # -- precomputed opcode views (see class docstring) --------------
-        self.is_branch = op.is_branch
-        self.is_cond_branch = op.is_cond_branch
-        self.is_load = op.is_load
-        self.is_store = op.is_store
-        self.is_int = op.is_int
-        self.opclass = op.opclass
-        self.srcs_fp = static.srcs_fp
-        self.static = static
 
-    def src_is_fp(self, index: int) -> bool:
-        """True when source operand *index* lives in the fp register bank.
-
-        The paper's stride predictor does not predict fp values
-        (§3.3: "Communications are not zero because of fp values, that
-        are not considered by our predictor").
-        """
-        return self.srcs_fp[index]
+    pc = property(attrgetter("static.pc"))
+    op = property(attrgetter("static.op"))
+    dest = property(attrgetter("static.dest"))
+    srcs = property(attrgetter("static.srcs"))
+    target = property(attrgetter("static.target"))
+    srcs_fp = property(attrgetter("static.srcs_fp"))
+    is_branch = property(attrgetter("static.is_branch"))
+    is_cond_branch = property(attrgetter("static.is_cond_branch"))
+    is_load = property(attrgetter("static.is_load"))
+    is_store = property(attrgetter("static.is_store"))
+    is_int = property(attrgetter("static.op.is_int"))
+    opclass = property(attrgetter("static.op.opclass"))
 
     def __repr__(self) -> str:
-        return (f"<DynInst #{self.seq} pc={self.pc:#x} {self.op.name} "
-                f"dest={None if self.dest is None else reg_name(self.dest)}>")
+        static = self.static
+        dest = static.dest
+        return (f"<DynInst #{self.seq} pc={static.pc:#x} {static.op.name} "
+                f"dest={None if dest is None else reg_name(dest)}>")

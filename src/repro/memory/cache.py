@@ -23,10 +23,6 @@ class CacheStats:
         self.misses = 0
 
     @property
-    def hits(self) -> int:
-        return self.accesses - self.misses
-
-    @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
@@ -107,13 +103,3 @@ class Cache:
         if self.next_level is not None:
             return self.hit_time + self.next_level.access(addr, is_write)
         return self.hit_time + self.memory_latency
-
-    def contains(self, addr: int) -> bool:
-        """Non-destructive lookup (does not touch LRU or stats)."""
-        return (addr >> self._tag_shift) in \
-            self._sets[(addr >> self._line_shift) & self._set_mask]
-
-    def flush(self) -> None:
-        """Drop all cached lines (stats are kept)."""
-        for cache_set in self._sets:
-            cache_set.clear()

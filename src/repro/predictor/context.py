@@ -7,8 +7,8 @@ the natural next step the authors point at (Sazeides & Smith's
 finite-context-method family — their own reference [19]):
 
 * :class:`ContextPredictor` — a two-level FCM: a first-level table maps
-  (PC, slot) to a hash of the last *order* values; a second-level table
-  maps that history to the predicted next value with a 2-bit counter.
+  (PC, slot) to a hash of the operand's recent values; a second-level
+  table maps that hash to the predicted next value with a 2-bit counter.
   Catches repeating non-arithmetic sequences (table walks, cyclic
   coefficients) that stride prediction cannot.
 * :class:`HybridPredictor` — stride + context with a per-entry 2-bit
@@ -28,7 +28,9 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix(history: int, value: int) -> int:
-    """Fold a value into a history hash (xor-rotate, cheap in hardware)."""
+    """Fold a value into a history hash: the xor of the value's three
+    low 16-bit chunks, xored into the history shifted left 5 bits
+    (cheap in hardware)."""
     folded = (value ^ (value >> 16) ^ (value >> 32)) & 0xFFFF
     return ((history << 5) ^ folded) & _MASK64
 
@@ -36,25 +38,28 @@ def _mix(history: int, value: int) -> int:
 class ContextPredictor(ValuePredictor):
     """Two-level finite-context-method predictor.
 
+    Each operand's first-level entry holds a 64-bit history: every value
+    is folded into it by :func:`_mix`, which shifts the history 5 bits
+    per value.  The second-level index keeps the history's low 16 bits
+    (the default 64K entries) or 17 (the ``context`` configuration's
+    128K), so the last four values select the entry, each older one by
+    5 bits fewer: the fourth by only one or two bits.
+
     Args:
         l1_entries: first-level (history) table size, power of two.
         l2_entries: second-level (value) table size, power of two.
-        order: values of history folded into the hash.
         confidence_threshold: counter value above which predictions are
             used (2-bit counter, like the paper's stride predictor).
     """
 
     def __init__(self, l1_entries: int = 16 * 1024,
-                 l2_entries: int = 64 * 1024, order: int = 2,
+                 l2_entries: int = 64 * 1024,
                  confidence_threshold: int = 1) -> None:
         super().__init__()
         for name, entries in (("l1_entries", l1_entries),
                               ("l2_entries", l2_entries)):
             if entries <= 0 or entries & (entries - 1):
                 raise ConfigError(f"{name} must be a power of two")
-        if order < 1:
-            raise ConfigError("order must be >= 1")
-        self.order = order
         self.confidence_threshold = confidence_threshold
         self._l1_mask = l1_entries - 1
         self._l2_mask = l2_entries - 1

@@ -105,11 +105,14 @@ def build_workload(name: str, dataset: str = "test",
 
 _trace_cache: Dict[Tuple[str, int, str, int], List[DynInst]] = {}
 
-#: Longest trace :func:`workload_trace` will memoize.  A cached DynInst
-#: costs a few hundred bytes; million-instruction traces would pin
-#: hundreds of MB per (workload, length) key.  Above this bound the
-#: list is still returned, just not retained — and callers running at
-#: that scale should be on :func:`workload_trace_iter` or a
+#: Longest trace :func:`workload_trace` will memoize.  A cached record
+#: costs 183 bytes (tracemalloc over the eight 16k traces of the
+#: benchmark's ``detailed-serial``: an 80-byte DynInst plus its source
+#: values, result and address), so a trace at this bound pins about
+#: 35 MiB and a million-instruction one would pin 175 MiB per
+#: (workload, length) key.  Above this bound the list is still
+#: returned, just not retained — and callers running at that scale
+#: should be on :func:`workload_trace_iter` or a
 #: :class:`~repro.isa.program.Program` anyway.
 TRACE_CACHE_MAX = 200_000
 

@@ -21,8 +21,7 @@ def make_dyn(seq: int, pc: int, op: str = "add", dest=None, srcs=(),
         src_values = tuple(0 for _ in srcs)
     srcs = tuple(srcs)
     static = Instruction(info, dest, srcs, None, target, pc)
-    return DynInst(seq, pc, info, dest, srcs, tuple(src_values),
-                   result, mem_addr, taken, target, static)
+    return DynInst(seq, static, tuple(src_values), result, mem_addr, taken)
 
 
 @pytest.fixture

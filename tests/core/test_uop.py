@@ -13,9 +13,8 @@ def test_kind_predicates():
     inst = Uop(KIND_INST, dyn, 0, 0, True, OpClass.IALU)
     copy = Uop(KIND_COPY, dyn, 1, 0, True, None)
     vcopy = Uop(KIND_VCOPY, dyn, 2, 0, True, None)
-    assert inst.is_inst and not inst.is_copy and not inst.is_vcopy
-    assert copy.is_copy and not copy.is_inst
-    assert vcopy.is_vcopy
+    assert (inst.kind, copy.kind, vcopy.kind) == (KIND_INST, KIND_COPY,
+                                                  KIND_VCOPY)
     assert inst.kind_name() == "inst"
     assert copy.kind_name() == "copy"
     assert vcopy.kind_name() == "vcopy"

@@ -85,7 +85,6 @@ class ReferenceExecutor:
             result = None
             mem_addr: Optional[int] = None
             taken: Optional[bool] = None
-            target: Optional[int] = None
 
             if name in int_ops:
                 result = int_ops[name](src_values[0], src_values[1])
@@ -114,12 +113,10 @@ class ReferenceExecutor:
                 memory.store(mem_addr, value)
             elif name in _BRANCH_TESTS:
                 taken = _BRANCH_TESTS[name](src_values[0], src_values[1])
-                target = inst.target
                 if taken:
                     next_pc = inst.target
             elif name == "j":
                 taken = True
-                target = inst.target
                 next_pc = inst.target
             elif name == "halt":
                 self.halted = True
@@ -145,8 +142,7 @@ class ReferenceExecutor:
                     result = 0
             self.seq = seq + 1
             self.pc = next_pc
-            yield DynInst(seq, pc, op, dest, srcs, src_values, result,
-                          mem_addr, taken, target, inst)
+            yield DynInst(seq, inst, src_values, result, mem_addr, taken)
             seq += 1
             pc = next_pc
 
@@ -160,22 +156,24 @@ def typed(value) -> tuple:
     return type(value), value
 
 
-#: The slots that never hold a float, read in one call.
-_plain = operator.attrgetter(*(
+#: The slots that never hold a float, read in one call, with
+#: ``static`` read as the pc it sits at (second).
+_plain = operator.attrgetter("seq", "static.pc", *(
     name for name in DynInst.__slots__
-    if name not in ("src_values", "result", "static")))
+    if name not in ("seq", "static", "src_values", "result")))
 
 
 def record(dyn: DynInst) -> tuple:
     """Every ``DynInst`` slot with its value's type.
 
     The result and the source values compare by ``repr``, so nan and
-    -0.0 compare; ``static`` compares by the pc it sits at.
+    -0.0 compare; ``static`` compares by its pc, the record's second
+    field.
     """
     plain = _plain(dyn)
     values = (dyn.result, *dyn.src_values)
     return (plain, tuple(map(type, plain)), tuple(map(type, values)),
-            tuple(map(repr, values)), dyn.static.pc)
+            tuple(map(repr, values)))
 
 
 def state(ex) -> tuple:

@@ -18,6 +18,14 @@ class TestMainMemory:
             MainMemory(bus_bytes=0)
 
 
+def evict_from_l1d(h, addr):
+    """Push *addr*'s line out of the 2-way L1D with two accesses to its
+    set; the second shares its L2 set, which keeps four ways."""
+    stride = h.l1d.num_sets * h.l1d.line_bytes
+    h.data_latency(addr + stride)
+    h.data_latency(addr + 2 * stride)
+
+
 class TestHierarchy:
     def test_paper_defaults(self):
         h = MemoryHierarchy()
@@ -38,13 +46,12 @@ class TestHierarchy:
     def test_l1_miss_penalty_is_six_on_l2_hit(self):
         h = MemoryHierarchy()
         h.data_latency(0x4000)            # cold: misses to memory
-        h.l1d.flush()
+        evict_from_l1d(h, 0x4000)
         assert h.data_latency(0x4000) == 1 + 6   # L2 hit now
 
     def test_l2_shared_between_instruction_and_data(self):
         h = MemoryHierarchy()
         h.fetch_latency(0x8000)           # fills L2 via the I side
-        h.l1d.flush()
         assert h.data_latency(0x8000) == 7   # L2 hit from the D side
 
     def test_stats_bundle(self):

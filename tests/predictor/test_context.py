@@ -11,7 +11,7 @@ class TestContextPredictor:
     def test_learns_repeating_cycle_stride_cannot(self):
         """A period-3 non-arithmetic cycle: stride fails, context locks."""
         cycle = [7, 100, 42] * 12
-        context = ContextPredictor(1024, 4096, order=2)
+        context = ContextPredictor(1024, 4096)
         stride = StridePredictor(1024)
         context_preds = feed(context, 0x100, 0, list(cycle))
         stride_preds = feed(stride, 0x100, 0, list(cycle))
@@ -36,8 +36,6 @@ class TestContextPredictor:
             ContextPredictor(l1_entries=100)
         with pytest.raises(ValueError):
             ContextPredictor(l2_entries=100)
-        with pytest.raises(ValueError):
-            ContextPredictor(order=0)
 
     def test_slots_independent(self):
         predictor = ContextPredictor(1024, 4096)

@@ -158,6 +158,46 @@ def test_experiments_figure2_matches_results():
     assert gains == re.findall(r"\dc: \+([\d.]+)%", text)
 
 
+#: Figure 3's schemes as EXPERIMENTS.md names them, to the row names of
+#: results/figure3_steering.txt.
+_FIGURE3_ROWS = {"baseline, no predict": "baseline-nopredict",
+                 "baseline + stride": "baseline-predict",
+                 "VPB + stride": "vpb-predict",
+                 "VPB + perfect": "vpb-perfect"}
+
+
+def test_experiments_figure3_matches_results():
+    """Figure 3's measured IPCR and comm/inst in EXPERIMENTS.md, at 4
+    and 2 clusters, are results/figure3_steering.txt's at the precision
+    they print."""
+    section = (README.parent / "EXPERIMENTS.md").read_text() \
+        .split("## Figure 3", 1)[1]
+    values, block = {}, None
+    for line in (README.parent / "results" / "figure3_steering.txt") \
+            .read_text().splitlines():
+        header = re.match(r"-- (.*) --$", line)
+        row = re.match(r"\s+([\w-]+)\s+([\d.]+)(?:\s|$)", line)
+        if header:
+            block = header.group(1)
+        elif row:
+            values[block, row.group(1)] = float(row.group(2))
+    checked = 0
+    for heading, clusters in (("4 clusters", 4), ("2 clusters:", 2)):
+        rows = _table_under(section, heading)
+        for column, metric in (("IPCR measured", "IPCR"),
+                               ("comm measured", "comm/inst")):
+            if column not in rows[0]:
+                continue
+            index = rows[0].index(column)
+            for row in rows[2:]:
+                printed = _numbers(row[index])
+                measured = values[f"{clusters} clusters, {metric}",
+                                  _FIGURE3_ROWS[row[0]]]
+                assert printed == _as_printed([measured], printed), row
+                checked += 1
+    assert checked == 11
+
+
 def test_every_module_imports_cleanly():
     import importlib
     import pkgutil

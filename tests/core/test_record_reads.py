@@ -18,10 +18,7 @@ from repro.isa.instruction import DynInst
 from repro.obs import EventTracer, ListSink
 from repro.workloads import build_workload
 
-#: Every static fact a record offers as a property.
-STATIC_VIEWS = ("pc", "op", "dest", "srcs", "target", "srcs_fp",
-                "is_branch", "is_cond_branch", "is_load", "is_store",
-                "is_int", "opclass")
+from ..isa.test_instruction import STATIC_VIEWS
 
 
 def _refuse(name):

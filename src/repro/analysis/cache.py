@@ -56,8 +56,8 @@ from ..errors import ConfigError
 from ..fileio import atomic_write
 
 __all__ = ["CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "CacheStats",
-           "ResultCache", "active_cache", "code_version", "default_cache",
-           "resolve_cache", "use_cache"]
+           "ResultCache", "active_cache", "cell_key", "code_version",
+           "default_cache", "resolve_cache", "use_cache"]
 
 #: Bump when the on-disk entry format changes (keys include it, so old
 #: entries simply stop matching instead of unpickling wrongly).
@@ -92,6 +92,35 @@ def code_version() -> str:
     return _code_version
 
 
+def cell_key(cell) -> str:
+    """The content hash of a :class:`~repro.analysis.parallel.SweepCell`.
+
+    Hashes the cell's fully resolved machine (:meth:`SweepCell.config
+    <repro.analysis.parallel.SweepCell.config>`, the config the worker
+    simulates), so two cells that differ only in override spelling but
+    resolve to the same machine share a key.  Needs no cache instance.
+    Raises whatever ``make_config`` raises for an invalid cell; callers
+    treat it as uncacheable and let the normal execution path report
+    the error.
+    """
+    payload = {
+        "schema": CACHE_SCHEMA,
+        "code": code_version(),
+        "config": cell.config().canonical_json(),
+        "workload": cell.workload,
+        "dataset": cell.dataset,
+        "seed": cell.seed,
+        "length": cell.length,
+    }
+    if cell.sampling is not None:
+        # Sampled estimates are a different observable than exact runs
+        # of the same cell — the sampling plan is part of the result's
+        # identity.
+        payload["sampling"] = cell.sampling.canonical_dict()
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters for one :class:`ResultCache` instance."""
@@ -111,46 +140,14 @@ class ResultCache:
     One instance wraps one directory; counters accumulate over its
     lifetime (a sweep creates a cache, runs, then surfaces
     ``cache.stats``).  Instances are cheap — the directory is created
-    lazily on the first store.  Storage only: the sweep runner reports
-    lookups and stores as telemetry events.
+    lazily on the first store.  Storage only: entries are named by
+    :func:`cell_key`, and the sweep runner reports lookups and stores
+    as telemetry events.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
-
-    # ------------------------------------------------------------- keys --
-
-    def key_for(self, cell) -> str:
-        """The content hash of a :class:`~repro.analysis.parallel.SweepCell`.
-
-        Builds the cell's fully resolved config (same call the worker
-        makes), so two cells that differ only in override spelling but
-        resolve to the same machine share an entry.  Raises whatever
-        ``make_config`` raises for invalid cells — callers treat those
-        as uncacheable and let the normal execution path report the
-        error.
-        """
-        from ..core import make_config
-        config = make_config(cell.n_clusters, predictor=cell.predictor,
-                             steering=cell.steering, **dict(cell.overrides))
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "code": code_version(),
-            "config": config.canonical_json(),
-            "workload": cell.workload,
-            "dataset": cell.dataset,
-            "seed": cell.seed,
-            "length": cell.length,
-        }
-        sampling = getattr(cell, "sampling", None)
-        if sampling is not None:
-            # Sampled estimates are a different observable than exact
-            # runs of the same cell — the sampling plan is part of the
-            # result's identity.
-            payload["sampling"] = sampling.canonical_dict()
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"

@@ -43,14 +43,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core import SimResult
 from ..errors import WorkloadError
 from ..predictor import PREDICTORS
-from ..workloads import workload_names, workload_trace
+from ..workloads import DATASET_OFFSETS, workload_names, workload_trace
 from .metrics import mean, pct_change
-from .parallel import (SweepCell, resolve_trace_length, run_cells,
-                       simulate_sweep_cell)
+from .parallel import SweepCell, resolve_trace_length, run_cells
 from .report import bar, table
 
 __all__ = [
-    "trace_length", "selected_workloads", "run_one",
+    "trace_length", "selected_workloads",
     "LedgerEntry", "ErrorLedger",
     "Variant", "Sweep", "Experiment", "EXPERIMENTS", "ABLATIONS",
     "run_experiment", "render", "average",
@@ -94,17 +93,6 @@ def _known_workloads(names: List[str], source: str) -> List[str]:
         raise WorkloadError(f"unknown workloads in {source}: {unknown}; "
                             f"choose from {workload_names()}")
     return names
-
-
-def run_one(workload: str, n_clusters: int, predictor: str = "none",
-            steering: str = "baseline", length: Optional[int] = None,
-            seed: int = 0, **overrides) -> SimResult:
-    """Simulate one (workload, configuration) cell."""
-    cell = SweepCell(key=None, workload=workload, n_clusters=n_clusters,
-                     predictor=predictor, steering=steering,
-                     length=resolve_trace_length(length), seed=seed,
-                     overrides=SweepCell.pack_overrides(overrides))
-    return simulate_sweep_cell(cell)
 
 
 # --------------------------------------------------- graceful degradation --
@@ -534,12 +522,9 @@ def _scaling_rows(sweep: Sweep) -> List[dict]:
     return rows
 
 
-_DATASETS = ("test", "train")
-
-
 def _input_rows(sweep: Sweep) -> List[dict]:
     rows = []
-    for dataset in _DATASETS:
+    for dataset in DATASET_OFFSETS:
         part = sweep.at(dataset)
         ipc = {key: part.mean(key) for key in ("1c", "4c", "4c-vpb")}
         rows.append({"dataset": dataset, "IPC 1c": ipc["1c"],
@@ -615,7 +600,7 @@ _ENTRIES = (
         "Input sensitivity — test vs train datasets", "",
         tuple(Variant((dataset, key), n, predictor, steering,
                       dataset=dataset)
-              for dataset in _DATASETS
+              for dataset in DATASET_OFFSETS
               for key, n, predictor, steering in (
                   ("1c", 1, "none", "baseline"), ("4c", 4, "none", "baseline"),
                   ("4c-vpb", 4, "stride", "vpb"))),

@@ -51,7 +51,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -59,17 +58,17 @@ from functools import partial
 from typing import (Any, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from ..core import SimResult, make_config, simulate
+from ..core import ProcessorConfig, SimResult, make_config, simulate
 from ..errors import (ConfigError, DeadlockError, DivergenceError,
                       ReproError, SimulationError, WorkloadError)
 from ..obs.telemetry import SweepMonitor, SweepTelemetry, active_monitor
 from ..workloads import (DEFAULT_TRACE_LENGTH, build_workload,
                          workload_trace)
-from .cache import ResultCache, default_cache
+from .cache import ResultCache, cell_key, default_cache
 from .sampling import SampledResult, SamplingConfig, simulate_sampled
 
 __all__ = ["SweepCell", "CellFailure", "CellOutcome", "WorkerPool",
-           "active_pool", "cell_seed", "dispatch", "is_transient_error",
+           "active_pool", "dispatch", "is_transient_error",
            "run_cells", "resolve_chunksize", "resolve_jobs",
            "resolve_trace_length", "simulate_sweep_cell", "sweep_pool"]
 
@@ -317,19 +316,6 @@ def dispatch(label: str, cells: Sequence, fn: Callable, work: Dict[int, Any],
     return record
 
 
-def cell_seed(workload: str, n_clusters: int, predictor: str,
-              steering: str, length: int, salt: int = 0) -> int:
-    """A deterministic 32-bit seed derived from a cell's identity.
-
-    Campaigns that want decorrelated per-cell input data derive the
-    seed from the cell coordinates (never from worker identity, RNG
-    state, or submission order), so the same cell always receives the
-    same seed in any process on any machine.
-    """
-    tag = f"{workload}|{n_clusters}|{predictor}|{steering}|{length}|{salt}"
-    return zlib.crc32(tag.encode("ascii"))
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One fully explicit (workload, configuration) simulation.
@@ -380,6 +366,13 @@ class SweepCell:
         """The ledger's configuration label."""
         return f"{self.n_clusters}cl/{self.predictor}/{self.steering}"
 
+    def config(self) -> ProcessorConfig:
+        """The cell's machine: :func:`~repro.core.make_config` with the
+        overrides applied.  The worker simulates it, and the cache key
+        and the run receipt hash it; an invalid cell raises here."""
+        return make_config(self.n_clusters, predictor=self.predictor,
+                           steering=self.steering, **dict(self.overrides))
+
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -410,15 +403,13 @@ def simulate_sweep_cell(cell: SweepCell) -> SimResult:
     """Simulate one cell from its explicit description (no retries).
 
     This is the single simulation path shared by the serial and the
-    parallel runners — and by :func:`repro.analysis.experiments.run_one`
-    — so the three are metric-identical by construction.  Cells with a
-    ``sampling`` config route through
+    parallel runners, so the two are metric-identical by construction.
+    Cells with a ``sampling`` config route through
     :func:`~repro.analysis.sampling.simulate_sampled` on the workload
     *program* (the trace is never materialized) and return a
     :class:`~repro.analysis.sampling.SampledResult`.
     """
-    config = make_config(cell.n_clusters, predictor=cell.predictor,
-                         steering=cell.steering, **dict(cell.overrides))
+    config = cell.config()
     if cell.sampling is not None:
         program = build_workload(cell.workload, dataset=cell.dataset,
                                  seed=cell.seed)
@@ -482,7 +473,7 @@ def _cache_key(cache: Optional[ResultCache], cell: SweepCell
     if cache is None:
         return None
     try:
-        return cache.key_for(cell)
+        return cell_key(cell)
     except Exception:
         return None
 

@@ -7,8 +7,8 @@ after the fact and is the substrate the future distributed experiment
 service (ROADMAP item 3) fans jobs out over:
 
 * **identity** — per-cell config canonical hashes
-  (:func:`config_sha256` over
-  :meth:`~repro.core.ProcessorConfig.canonical_json`), workload names,
+  (:meth:`~repro.core.ProcessorConfig.sha256` of the cell's
+  :meth:`~repro.analysis.parallel.SweepCell.config`), workload names,
   per-cell seeds, trace lengths;
 * **sources** — the :func:`repro.analysis.cache.code_version` source
   fingerprint plus the git commit (``-dirty`` suffixed when the
@@ -31,7 +31,6 @@ asserts this.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
@@ -45,8 +44,7 @@ from ..fileio import atomic_write
 from ..obs.schema import RECEIPT_SCHEMA
 from ..obs.telemetry import CellTelemetry, SweepMonitor
 
-__all__ = ["RECEIPT_SCHEMA", "RunReceipt", "config_sha256", "git_commit",
-           "host_info"]
+__all__ = ["RECEIPT_SCHEMA", "RunReceipt", "git_commit", "host_info"]
 
 #: Receipt fields (top-level or per-cell) that legitimately differ
 #: between two runs of the same sweep: wall-clock, host identity,
@@ -54,27 +52,6 @@ __all__ = ["RECEIPT_SCHEMA", "RunReceipt", "config_sha256", "git_commit",
 VOLATILE_RECEIPT_FIELDS = frozenset({"created_utc", "host", "run",
                                      "commit"})
 VOLATILE_CELL_FIELDS = frozenset({"seconds", "stored"})
-
-
-def config_sha256(n_clusters: int, predictor: str = "none",
-                  steering: str = "baseline",
-                  overrides: tuple = ()) -> Optional[str]:
-    """Canonical hash of a fully resolved processor configuration.
-
-    Two cells that spell their overrides differently but resolve to
-    the same machine share a hash; an invalid configuration (the cell
-    would fail with :class:`~repro.errors.ConfigError` anyway) yields
-    ``None`` rather than raising — the receipt still records the cell.
-    """
-    from ..core import make_config
-    try:
-        config = make_config(n_clusters, predictor=predictor,
-                             steering=steering, **dict(overrides))
-    except Exception:
-        return None
-    blob = json.dumps(config.canonical_json(), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def git_commit(repo_root: Optional[os.PathLike] = None) -> Optional[str]:
@@ -111,23 +88,32 @@ def host_info() -> Dict[str, Any]:
     }
 
 
-def _cell_record(cell: CellTelemetry) -> Dict[str, Any]:
-    """One receipt cell entry from the monitor's telemetry record."""
+def _cell_record(record: CellTelemetry) -> Dict[str, Any]:
+    """One receipt cell entry: the cell's identity and its outcome.
+
+    A cell whose machine does not resolve (its run failed for the same
+    reason) still gets an entry, with a ``null`` config hash.
+    """
+    cell = record.cell
+    try:
+        config_sha = cell.config().sha256()
+    except Exception:
+        config_sha = None
     return {
-        "key": cell.key,
+        "key": record.key,
         "workload": cell.workload,
-        "config": cell.config,
-        "config_sha256": config_sha256(cell.n_clusters, cell.predictor,
-                                       cell.steering, cell.overrides),
+        "config": cell.config_label,
+        "config_sha256": config_sha,
         "seed": cell.seed,
         "dataset": cell.dataset,
         "length": cell.length,
-        "sampling": cell.sampling,
-        "seconds": round(cell.seconds, 6),
-        "cached": cell.cached,
-        "stored": cell.stored,
-        "retries": cell.retries,
-        "ok": cell.ok,
+        "sampling": (None if cell.sampling is None
+                     else cell.sampling.canonical_dict()),
+        "seconds": round(record.seconds, 6),
+        "cached": record.cached,
+        "stored": record.stored,
+        "retries": record.retries,
+        "ok": record.ok,
     }
 
 
@@ -163,12 +149,11 @@ class RunReceipt:
         from .cache import code_version
         if sweeps is None:
             sweeps = monitor.sweeps
-        cells = [cell for sweep in sweeps for cell in sweep.cells]
-        records = [_cell_record(cell) for cell in cells]
-        hits = sum(1 for cell in cells if cell.cached)
-        stores = sum(1 for cell in cells if cell.stored)
-        simulated = sum(1 for cell in cells
-                        if cell.ok is not None and not cell.cached)
+        records = [_cell_record(cell) for sweep in sweeps
+                   for cell in sweep.cells]
+        hits = sum(sweep.cached for sweep in sweeps)
+        stores = sum(sweep.stored for sweep in sweeps)
+        simulated = sum(sweep.simulated for sweep in sweeps)
         if cache_enabled is None:
             cache_enabled = bool(hits or stores)
         if label is None:
@@ -195,9 +180,9 @@ class RunReceipt:
                 "stores": stores,
             },
             counts={
-                "cells": len(cells),
-                "completed": sum(1 for cell in cells if cell.ok),
-                "failed": sum(1 for cell in cells if cell.ok is False),
+                "cells": len(records),
+                "completed": sum(sweep.completed for sweep in sweeps),
+                "failed": sum(sweep.failed for sweep in sweeps),
                 "simulated": simulated,
             },
             cells=records,

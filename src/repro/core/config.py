@@ -22,6 +22,7 @@ the Figure 4 sweep knobs) and the 128K-entry stride value predictor
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional
@@ -196,6 +197,13 @@ class ProcessorConfig:
         """The canonical dict as deterministic compact JSON."""
         return json.dumps(self.canonical_dict(), sort_keys=True,
                           separators=(",", ":"), default=str)
+
+    def sha256(self) -> str:
+        """The machine's digest, as run receipts and snapshot headers
+        record it: sha256 over the JSON string encoding of
+        :meth:`canonical_json`."""
+        blob = json.dumps(self.canonical_json())
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def derive_preset(n_clusters: int) -> tuple:

@@ -100,15 +100,6 @@ class SnapshotMeta:
         return asdict(self)
 
 
-def _config_sha(config) -> Optional[str]:
-    try:
-        blob = json.dumps(config.canonical_json(), sort_keys=True,
-                          separators=(",", ":"))
-    except Exception:
-        return None
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------- capture --
 
 def _strip_processor(processor: Processor) -> Dict[str, Any]:
@@ -244,7 +235,7 @@ def save_processor(path, processor: Processor,
         "cycle": processor.cycle,
         "committed_insts": processor.stats.committed_insts,
         "seq": drawn,
-        "config_sha256": _config_sha(processor.config),
+        "config_sha256": processor.config.sha256(),
         "extra": dict(extra or {}),
     })
 

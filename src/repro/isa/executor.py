@@ -114,8 +114,7 @@ def recompute_result(name: str, src_values: tuple, imm: Optional[int]):
     if name in _REEXEC_INT_OPS:
         return True, _REEXEC_INT_OPS[name](src_values[0], src_values[1])
     if name in _IMM_ALIAS or name in ("li", "la"):
-        # Immediate forms need the static immediate, which the dynamic
-        # trace does not carry; callers without it pass imm=None.
+        # Immediate forms need the static instruction's immediate.
         if imm is None:
             return False, None
         if name in ("li", "la"):

@@ -121,13 +121,6 @@ class ProgramBuilder:
         """Allocate a zero-initialized array of *count* elements."""
         return self.data(name, [0] * count, elem_size=elem_size)
 
-    def data_address(self, name: str) -> int:
-        """Address of a previously allocated data label."""
-        try:
-            return self._data_labels[name]
-        except KeyError:
-            raise ProgramError(f"unknown data label {name!r}") from None
-
     # -- code segment -----------------------------------------------------------
 
     def label(self, name: str) -> None:

@@ -145,54 +145,24 @@ def normalize_events(events: Sequence[dict]) -> List[dict]:
                                                   default=str))
 
 
-def _cell_field(cell, name: str, default=None):
-    """Read *name* from a cell description (object attr or dict key)."""
-    if isinstance(cell, dict):
-        return cell.get(name, default)
-    return getattr(cell, name, default)
-
-
 @dataclass
 class CellTelemetry:
-    """What the monitor learned about one cell of one sweep."""
+    """What the monitor learned about one cell of one sweep.
 
+    *cell* is the sweep's own cell description (a
+    :class:`~repro.analysis.parallel.SweepCell`), kept by reference:
+    the receipt reads the cell's identity from it.  *key* is
+    ``str(cell.key)``, the name events and receipts give the cell; the
+    other fields are its outcome.
+    """
+
+    cell: Any
     key: str
-    workload: str = ""
-    config: str = ""
-    n_clusters: int = 0
-    predictor: str = "none"
-    steering: str = "baseline"
-    length: int = 0
-    seed: int = 0
-    dataset: str = "test"
-    overrides: tuple = ()
-    sampling: Optional[dict] = None
     seconds: float = 0.0
     cached: bool = False
     stored: bool = False
     retries: int = 0
     ok: Optional[bool] = None
-
-    @classmethod
-    def from_cell(cls, cell) -> "CellTelemetry":
-        """Describe a :class:`~repro.analysis.parallel.SweepCell` (or
-        any duck-typed cell description) without importing it —
-        telemetry stays below the analysis layer."""
-        sampling = _cell_field(cell, "sampling")
-        if sampling is not None and hasattr(sampling, "canonical_dict"):
-            sampling = sampling.canonical_dict()
-        return cls(
-            key=str(_cell_field(cell, "key")),
-            workload=str(_cell_field(cell, "workload", "")),
-            config=str(_cell_field(cell, "config_label", "")),
-            n_clusters=int(_cell_field(cell, "n_clusters", 0) or 0),
-            predictor=str(_cell_field(cell, "predictor", "none")),
-            steering=str(_cell_field(cell, "steering", "baseline")),
-            length=int(_cell_field(cell, "length", 0) or 0),
-            seed=int(_cell_field(cell, "seed", 0) or 0),
-            dataset=str(_cell_field(cell, "dataset", "test")),
-            overrides=tuple(_cell_field(cell, "overrides", ()) or ()),
-            sampling=sampling)
 
 
 @dataclass
@@ -324,7 +294,7 @@ class SweepMonitor:
                     chunksize: int = 1) -> SweepTelemetry:
         record = SweepTelemetry(
             label=label, jobs=jobs, chunksize=chunksize,
-            cells=[CellTelemetry.from_cell(cell) for cell in cells],
+            cells=[CellTelemetry(cell, str(cell.key)) for cell in cells],
             started_at=self._clock())
         self.sweeps.append(record)
         self.emit("sweep_start", label=label, cells=len(record.cells),
@@ -359,15 +329,6 @@ class SweepMonitor:
                   ok=bool(ok), cached=cached,
                   seconds=round(seconds, 6))
         self._show_progress(record)
-
-    def cache_hit(self, key: str) -> None:
-        self.emit("cache_hit", key=key)
-
-    def cache_miss(self, key: str) -> None:
-        self.emit("cache_miss", key=key)
-
-    def cache_store(self, key: str) -> None:
-        self.emit("cache_store", key=key)
 
     def worker_up(self, jobs: int) -> None:
         self.emit("worker_up", jobs=jobs)

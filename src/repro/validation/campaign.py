@@ -105,18 +105,21 @@ def _campaign_workload_block(payload: tuple
 
     Module-level (hence picklable) so :class:`~repro.analysis.parallel.
     WorkerPool` can fan workloads out across processes; each block
-    rebuilds its trace from the explicit payload, never from inherited
-    state, so parallel campaigns match serial ones cell for cell.
+    rebuilds its trace from the explicit payload (the workload's
+    :class:`~repro.analysis.parallel.SweepCell` plus the fault kinds,
+    seeds and rate), never from inherited state, so parallel campaigns
+    match serial ones cell for cell.
     """
     start = time.perf_counter()
-    (name, kinds, seeds, length, n_clusters, predictor, steering,
-     rate, comm_latency) = payload
-    from ..core import make_config, simulate
+    sweep_cell, kinds, seeds, rate = payload
+    from ..core import simulate
     from ..workloads import workload_trace
 
-    config = make_config(n_clusters, predictor=predictor, steering=steering,
-                         comm_latency=comm_latency)
-    trace = list(workload_trace(name, length or 6_000))
+    name = sweep_cell.workload
+    config = sweep_cell.config()
+    trace = list(workload_trace(name, sweep_cell.length,
+                                dataset=sweep_cell.dataset,
+                                seed=sweep_cell.seed))
     baseline = simulate(trace, config, check=True)
     cells: List[CampaignCell] = []
     for kind in kinds:
@@ -175,14 +178,17 @@ def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
     """
     # Local import: the core simulator imports this package lazily and
     # vice versa; importing at call time breaks the cycle.
-    from ..analysis.parallel import dispatch
+    from ..analysis.parallel import SweepCell, dispatch
     from ..workloads import workload_names
 
     names = list(workloads) if workloads else workload_names()[:2]
     result = CampaignResult(comm_latency=comm_latency)
-    payloads = [(name, tuple(kinds), tuple(seeds), length, n_clusters,
-                 predictor, steering, rate, comm_latency)
-                for name in names]
+    cells = [SweepCell(key=name, workload=name, n_clusters=n_clusters,
+                       predictor=predictor, steering=steering,
+                       length=length or 6_000,
+                       overrides=(("comm_latency", comm_latency),))
+             for name in names]
+    payloads = [(cell, tuple(kinds), tuple(seeds), rate) for cell in cells]
     monitor = active_monitor()
 
     def fold(index: int, block: Tuple[List[CampaignCell], float]) -> None:
@@ -191,12 +197,8 @@ def run_fault_campaign(workloads: Optional[Sequence[str]] = None,
         if monitor is not None:
             monitor.cell_done(index, seconds=seconds)
 
-    dispatch("fault-campaign",
-             [{"key": name, "workload": name, "n_clusters": n_clusters,
-               "predictor": predictor, "steering": steering,
-               "length": length or 6_000} for name in names],
-             _campaign_workload_block, dict(enumerate(payloads)), jobs,
-             monitor, fold)
+    dispatch("fault-campaign", cells, _campaign_workload_block,
+             dict(enumerate(payloads)), jobs, monitor, fold)
     return result
 
 

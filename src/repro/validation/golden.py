@@ -10,8 +10,10 @@ assumption into an invariant:
   functional trace (no skips, duplicates, or reordering);
 * its source operand values must equal the golden architectural
   register state built by replaying the previous commits;
-* for register-to-register operations the result is **re-executed**
-  from the golden sources and compared against the trace.
+* for operations whose result depends only on their sources and
+  immediate (register-to-register and immediate forms alike) the
+  result is **re-executed** from the golden sources and compared
+  against the trace.
 
 Commits are buffered and replayed in batches of ``interval`` (the
 configurable "every N commits"), so the hot commit path only appends to
@@ -131,7 +133,8 @@ class GoldenModel:
         # the architecture writes: the computed value, or 0 for r0.
         if dyn.dest is not None:
             known, recomputed = recompute_result(dyn.op.name,
-                                                 dyn.src_values, None)
+                                                 dyn.src_values,
+                                                 dyn.static.imm)
             if dyn.dest == ZERO_REG:
                 recomputed = 0
             if known and recomputed != dyn.result:

@@ -8,11 +8,11 @@ tests and ablations live in :mod:`repro.workloads.synthetic`.
 """
 
 from .stats import trace_statistics
-from .suite import (DEFAULT_TRACE_LENGTH, SUITE, TRACE_CACHE_MAX,
-                    WorkloadSpec, build_workload, clear_trace_cache,
-                    workload_names, workload_trace, workload_trace_iter)
+from .suite import (DATASET_OFFSETS, DEFAULT_TRACE_LENGTH, SUITE,
+                    TRACE_CACHE_MAX, WorkloadSpec, build_workload,
+                    clear_trace_cache, workload_names, workload_trace)
 
-__all__ = ["DEFAULT_TRACE_LENGTH", "SUITE", "TRACE_CACHE_MAX",
-           "WorkloadSpec", "build_workload", "clear_trace_cache",
-           "trace_statistics", "workload_names", "workload_trace",
-           "workload_trace_iter"]
+__all__ = ["DATASET_OFFSETS", "DEFAULT_TRACE_LENGTH", "SUITE",
+           "TRACE_CACHE_MAX", "WorkloadSpec", "build_workload",
+           "clear_trace_cache", "trace_statistics", "workload_names",
+           "workload_trace"]

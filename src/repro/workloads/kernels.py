@@ -4,7 +4,8 @@ Each kernel emits one loop nest into a :class:`ProgramBuilder`.  They are
 the building blocks real media code is made of: filters, block
 transforms, quantizers, entropy-coder scans, color conversions, motion
 search, fp texture/vertex math, modular-arithmetic crypto rounds and
-ADPCM step logic.
+ADPCM step logic.  :func:`frame_loop` wraps a stand-in's kernel
+pipeline in the outer frame loop that every stand-in shares.
 
 Register convention (documented contract, enforced by code review and
 the kernel unit tests):
@@ -22,14 +23,42 @@ All array arguments are *addresses* (as returned by
 
 from __future__ import annotations
 
-from ..isa.program import ProgramBuilder
+from typing import Callable
+
+from ..isa.program import Program, ProgramBuilder
 
 __all__ = [
-    "fir_filter", "iir_biquad", "dct8_blocks", "quantize", "dequantize",
-    "huffman_scan", "color_convert", "sad_motion", "memcpy_words",
-    "histogram", "bitunpack", "modmul_rounds", "adpcm_decode",
-    "texture_lerp", "vertex_transform", "fp_poly_eval",
+    "FRAMES", "frame_loop", "fir_filter", "iir_biquad", "dct8_blocks",
+    "quantize", "dequantize", "huffman_scan", "color_convert",
+    "sad_motion", "memcpy_words", "histogram", "bitunpack",
+    "modmul_rounds", "adpcm_decode", "texture_lerp", "vertex_transform",
+    "fp_poly_eval",
 ]
+
+
+#: Frames the outer loop counts to: effectively unbounded, so the
+#: executor's instruction cap ends every run.
+FRAMES = 1_000_000
+
+
+def frame_loop(b: ProgramBuilder, replicas: int,
+               pipeline: Callable[[int], None]) -> Program:
+    """Wrap *replicas* instantiations of a stand-in's kernel pipeline in
+    its outer frame loop and return the built program.
+
+    ``pipeline(rep)`` emits instantiation *rep*.  The loop counts frames
+    in ``r1`` against ``r2`` (:data:`FRAMES`) and branches back to the
+    code label ``main``.
+    """
+    b.emit("li", "r1", 0)
+    b.emit("li", "r2", FRAMES)
+    b.label("main")
+    for rep in range(replicas):
+        pipeline(rep)
+    b.emit("addi", "r1", "r1", 1)
+    b.emit("blt", "r1", "r2", "main")
+    b.emit("halt")
+    return b.build()
 
 
 def fir_filter(b: ProgramBuilder, tag: str, src: int, coef: int, dst: int,

@@ -15,45 +15,12 @@ from .datagen import float_noise, float_ramp, image_words, noise_words
 
 __all__ = ["build_mesamipmap", "build_mesaosdemo", "build_mesatexgen"]
 
-_OUTER_REPS = 1_000_000
-
 #: Batch-pipeline instantiations (distinct static code).
 REPLICAS = 8
 
-#: Input datasets: like Mediabench's per-benchmark input files, each
-#: stand-in can run a second, differently seeded (and slightly larger)
-#: input to check input sensitivity.
-DATASET_OFFSETS = {"test": 0, "train": 5000}
 
-
-#: Seed stride: far above any dataset offset, so (dataset, seed) pairs
-#: never collide in the generators' seed space.
-_SEED_STRIDE = 100_003
-
-
-def _dataset_offset(dataset: str, seed: int = 0) -> int:
-    try:
-        return DATASET_OFFSETS[dataset] + seed * _SEED_STRIDE
-    except KeyError:
-        raise KeyError(f"unknown dataset {dataset!r}; choose from "
-                       f"{sorted(DATASET_OFFSETS)}") from None
-
-
-def _outer(b: ProgramBuilder):
-    b.emit("li", "r1", 0)
-    b.emit("li", "r2", _OUTER_REPS)
-    b.label("main")
-
-
-def _outer_end(b: ProgramBuilder):
-    b.emit("addi", "r1", "r1", 1)
-    b.emit("blt", "r1", "r2", "main")
-    b.emit("halt")
-
-
-def build_mesamipmap(dataset: str = "test", seed: int = 0) -> Program:
+def build_mesamipmap(offset: int) -> Program:
     """Mipmap generation: box-filtered downsampling of texel quads."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 48
     texels = b.data("texels", float_noise(121 + offset, 4 * n, scale=255.0),
@@ -61,18 +28,16 @@ def build_mesamipmap(dataset: str = "test", seed: int = 0) -> Program:
     level1 = b.zeros("level1", n, elem_size=8)
     ipix = b.data("ipix", image_words(122 + offset, n))
     iout = b.zeros("iout", n)
-    _outer(b)
-    for rep in range(REPLICAS):   # one instantiation per mip level
+
+    def pipeline(rep):   # one instantiation per mip level
         kernels.texture_lerp(b, f"box{rep}", texels, level1, n)
         kernels.color_convert(b, f"pack{rep}", ipix, iout, n // 3)
         kernels.memcpy_words(b, f"cp{rep}", ipix, iout, n // 2)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_mesaosdemo(dataset: str = "test", seed: int = 0) -> Program:
+def build_mesaosdemo(offset: int) -> Program:
     """Off-screen rendering demo: geometry + span fill + texture."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 32
     verts = b.data("verts", float_ramp(0.5, 3 * n, 0.37), elem_size=8)
@@ -83,18 +48,16 @@ def build_mesaosdemo(dataset: str = "test", seed: int = 0) -> Program:
     shaded = b.zeros("shaded", n, elem_size=8)
     fb = b.zeros("fb", 2 * n)
     spans = b.data("spans", noise_words(133 + offset, 2 * n, bits=8))
-    _outer(b)
-    for rep in range(REPLICAS):   # one instantiation per primitive batch
+
+    def pipeline(rep):   # one instantiation per primitive batch
         kernels.vertex_transform(b, f"xf{rep}", verts, matrix, xformed, n)
         kernels.texture_lerp(b, f"tx{rep}", texels, shaded, n)
         kernels.memcpy_words(b, f"span{rep}", spans, fb, 2 * n)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_mesatexgen(dataset: str = "test", seed: int = 0) -> Program:
+def build_mesatexgen(offset: int) -> Program:
     """Texture-coordinate generation: transforms + fp polynomial + pack."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 32
     verts = b.data("verts", float_noise(141 + offset, 3 * n + 3, scale=10.0),
@@ -104,10 +67,9 @@ def build_mesatexgen(dataset: str = "test", seed: int = 0) -> Program:
     warped = b.zeros("warped", n, elem_size=8)
     ipix = b.data("ipix", image_words(143 + offset, n))
     hist = b.zeros("hist", 64)
-    _outer(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.vertex_transform(b, f"tg{rep}", verts, matrix, coords, n)
         kernels.fp_poly_eval(b, f"wp{rep}", coords, warped, n)
         kernels.histogram(b, f"hg{rep}", ipix, hist, n)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)

@@ -15,28 +15,8 @@ from .datagen import audio_words, float_noise, noise_words, ramp_words
 __all__ = ["build_g721enc", "build_gsmdec", "build_gsmenc",
            "build_rawcaudio", "build_rasta", "REPLICAS"]
 
-_OUTER_REPS = 1_000_000
-
 #: Pipeline instantiations per benchmark (distinct static code).
 REPLICAS = 8
-
-#: Input datasets: like Mediabench's per-benchmark input files, each
-#: stand-in can run a second, differently seeded (and slightly larger)
-#: input to check input sensitivity.
-DATASET_OFFSETS = {"test": 0, "train": 5000}
-
-
-#: Seed stride: far above any dataset offset, so (dataset, seed) pairs
-#: never collide in the generators' seed space.
-_SEED_STRIDE = 100_003
-
-
-def _dataset_offset(dataset: str, seed: int = 0) -> int:
-    try:
-        return DATASET_OFFSETS[dataset] + seed * _SEED_STRIDE
-    except KeyError:
-        raise KeyError(f"unknown dataset {dataset!r}; choose from "
-                       f"{sorted(DATASET_OFFSETS)}") from None
 
 #: The IMA ADPCM step table prefix (the real rawcaudio table, truncated
 #: to what the kernel indexes).
@@ -51,21 +31,9 @@ _STEP_TABLE = [7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28,
                29794, 32767]
 
 
-def _outer(b: ProgramBuilder):
-    b.emit("li", "r1", 0)
-    b.emit("li", "r2", _OUTER_REPS)
-    b.label("main")
 
-
-def _outer_end(b: ProgramBuilder):
-    b.emit("addi", "r1", "r1", 1)
-    b.emit("blt", "r1", "r2", "main")
-    b.emit("halt")
-
-
-def build_g721enc(dataset: str = "test", seed: int = 0) -> Program:
+def build_g721enc(offset: int) -> Program:
     """G.721 ADPCM encode: adaptive predictor + quantizer — very serial."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 80
     samples = b.data("samples", audio_words(505 + offset, n))
@@ -73,18 +41,16 @@ def build_g721enc(dataset: str = "test", seed: int = 0) -> Program:
     codes = b.zeros("codes", n)
     steps = b.data("steps", _STEP_TABLE)
     qtable = b.data("qtable", [(i % 7) + 2 for i in range(16)])
-    _outer(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.iir_biquad(b, f"pred{rep}", samples, filt, n, 25, -11, 9)
         kernels.quantize_div(b, f"qz{rep}", filt, qtable, codes, n, 16)
         kernels.adpcm_decode(b, f"fb{rep}", codes, steps, filt, n)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_gsmdec(dataset: str = "test", seed: int = 0) -> Program:
+def build_gsmdec(offset: int) -> Program:
     """GSM full-rate decode: bit unpack -> LTP filter -> synthesis."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 80
     packed = b.data("packed", noise_words(606 + offset, n // 4 + 4, bits=31))
@@ -93,19 +59,17 @@ def build_gsmdec(dataset: str = "test", seed: int = 0) -> Program:
     speech = b.zeros("speech", n)
     taps = b.data("taps", [14, -28, 52, 88, 120, 88, 52, -28,
                            14, 6, -3, 2, -1, 1, 1, 1])
-    _outer(b)
-    for rep in range(REPLICAS):   # GSM processes four subframes per frame
+
+    def pipeline(rep):   # GSM processes four subframes per frame
         kernels.bitunpack(b, f"bu{rep}", packed, params, n // 4)
         kernels.fir_filter(b, f"ltp{rep}", params, taps, excite, n - 8, 8)
         kernels.iir_biquad(b, f"syn{rep}", excite, speech, n - 8,
                            31, -17, 11)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_gsmenc(dataset: str = "test", seed: int = 0) -> Program:
+def build_gsmenc(offset: int) -> Program:
     """GSM full-rate encode: LPC analysis + LTP search + quantize."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 80
     speech = b.data("speech", audio_words(707 + offset, n + 16))
@@ -116,35 +80,31 @@ def build_gsmenc(dataset: str = "test", seed: int = 0) -> Program:
                            -1, 1, -1, 1, -1, 1, -1, 1])
     rtable = b.data("rtable", [16384 // ((i % 5) + 2)
                                for i in range(16)])
-    _outer(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.fir_filter(b, f"lpc{rep}", speech, taps, resid, n, 8)
         kernels.sad_motion(b, f"ltp{rep}", past, speech, n)
         kernels.quantize(b, f"qz{rep}", resid, rtable, codes, n, 16)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_rawcaudio(dataset: str = "test", seed: int = 0) -> Program:
+def build_rawcaudio(offset: int) -> Program:
     """IMA ADPCM (the real rawcaudio inner loop) plus output buffering."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 96
     codes = b.data("codes", noise_words(809 + offset, n, bits=4))
     pcm = b.zeros("pcm", n)
     out = b.zeros("out", n)
     steps = b.data("steps", _STEP_TABLE)
-    _outer(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.adpcm_decode(b, f"ad{rep}", codes, steps, pcm, n)
         kernels.memcpy_words(b, f"out{rep}", pcm, out, n)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_rasta(dataset: str = "test", seed: int = 0) -> Program:
+def build_rasta(offset: int) -> Program:
     """RASTA speech analysis: filterbank + fp spectral polynomial."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     samples = b.data("samples", audio_words(910 + offset, n + 16))
@@ -153,10 +113,9 @@ def build_rasta(dataset: str = "test", seed: int = 0) -> Program:
     feat = b.zeros("feat", n, elem_size=8)
     smooth = b.zeros("smooth", n)
     taps = b.data("taps", ramp_words(-3, 8, 2))
-    _outer(b)
-    for rep in range(REPLICAS):   # one instantiation per critical band
+
+    def pipeline(rep):   # one instantiation per critical band
         kernels.fir_filter(b, f"fb{rep}", samples, taps, band, n, 8)
         kernels.fp_poly_eval(b, f"log{rep}", spect, feat, n)
         kernels.iir_biquad(b, f"rst{rep}", band, smooth, n, 21, -9, 5)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)

@@ -15,75 +15,39 @@ from .datagen import noise_words
 
 __all__ = ["build_pgpdec", "build_pgpenc"]
 
-_OUTER_REPS = 1_000_000
-
 #: Block-pipeline instantiations (distinct static code).
 REPLICAS = 8
 
-#: Input datasets: like Mediabench's per-benchmark input files, each
-#: stand-in can run a second, differently seeded (and slightly larger)
-#: input to check input sensitivity.
-DATASET_OFFSETS = {"test": 0, "train": 5000}
 
-
-#: Seed stride: far above any dataset offset, so (dataset, seed) pairs
-#: never collide in the generators' seed space.
-_SEED_STRIDE = 100_003
-
-
-def _dataset_offset(dataset: str, seed: int = 0) -> int:
-    try:
-        return DATASET_OFFSETS[dataset] + seed * _SEED_STRIDE
-    except KeyError:
-        raise KeyError(f"unknown dataset {dataset!r}; choose from "
-                       f"{sorted(DATASET_OFFSETS)}") from None
-
-
-def _outer(b: ProgramBuilder):
-    b.emit("li", "r1", 0)
-    b.emit("li", "r2", _OUTER_REPS)
-    b.label("main")
-
-
-def _outer_end(b: ProgramBuilder):
-    b.emit("addi", "r1", "r1", 1)
-    b.emit("blt", "r1", "r2", "main")
-    b.emit("halt")
-
-
-def build_pgpenc(dataset: str = "test", seed: int = 0) -> Program:
+def build_pgpenc(offset: int) -> Program:
     """Encrypt: modular exponentiation rounds + block scramble + entropy."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     sbox = b.data("sbox", noise_words(151 + offset, 1024, bits=32))
     plain = b.data("plain", noise_words(152 + offset, n, bits=16))
     packed = b.zeros("packed", n)
     hist = b.zeros("hist", 8)
-    _outer(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.modmul_rounds(b, f"rsa{rep}", sbox, 64,
                               0x1234567 + rep, 2147483647)
         kernels.histogram(b, f"mix{rep}", plain, packed, n)
         kernels.huffman_scan(b, f"arm{rep}", plain, hist, n)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_pgpdec(dataset: str = "test", seed: int = 0) -> Program:
+def build_pgpdec(offset: int) -> Program:
     """Decrypt: modular rounds + bit unpacking of the armored stream."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     sbox = b.data("sbox", noise_words(161 + offset, 1024, bits=32))
     armored = b.data("armored", noise_words(162 + offset, n // 4 + 4, bits=31))
     fields = b.zeros("fields", n)
     out = b.zeros("out", n)
-    _outer(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.modmul_rounds(b, f"rsa{rep}", sbox, 64,
                               0x7654321 + rep, 2147481359)
         kernels.bitunpack(b, f"b64{rep}", armored, fields, n // 4)
         kernels.memcpy_words(b, f"out{rep}", fields, out, n)
-    _outer_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)

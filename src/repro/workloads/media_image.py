@@ -2,9 +2,10 @@
 
 Each builder returns a µRISC :class:`Program` whose dynamic stream mixes
 the kernels the real benchmark spends its time in.  An outer frame loop
-repeats the kernel sequence; the functional executor's instruction cap
-sets the run length (the paper ran Mediabench to completion; we run the
-same steady-state loops, shorter).
+(:func:`~repro.workloads.kernels.frame_loop`) repeats the kernel
+sequence; the functional executor's instruction cap sets the run length
+(the paper ran Mediabench to completion; we run the same steady-state
+loops, shorter).
 
 Every stand-in instantiates its kernel pipeline :data:`REPLICAS` times
 with distinct code (real codecs process multiple colour components /
@@ -22,45 +23,12 @@ from .datagen import image_words, noise_words, ramp_words
 __all__ = ["build_cjpeg", "build_djpeg", "build_epicenc", "build_epicdec",
            "REPLICAS"]
 
-_OUTER_REPS = 1_000_000  # effectively unbounded; the executor cap ends runs
-
 #: Pipeline instantiations per benchmark (distinct static code).
 REPLICAS = 8
 
-#: Input datasets: like Mediabench's per-benchmark input files, each
-#: stand-in can run a second, differently seeded (and slightly larger)
-#: input to check input sensitivity.
-DATASET_OFFSETS = {"test": 0, "train": 5000}
 
-
-#: Seed stride: far above any dataset offset, so (dataset, seed) pairs
-#: never collide in the generators' seed space.
-_SEED_STRIDE = 100_003
-
-
-def _dataset_offset(dataset: str, seed: int = 0) -> int:
-    try:
-        return DATASET_OFFSETS[dataset] + seed * _SEED_STRIDE
-    except KeyError:
-        raise KeyError(f"unknown dataset {dataset!r}; choose from "
-                       f"{sorted(DATASET_OFFSETS)}") from None
-
-
-def _outer_loop_begin(b: ProgramBuilder) -> None:
-    b.emit("li", "r1", 0)
-    b.emit("li", "r2", _OUTER_REPS)
-    b.label("main")
-
-
-def _outer_loop_end(b: ProgramBuilder) -> None:
-    b.emit("addi", "r1", "r1", 1)
-    b.emit("blt", "r1", "r2", "main")
-    b.emit("halt")
-
-
-def build_cjpeg(dataset: str = "test", seed: int = 0) -> Program:
+def build_cjpeg(offset: int) -> Program:
     """JPEG encode: color convert -> 8-pt transform -> quantize -> entropy."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     pixels = b.data("pixels", image_words(101 + offset, 3 * n))
@@ -70,19 +38,17 @@ def build_cjpeg(dataset: str = "test", seed: int = 0) -> Program:
     rtable = b.data("rtable", [16384 // ((i % 15) + 2)
                                for i in range(16)])
     hist = b.zeros("hist", 8)
-    _outer_loop_begin(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.color_convert(b, f"cc{rep}", pixels, luma, n)
         kernels.dct8_blocks(b, f"dct{rep}", luma, coef, n // 8)
         kernels.quantize(b, f"qz{rep}", coef, rtable, qcoef, n, 16)
         kernels.huffman_scan(b, f"hf{rep}", qcoef, hist, n)
-    _outer_loop_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_djpeg(dataset: str = "test", seed: int = 0) -> Program:
+def build_djpeg(offset: int) -> Program:
     """JPEG decode: entropy scan -> dequantize -> inverse transform -> copy."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     coded = b.data("coded", noise_words(202 + offset, n, bits=8))
@@ -91,19 +57,17 @@ def build_djpeg(dataset: str = "test", seed: int = 0) -> Program:
     out = b.zeros("out", n)
     qtable = b.data("qtable", [(i % 13) + 2 for i in range(16)])
     hist = b.zeros("hist", 8)
-    _outer_loop_begin(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.huffman_scan(b, f"hf{rep}", coded, hist, n)
         kernels.dequantize(b, f"dq{rep}", coded, qtable, coef, n, 16)
         kernels.dct8_blocks(b, f"idct{rep}", coef, pix, n // 8)
         kernels.memcpy_words(b, f"out{rep}", pix, out, n)
-    _outer_loop_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_epicenc(dataset: str = "test", seed: int = 0) -> Program:
+def build_epicenc(offset: int) -> Program:
     """EPIC encode: wavelet-ish filter bank -> quantize -> entropy model."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     img = b.data("img", image_words(303 + offset, n + 24))
@@ -114,19 +78,17 @@ def build_epicenc(dataset: str = "test", seed: int = 0) -> Program:
     rtable = b.data("rtable", [16384 // ((i % 11) + 3)
                                for i in range(16)])
     hist = b.zeros("hist", 64)
-    _outer_loop_begin(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.fir_filter(b, f"lo{rep}", img, taps, lo, n, 8)
         kernels.iir_biquad(b, f"hi{rep}", img, hi, n, 19, -13, 7)
         kernels.quantize(b, f"qz{rep}", lo, rtable, q, n, 16)
         kernels.histogram(b, f"hg{rep}", q, hist, n)
-    _outer_loop_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)
 
 
-def build_epicdec(dataset: str = "test", seed: int = 0) -> Program:
+def build_epicdec(offset: int) -> Program:
     """EPIC decode: bit unpacking -> dequantize -> synthesis filter."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     packed = b.data("packed", noise_words(404 + offset, n // 4 + 4, bits=31))
@@ -135,10 +97,9 @@ def build_epicdec(dataset: str = "test", seed: int = 0) -> Program:
     recon = b.zeros("recon", n)
     qtable = b.data("qtable", [(i % 9) + 2 for i in range(16)])
     taps = b.data("taps", ramp_words(1, 16))
-    _outer_loop_begin(b)
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         kernels.bitunpack(b, f"bu{rep}", packed, fields, n // 4)
         kernels.dequantize(b, f"dq{rep}", fields, qtable, coef, n, 16)
         kernels.fir_filter(b, f"syn{rep}", coef, taps, recon, n - 8, 8)
-    _outer_loop_end(b)
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)

@@ -13,33 +13,12 @@ from .datagen import image_words
 
 __all__ = ["build_mpeg2enc"]
 
-_OUTER_REPS = 1_000_000
-
 #: Macroblock-pipeline instantiations (distinct static code).
 REPLICAS = 6
 
-#: Input datasets: like Mediabench's per-benchmark input files, each
-#: stand-in can run a second, differently seeded (and slightly larger)
-#: input to check input sensitivity.
-DATASET_OFFSETS = {"test": 0, "train": 5000}
 
-
-#: Seed stride: far above any dataset offset, so (dataset, seed) pairs
-#: never collide in the generators' seed space.
-_SEED_STRIDE = 100_003
-
-
-def _dataset_offset(dataset: str, seed: int = 0) -> int:
-    try:
-        return DATASET_OFFSETS[dataset] + seed * _SEED_STRIDE
-    except KeyError:
-        raise KeyError(f"unknown dataset {dataset!r}; choose from "
-                       f"{sorted(DATASET_OFFSETS)}") from None
-
-
-def build_mpeg2enc(dataset: str = "test", seed: int = 0) -> Program:
+def build_mpeg2enc(offset: int) -> Program:
     """Motion search -> transform -> quantize -> entropy scan."""
-    offset = _dataset_offset(dataset, seed)
     b = ProgramBuilder()
     n = 64
     cur = b.data("cur", image_words(111 + offset, n + 32))
@@ -50,10 +29,8 @@ def build_mpeg2enc(dataset: str = "test", seed: int = 0) -> Program:
     rtable = b.data("rtable", [16384 // ((i % 15) + 2)
                                for i in range(16)])
     hist = b.zeros("hist", 8)
-    b.emit("li", "r1", 0)
-    b.emit("li", "r2", _OUTER_REPS)
-    b.label("main")
-    for rep in range(REPLICAS):
+
+    def pipeline(rep):
         # Three candidate motion vectors (offset the reference pointer).
         kernels.sad_motion(b, f"mv0_{rep}", ref, cur, n)
         kernels.sad_motion(b, f"mv1_{rep}", ref + 4, cur, n)
@@ -62,7 +39,4 @@ def build_mpeg2enc(dataset: str = "test", seed: int = 0) -> Program:
         kernels.quantize(b, f"qz{rep}", coef, rtable, qcoef, n, 16)
         kernels.huffman_scan(b, f"hf{rep}", qcoef, hist, n)
         kernels.memcpy_words(b, f"rec{rep}", qcoef, diff, n)
-    b.emit("addi", "r1", "r1", 1)
-    b.emit("blt", "r1", "r2", "main")
-    b.emit("halt")
-    return b.build()
+    return kernels.frame_loop(b, REPLICAS, pipeline)

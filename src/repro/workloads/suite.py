@@ -23,8 +23,8 @@ from .media_image import (build_cjpeg, build_djpeg, build_epicdec,
                           build_epicenc)
 from .media_video import build_mpeg2enc
 
-__all__ = ["WorkloadSpec", "SUITE", "workload_names", "build_workload",
-           "workload_trace", "workload_trace_iter", "clear_trace_cache",
+__all__ = ["WorkloadSpec", "SUITE", "DATASET_OFFSETS", "workload_names",
+           "build_workload", "workload_trace", "clear_trace_cache",
            "DEFAULT_TRACE_LENGTH", "TRACE_CACHE_MAX"]
 
 #: Default dynamic-trace length for experiments.  The paper ran 6M-440M
@@ -32,6 +32,15 @@ __all__ = ["WorkloadSpec", "SUITE", "workload_names", "build_workload",
 #: model needs reduced but steady-state-representative runs (every
 #: stand-in is periodic well below this length).
 DEFAULT_TRACE_LENGTH = 12_000
+
+#: Input datasets: like Mediabench's per-benchmark input files, each
+#: stand-in can run a second, differently seeded input to check input
+#: sensitivity.
+DATASET_OFFSETS = {"test": 0, "train": 5000}
+
+#: Seed stride: far above any dataset offset, so (dataset, seed) pairs
+#: never collide in the generators' seed space.
+SEED_STRIDE = 100_003
 
 
 class WorkloadSpec:
@@ -41,12 +50,13 @@ class WorkloadSpec:
         name: Mediabench program name (Table 2).
         category: paper's workload category.
         paper_minsts: dynamic instructions (millions) in Table 2.
-        builder: callable(dataset="test", seed=0) returning the stand-in
-            Program.
+        builder: callable(offset) returning the stand-in Program; the
+            offset shifts every data generator's seed (see
+            :func:`build_workload`).
     """
 
     def __init__(self, name: str, category: str, paper_minsts: float,
-                 builder: Callable[[], Program]) -> None:
+                 builder: Callable[[int], Program]) -> None:
         self.name = name
         self.category = category
         self.paper_minsts = paper_minsts
@@ -93,14 +103,18 @@ def build_workload(name: str, dataset: str = "test",
     (seed 0 is the canonical input).  Generation is a pure function of
     (name, dataset, seed) — no global RNG state is consulted — so two
     processes building the same workload always produce the identical
-    program.
+    program.  The pair reaches the builder as one offset,
+    ``DATASET_OFFSETS[dataset] + seed * SEED_STRIDE``.
     """
     try:
         spec = SUITE[name]
     except KeyError:
         raise WorkloadError(f"unknown workload {name!r}; choose from "
                             f"{workload_names()}") from None
-    return spec.builder(dataset=dataset, seed=seed)
+    if dataset not in DATASET_OFFSETS:
+        raise WorkloadError(f"unknown dataset {dataset!r}; choose from "
+                            f"{sorted(DATASET_OFFSETS)}")
+    return spec.builder(DATASET_OFFSETS[dataset] + seed * SEED_STRIDE)
 
 
 _trace_cache: Dict[Tuple[str, int, str, int], List[DynInst]] = {}
@@ -112,8 +126,8 @@ _trace_cache: Dict[Tuple[str, int, str, int], List[DynInst]] = {}
 #: 35 MiB and a million-instruction one would pin 175 MiB per
 #: (workload, length) key.  Above this bound the list is still
 #: returned, just not retained — and callers running at that scale
-#: should be on :func:`workload_trace_iter` or a
-#: :class:`~repro.isa.program.Program` anyway.
+#: should stream ``FunctionalExecutor(build_workload(...), n).run()``
+#: or hand the simulator a :class:`~repro.isa.program.Program`.
 TRACE_CACHE_MAX = 200_000
 
 
@@ -127,7 +141,7 @@ def workload_trace(name: str,
     comparison on the exact same instruction stream, like the paper's
     fixed binaries did.  Traces longer than :data:`TRACE_CACHE_MAX` are
     generated but not memoized; for bounded-memory million-instruction
-    runs use :func:`workload_trace_iter`.
+    runs stream ``FunctionalExecutor(build_workload(...), n).run()``.
     """
     key = (name, max_instructions, dataset, seed)
     trace = _trace_cache.get(key)
@@ -137,23 +151,6 @@ def workload_trace(name: str,
         if max_instructions <= TRACE_CACHE_MAX:
             _trace_cache[key] = trace
     return trace
-
-
-def workload_trace_iter(name: str,
-                        max_instructions: int = DEFAULT_TRACE_LENGTH,
-                        dataset: str = "test", seed: int = 0):
-    """Lazily yield the dynamic trace of *name*, one DynInst at a time.
-
-    The streaming counterpart of :func:`workload_trace` for
-    ``length ≥ 1M`` runs: memory stays bounded by the executor's
-    architectural state (registers + sparse memory image), never by
-    trace length, because instructions are generated on demand and
-    dropped once consumed.  Generation is the same pure function of
-    (name, dataset, seed), so the stream is bit-identical to the
-    cached list's contents.
-    """
-    program = build_workload(name, dataset=dataset, seed=seed)
-    return FunctionalExecutor(program, max_instructions).run()
 
 
 def clear_trace_cache() -> None:

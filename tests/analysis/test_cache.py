@@ -8,8 +8,10 @@ import pytest
 
 from repro.analysis import cache as cache_mod
 from repro.analysis.cache import (DEFAULT_CACHE_DIR, ResultCache,
-                                  code_version, resolve_cache, use_cache)
+                                  cell_key, code_version, resolve_cache,
+                                  use_cache)
 from repro.analysis.parallel import SweepCell, run_cells
+from repro.analysis.sampling import SamplingConfig
 from repro.errors import ConfigError
 
 LEN = 400
@@ -22,13 +24,11 @@ def _cells():
 
 
 class TestKeying:
-    def test_key_is_deterministic(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_key_is_deterministic(self):
         cell = _cells()[0]
-        assert cache.key_for(cell) == cache.key_for(cell)
+        assert cell_key(cell) == cell_key(cell)
 
-    def test_key_covers_every_cell_input(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_key_covers_every_cell_input(self):
         base = SweepCell(key="k", workload="rawcaudio", n_clusters=2,
                          length=LEN)
         variants = [
@@ -48,25 +48,40 @@ class TestKeying:
                       overrides=SweepCell.pack_overrides(
                           {"comm_latency": 4})),
         ]
-        keys = {cache.key_for(cell) for cell in [base] + variants}
+        keys = {cell_key(cell) for cell in [base] + variants}
         assert len(keys) == len(variants) + 1
 
-    def test_key_ignores_result_dict_key(self, tmp_path):
+    def test_key_ignores_result_dict_key(self):
         # The cell's `key` indexes the caller's result dict; it is not
         # part of the simulation's identity.
-        cache = ResultCache(tmp_path)
         a = SweepCell(key="a", workload="rawcaudio", n_clusters=2,
                       length=LEN)
         b = SweepCell(key=("something", "else"), workload="rawcaudio",
                       n_clusters=2, length=LEN)
-        assert cache.key_for(a) == cache.key_for(b)
+        assert cell_key(a) == cell_key(b)
 
-    def test_key_includes_code_version(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
+    def test_key_includes_code_version(self, monkeypatch):
         cell = _cells()[0]
-        before = cache.key_for(cell)
+        before = cell_key(cell)
         monkeypatch.setattr(cache_mod, "_code_version", "deadbeef")
-        assert cache.key_for(cell) != before
+        assert cell_key(cell) != before
+
+    def test_key_payload_is_pinned(self, monkeypatch):
+        """Pinned keys of an exact and a sampled cell under a fixed code
+        version: changing the payload renames every entry, so it must
+        be deliberate."""
+        monkeypatch.setattr(cache_mod, "_code_version", "0123456789abcdef")
+        exact = SweepCell(key="k", workload="rawcaudio", n_clusters=2,
+                          length=LEN)
+        sampled = SweepCell(
+            key="k", workload="gsmdec", n_clusters=4, predictor="stride",
+            steering="vpb", length=1000, seed=1, dataset="train",
+            overrides=(("comm_latency", 4),),
+            sampling=SamplingConfig(interval=1200, warmup=200, samples=8))
+        assert cell_key(exact) == ("db5c0abe6589e79008310dbdcd220e74"
+                                   "b8e2fe99bd6102bec086bf5678148d4d")
+        assert cell_key(sampled) == ("47f2920cb59b44e930189c5b2504f489"
+                                     "99a78cdfdcf65980a6f12e429385b121")
 
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()

@@ -10,9 +10,10 @@ import io
 
 import pytest
 
-from repro.analysis import (ABLATIONS, EXPERIMENTS, average, pct_change,
-                            render, run_experiment, run_one,
-                            selected_workloads, to_csv, trace_length)
+from repro.analysis import (ABLATIONS, EXPERIMENTS, SweepCell, average,
+                            pct_change, render, run_experiment,
+                            selected_workloads, simulate_sweep_cell, to_csv,
+                            trace_length)
 from repro.analysis.experiments import HEADLINE_PAPER
 from repro.cli import main
 from repro.errors import WorkloadError
@@ -57,13 +58,18 @@ class TestEnvKnobs:
 
 
 class TestRunOne:
+    """One cell through :func:`simulate_sweep_cell`, every sweep's path."""
+
     def test_returns_simresult(self):
-        result = run_one("rawcaudio", 1, length=2500)
+        result = simulate_sweep_cell(SweepCell(
+            key=None, workload="rawcaudio", n_clusters=1, length=2500))
         assert result.stats.committed_insts == 2500
 
     def test_overrides_reach_config(self):
-        result = run_one("rawcaudio", 4, predictor="stride",
-                         steering="vpb", length=2500, comm_latency=2)
+        result = simulate_sweep_cell(SweepCell(
+            key=None, workload="rawcaudio", n_clusters=4, predictor="stride",
+            steering="vpb", length=2500,
+            overrides=SweepCell.pack_overrides({"comm_latency": 2})))
         assert result.config.comm_latency == 2
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.experiments import ErrorLedger
 from repro.analysis.parallel import (SweepCell, WorkerPool, active_pool,
-                                     cell_seed, is_transient_error,
+                                     is_transient_error,
                                      resolve_chunksize, resolve_jobs,
                                      resolve_trace_length, run_cells)
 from repro.errors import (ConfigError, DeadlockError, DivergenceError,
@@ -269,6 +269,20 @@ class TestErrorClassification:
         assert len(ledger) == 1
         assert ledger.entries[0].error_type == "WorkloadError"
 
+    def test_unknown_dataset_is_ledgered_once(self):
+        ledger = ErrorLedger()
+        cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=1,
+                           length=LEN, dataset="bogus")]
+        assert run_cells(cells, jobs=1, ledger=ledger, retries=3) == {}
+        assert [entry.error_type for entry in ledger.entries] \
+            == ["WorkloadError"]
+
+    def test_unknown_dataset_fails_fast_as_workload_error(self):
+        cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=1,
+                           length=LEN, dataset="bogus")]
+        with pytest.raises(WorkloadError, match="unknown dataset"):
+            run_cells(cells, jobs=1)
+
     def test_bad_config_override_is_ledgered_once(self):
         ledger = ErrorLedger()
         cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=4,
@@ -280,13 +294,6 @@ class TestErrorClassification:
 
 
 class TestCellSeed:
-    def test_deterministic_and_decorrelated(self):
-        args = ("cjpeg", 4, "stride", "vpb", 4000)
-        assert cell_seed(*args) == cell_seed(*args)
-        assert cell_seed(*args) != cell_seed("djpeg", 4, "stride", "vpb",
-                                             4000)
-        assert cell_seed(*args) != cell_seed(*args, salt=1)
-
     def test_seeded_cells_simulate_on_distinct_data(self):
         base = SweepCell(key="a", workload="rawcaudio", n_clusters=1,
                          length=LEN, seed=0)

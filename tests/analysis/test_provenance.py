@@ -10,9 +10,10 @@ import re
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.experiments import ErrorLedger
 from repro.analysis.parallel import SweepCell, run_cells
-from repro.analysis.provenance import (RunReceipt, config_sha256,
-                                       git_commit, host_info)
+from repro.analysis.provenance import RunReceipt, git_commit, host_info
+from repro.core import make_config
 from repro.obs.schema import (RECEIPT_SCHEMA, TraceSchemaError,
                               validate_receipt)
 from repro.obs.telemetry import SweepMonitor, use_monitor
@@ -39,18 +40,51 @@ def _receipt_for(jobs: int) -> RunReceipt:
         return RunReceipt.from_monitor(monitor)
 
 
+def _cell(n_clusters, **overrides):
+    return SweepCell(key=(n_clusters, tuple(overrides)),
+                     workload="rawcaudio",
+                     n_clusters=n_clusters, predictor="stride",
+                     steering="vpb", length=LEN,
+                     overrides=SweepCell.pack_overrides(overrides))
+
+
 class TestProvenanceHelpers:
     def test_config_sha256_ignores_override_spelling(self):
-        a = config_sha256(4, "stride", "vpb", ())
-        b = config_sha256(4, "stride", "vpb")
+        # An override equal to the preset's value resolves to the same
+        # machine, so it hashes alike.
+        default = make_config(4).comm_latency
+        a = _cell(4).config().sha256()
+        b = _cell(4, comm_latency=default).config().sha256()
         assert a == b and re.fullmatch(r"[0-9a-f]{64}", a)
 
     def test_config_sha256_distinguishes_machines(self):
-        assert (config_sha256(2, "stride", "vpb")
-                != config_sha256(4, "stride", "vpb"))
+        assert _cell(2).config().sha256() != _cell(4).config().sha256()
 
     def test_invalid_config_hashes_to_none(self):
-        assert config_sha256(-3, "stride", "vpb") is None
+        cells = [_cell(4), _cell(-3)]
+        with use_monitor(SweepMonitor()) as monitor:
+            run_cells(cells, jobs=1, ledger=ErrorLedger())
+            receipt = RunReceipt.from_monitor(monitor).to_dict()
+        valid, invalid = receipt["cells"]
+        assert re.fullmatch(r"[0-9a-f]{64}", valid["config_sha256"])
+        assert invalid["config_sha256"] is None
+        assert invalid["ok"] is False
+        assert receipt["counts"]["failed"] == 1
+        validate_receipt(receipt)
+
+    def test_receipt_config_sha256_is_pinned(self):
+        """Receipt hashes are stable across releases: the values for
+        Table 1's 4-cluster stride/VPB machine, with and without a
+        4-cycle wire, and its 2-cluster sibling."""
+        cells = [_cell(4), _cell(4, comm_latency=4), _cell(2)]
+        with use_monitor(SweepMonitor()) as monitor:
+            run_cells(cells, jobs=1)
+            receipt = RunReceipt.from_monitor(monitor).to_dict()
+        assert [cell["config_sha256"] for cell in receipt["cells"]] == [
+            "1d86e9f5418444b7a8f4e9eae9256eda57f53c407c11817dcd41f90837cd0a51",
+            "273235373cd1649a9325bbbc8eed78984101c6a893043207ce169d8781d66026",
+            "4b508ad56e21d4fc98e2e851a48d0dc5c8969fa17ed97a3dc0a4b90cfe14a09b",
+        ]
 
     def test_git_commit_shape(self):
         commit = git_commit()

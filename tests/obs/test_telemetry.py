@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.parallel import SweepCell
 from repro.obs.schema import TraceSchemaError, validate_telemetry_jsonl
 from repro.obs.telemetry import (TELEMETRY_EVENTS, TELEMETRY_SCHEMA,
                                  SweepMonitor, active_monitor, eta_seconds,
                                  normalize_events, throughput, use_monitor)
 
-CELLS = [{"key": "a", "workload": "rawcaudio", "n_clusters": 2,
-          "predictor": "stride", "steering": "vpb", "length": 500},
-         {"key": "b", "workload": "gsmdec", "n_clusters": 4,
-          "predictor": "none", "steering": "baseline", "length": 500}]
+CELLS = [SweepCell(key="a", workload="rawcaudio", n_clusters=2,
+                   predictor="stride", steering="vpb", length=500),
+         SweepCell(key="b", workload="gsmdec", n_clusters=4, length=500)]
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e12, max_value=1e12)

@@ -46,3 +46,14 @@ def test_parallel_campaign_times_every_block():
             if event["event"] == "cell_done"]
     assert [event["key"] for event in done] == list(WORKLOADS)
     assert all(event["seconds"] > 0 for event in done)
+
+
+def test_telemetry_record_carries_the_comm_latency_override():
+    from repro.obs.telemetry import SweepMonitor, use_monitor
+    with use_monitor(SweepMonitor()) as monitor:
+        run_fault_campaign(workloads=WORKLOADS[:1], seeds=(0,),
+                           kinds=("value",), length=LENGTH, comm_latency=4,
+                           jobs=1)
+    (record,) = monitor.sweeps[0].cells
+    assert record.cell.overrides == (("comm_latency", 4),)
+    assert record.cell.config().comm_latency == 4

@@ -6,6 +6,7 @@ from repro.core import make_config, simulate
 from repro.errors import DivergenceError
 from repro.isa import ProgramBuilder
 from repro.isa.executor import FunctionalExecutor, recompute_result
+from repro.isa.instruction import DynInst
 from repro.validation import GoldenModel
 from repro.workloads import build_workload, workload_trace
 
@@ -70,6 +71,34 @@ class TestTamperedTraces:
         trace = _consistent_trace()
         trace[2] = make_dyn(2, 0x1008, op="add", dest=3, srcs=(1, 2),
                             src_values=(5, 10), result=999)
+        with pytest.raises(DivergenceError, match="re-executed result"):
+            simulate(trace, make_config(1), check=True)
+
+    def test_tampered_immediate_result_is_reexecuted(self):
+        # rawcaudio's seq 29 is `addi r21, r21, -3` (4 -> 1); the add at
+        # seq 30 reads r21.  An off-by-one result is caught at its own
+        # record, from the static immediate, not later at the reader.
+        trace = list(workload_trace("rawcaudio", 200))
+        dyn = trace[29]
+        assert dyn.static.op.name == "addi" and dyn.static.imm == -3
+        trace[29] = DynInst(dyn.seq, dyn.static, dyn.src_values,
+                            dyn.result + 1, dyn.mem_addr, dyn.taken)
+        with pytest.raises(DivergenceError,
+                           match="re-executed result diverged") as exc_info:
+            simulate(trace, make_config(4, predictor="stride",
+                                        steering="vpb"), check=True)
+        assert exc_info.value.seq == 29
+
+    def test_tampered_unread_immediate_result_raises(self):
+        # Nothing reads r2 after the addi: only re-execution sees it.
+        b = ProgramBuilder()
+        b.emit("li", "r1", 5)
+        b.emit("addi", "r2", "r1", 1)
+        b.emit("halt")
+        trace = list(FunctionalExecutor(b.build(), 10).run())
+        dyn = trace[1]
+        trace[1] = DynInst(dyn.seq, dyn.static, dyn.src_values, 7,
+                           dyn.mem_addr, dyn.taken)
         with pytest.raises(DivergenceError, match="re-executed result"):
             simulate(trace, make_config(1), check=True)
 

@@ -1,17 +1,24 @@
 """Million-instruction-scale traces must stream, not materialize.
 
-``workload_trace`` memoizes only up to ``TRACE_CACHE_MAX``;
-``workload_trace_iter`` generates instructions on demand so memory is
+``workload_trace`` memoizes only up to ``TRACE_CACHE_MAX``; the
+executor's ``run()`` generates instructions on demand so memory is
 bounded by architectural state, never by trace length."""
 
 import itertools
 import tracemalloc
 
-from repro.workloads import (TRACE_CACHE_MAX, clear_trace_cache,
-                             workload_trace, workload_trace_iter)
+from repro.isa.executor import FunctionalExecutor
+from repro.workloads import (DEFAULT_TRACE_LENGTH, TRACE_CACHE_MAX,
+                             build_workload, clear_trace_cache,
+                             workload_trace)
 from repro.workloads.suite import _trace_cache
 
 WORKLOAD = "rawcaudio"
+
+
+def stream(name, length=DEFAULT_TRACE_LENGTH, seed=0):
+    """The lazy trace: one record at a time, nothing retained."""
+    return FunctionalExecutor(build_workload(name, seed=seed), length).run()
 
 
 class TestCachePolicy:
@@ -41,7 +48,7 @@ class TestCachePolicy:
 class TestStreaming:
     def test_iter_is_bit_identical_to_list(self):
         cached = workload_trace(WORKLOAD, 8_000)
-        streamed = list(workload_trace_iter(WORKLOAD, 8_000))
+        streamed = list(stream(WORKLOAD, 8_000))
         assert len(streamed) == len(cached)
         for a, b in zip(streamed, cached):
             assert a.seq == b.seq
@@ -52,9 +59,9 @@ class TestStreaming:
 
     def test_iter_respects_dataset_and_seed(self):
         a = [d.result for d in
-             itertools.islice(workload_trace_iter(WORKLOAD, seed=1), 2_000)]
+             itertools.islice(stream(WORKLOAD, seed=1), 2_000)]
         b = [d.result for d in
-             itertools.islice(workload_trace_iter(WORKLOAD, seed=2), 2_000)]
+             itertools.islice(stream(WORKLOAD, seed=2), 2_000)]
         assert a != b
 
     def test_streaming_memory_is_bounded(self):
@@ -63,13 +70,13 @@ class TestStreaming:
         length = 120_000
 
         tracemalloc.start()
-        for _ in workload_trace_iter(WORKLOAD, length):
+        for _ in stream(WORKLOAD, length):
             pass
         _, streamed_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
         tracemalloc.start()
-        trace = list(workload_trace_iter(WORKLOAD, length))
+        trace = list(stream(WORKLOAD, length))
         _, list_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(trace) == length

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.isa.opcodes import OpClass
 from repro.workloads import (SUITE, build_workload, clear_trace_cache,
                              workload_names, workload_trace)
@@ -29,6 +30,10 @@ class TestRegistry:
     def test_unknown_workload_raises_with_choices(self):
         with pytest.raises(KeyError, match="cjpeg"):
             build_workload("nonesuch")
+
+    def test_unknown_dataset_raises_workload_error(self):
+        with pytest.raises(WorkloadError, match="'test', 'train'"):
+            build_workload("cjpeg", dataset="bogus")
 
 
 @pytest.mark.parametrize("name", workload_names())

@@ -292,7 +292,8 @@ class _WarmState(Components):
         executor.set_train_hooks(
             value=self.vp.trainer, branch=self.bpred.trainer,
             target=self.btb.update if self.btb is not None else None,
-            mem=self.memory.l1d.access, code=self.memory.l1i.access)
+            mem=self.memory.l1d.access, code=self.memory.l1i.access,
+            settle=self.vp.settle)
 
 
 def _seeded_golden(executor: FunctionalExecutor, config: ProcessorConfig):

@@ -162,7 +162,15 @@ class ProcessorConfig:
             raise ConfigError("deadlock_cycles must be >= 1")
 
     def with_overrides(self, **overrides) -> "ProcessorConfig":
-        """A copy with the given fields replaced."""
+        """A copy with the given fields replaced.
+
+        Raises :class:`ConfigError` naming any override that is not a
+        field, so a sweep cell that names one fails as deterministic.
+        """
+        unknown = sorted(set(overrides) - {spec.name for spec in fields(self)})
+        if unknown:
+            raise ConfigError(
+                f"unknown config field(s): {', '.join(unknown)}")
         return replace(self, **overrides)
 
     def describe(self) -> str:

@@ -30,11 +30,16 @@ from .opcodes import OPCODES
 from .program import INSTRUCTION_BYTES, Program
 from .registers import FP_BASE, NUM_LOGICAL_REGS, ZERO_REG
 
-__all__ = ["ExecutionError", "FunctionalExecutor", "execute",
-           "recompute_result"]
+__all__ = ["ExecutionError", "FunctionalExecutor", "SETTLE_INTERVAL",
+           "execute", "recompute_result"]
 
 _INT_MIN = -(1 << 63)
 _WRAP = 1 << 64
+
+#: Most instructions a warmed :meth:`FunctionalExecutor.skip` runs
+#: between two calls of its *settle* hook.  It bounds how many values a
+#: queuing value trainer holds at once.
+SETTLE_INTERVAL = 8_192
 
 
 def _wrap64(value: int) -> int:
@@ -244,6 +249,11 @@ class FunctionalExecutor:
         the ``max_instructions`` cap, and raises where :meth:`run`
         would, with the cursor committed through the last completed
         instruction as :meth:`run` leaves it.
+
+        An installed *settle* hook (:meth:`set_train_hooks`) runs at
+        least once every :data:`SETTLE_INTERVAL` instructions and
+        whenever this returns or raises, so nothing a hook queued is
+        left untrained for the caller to read.
         """
         if self.halted or count <= 0:
             return 0
@@ -256,18 +266,28 @@ class FunctionalExecutor:
             code = self._code = _BlockCode(self.program, self.int_regs,
                                            self.fp_regs, self._train_hooks)
         lengths, blocks, steps = code.lengths, code.blocks, code.steps
+        settle = code.settle
         idx = (self.pc - self.program.code_base) // INSTRUCTION_BYTES
         todo = left
+        # Settle before the block or step that would take ``todo``
+        # below ``due``; without a settle hook, never.
+        due = -1 if settle is None else todo - SETTLE_INTERVAL
         try:
             while todo:
                 n = lengths[idx]
                 if 0 < n <= todo:
+                    if todo - n < due:
+                        settle()
+                        due = todo - SETTLE_INTERVAL
                     block = blocks[idx]
                     if block is None:
                         block = blocks[idx] = code.build(idx, idx + n)
                     idx = block()
                     todo -= n
                     continue
+                if todo <= due:
+                    settle()
+                    due = todo - SETTLE_INTERVAL
                 step = steps[idx]
                 if step is None:
                     step = steps[idx] = code.build(idx, idx + 1)
@@ -282,6 +302,9 @@ class FunctionalExecutor:
             self.pc = code.pc(failed)
             self.seq += left - todo + failed - idx
             raise
+        finally:
+            if settle is not None:
+                settle()
         done = left - todo
         self.pc = code.pc(idx)
         self.seq += done
@@ -290,7 +313,7 @@ class FunctionalExecutor:
     # -- functional warming ---------------------------------------------------
 
     def set_train_hooks(self, value=None, branch=None, target=None,
-                        mem=None, code=None) -> None:
+                        mem=None, code=None, settle=None) -> None:
         """Install functional-warming callbacks applied during :meth:`skip`.
 
         With hooks installed, fast-forward additionally *observes* each
@@ -319,6 +342,10 @@ class FunctionalExecutor:
                 I-cache touch.  The line tracker persists across
                 :meth:`skip` calls and is consulted only where a line
                 starts or a cross-line branch or jump lands.
+            settle: ``()``, training what *value*'s trainers queued (a
+                value predictor's ``settle``); :meth:`skip` calls it at
+                least every :data:`SETTLE_INTERVAL` instructions and
+                whenever it returns or raises.
 
         A factory runs once per static site, when its code is compiled,
         so a trainer resolves its table index once.  Passing all
@@ -326,7 +353,7 @@ class FunctionalExecutor:
         pickling: a restored executor fast-forwards plain until hooks
         are installed again.
         """
-        self._train_hooks = (value, branch, target, mem, code)
+        self._train_hooks = (value, branch, target, mem, code, settle)
         self._code = None
 
 
@@ -520,9 +547,10 @@ class _BlockCode:
     ``lengths[i]`` is the length of the basic block that starts at
     static index ``i``: 0 inside a block, at ``halt`` and at the
     sentinels past the end.  Blocks end after a branch or jump, before a
-    branch target, and before ``halt``.  ``blocks[i]`` holds that
-    block's compiled function once it has run, ``steps[i]`` instruction
-    ``i``'s one-instruction function; each returns the next static index
+    branch target, before ``halt``, and after :data:`SETTLE_INTERVAL`
+    instructions.  ``blocks[i]`` holds that block's compiled function
+    once it has run, ``steps[i]`` instruction ``i``'s one-instruction
+    function; each returns the next static index
     (``-1 - i`` for a ``halt``).  Every function is compiled on first
     use from its own source, so only code that runs is compiled and no
     compile call covers more than one block.  The fall-off and each bad
@@ -540,11 +568,13 @@ class _BlockCode:
     """
 
     __slots__ = ("insts", "base", "lengths", "blocks", "steps", "ns",
-                 "targets", "faults", "line_checks", "value", "branch")
+                 "targets", "faults", "line_checks", "value", "branch",
+                 "settle")
 
     def __init__(self, program: Program, int_regs: list, fp_regs: list,
                  hooks: Optional[tuple]) -> None:
-        self.value, self.branch, target, mem, code = hooks or (None,) * 5
+        self.value, self.branch, target, mem, code, self.settle = \
+            hooks or (None,) * 6
         self.insts = insts = program.instructions
         self.base = base = program.code_base
         size = len(insts)
@@ -577,11 +607,14 @@ class _BlockCode:
                 leader[t] = True
                 checks[t] = checks[t] or inst.target >> 5 != pc >> 5
         # Straight-line run from each index to its block's end; halt
-        # is never part of a block.
+        # is never part of a block, and no block outruns the settle
+        # interval.
         span = [0] * (size + 1)
         for i in range(size - 1, -1, -1):
             op = insts[i].op
             if op.name != "halt":
+                if span[i + 1] == SETTLE_INTERVAL:
+                    leader[i + 1] = True
                 span[i] = 1 if op.is_branch or leader[i + 1] \
                     else 1 + span[i + 1]
         self.lengths = [n if lead else 0 for n, lead in zip(span, leader)] \

@@ -59,17 +59,18 @@ class ValuePredictor:
     and returning a call that takes the operand's actual value:
 
     * ``trainer(pc, slot)`` returns ``train(actual)``, the predictor's
-      training rule with its table indices resolved once.  Functional
+      training rule with its table indices resolved once, or a call
+      that queues *actual* for :meth:`settle` to train.  Functional
       warming binds one per predictable source of each static
-      instruction (:meth:`repro.isa.executor.FunctionalExecutor.
-      set_train_hooks`).  It records no stats: warming observes the
-      committed stream, it does not predict.  A predictor with nothing
-      to learn sets ``trainer = None``, so warming compiles no value
-      hook for it.
+      instruction and hands the executor :meth:`settle` with them
+      (:meth:`repro.isa.executor.FunctionalExecutor.set_train_hooks`).
+      It records no stats: warming observes the committed stream, it
+      does not predict.  A predictor with nothing to learn sets
+      ``trainer = None``, so warming compiles no value hook for it.
     * ``bind(pc, slot)`` returns ``predict(actual) -> (value,
       confident)``, decode's call: it looks the prediction up, records
-      it in :attr:`stats`, then trains through the same ``train``
-      closure that :meth:`trainer` returns.  *actual* lets the perfect
+      it in :attr:`stats`, then trains on *actual* through the same
+      rule :meth:`trainer` feeds.  *actual* lets the perfect
       predictor exist and the stats be counted in one place; a real
       predictor never reads it before its lookup is made.  A predictor
       that never predicts sets ``bind = None``, and decode skips it.
@@ -85,6 +86,10 @@ class ValuePredictor:
         per-instruction loop.
         """
         return self.bind(pc, slot)(actual)
+
+    def settle(self) -> None:
+        """Train whatever :meth:`trainer`'s calls have queued.  A
+        predictor whose trainer trains at once has nothing queued."""
 
 
 class NullPredictor(ValuePredictor):

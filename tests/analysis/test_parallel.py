@@ -293,6 +293,22 @@ class TestErrorClassification:
         assert ledger.entries[0].error_type == "ConfigError"
 
 
+    def test_unknown_config_field_is_ledgered_once(self):
+        ledger = ErrorLedger()
+        cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=2,
+                           length=LEN, overrides=(("bogus_field", 1),))]
+        assert run_cells(cells, jobs=1, ledger=ledger, retries=3) == {}
+        assert [entry.error_type for entry in ledger.entries] \
+            == ["ConfigError"]
+        assert "bogus_field" in ledger.entries[0].message
+
+    def test_unknown_config_field_fails_fast_as_config_error(self):
+        cells = [SweepCell(key="c", workload="rawcaudio", n_clusters=2,
+                           length=LEN, overrides=(("bogus_field", 1),))]
+        with pytest.raises(ConfigError, match="bogus_field"):
+            run_cells(cells, jobs=1)
+
+
 class TestCellSeed:
     def test_seeded_cells_simulate_on_distinct_data(self):
         base = SweepCell(key="a", workload="rawcaudio", n_clusters=1,

@@ -86,6 +86,13 @@ class TestMisc:
         assert config.comm_latency == 1
         assert other.comm_latency == 4
 
+    def test_unknown_override_raises_config_error(self):
+        with pytest.raises(ConfigError, match="bogus_field"):
+            make_config(2, bogus_field=1)
+        with pytest.raises(ConfigError, match="bogus_field, zzz"):
+            make_config(2).with_overrides(zzz=0, bogus_field=1,
+                                          comm_latency=2)
+
     def test_describe_mentions_key_knobs(self):
         text = make_config(4, predictor="stride", steering="vpb").describe()
         assert "4c" in text and "vpb" in text and "stride" in text

@@ -32,6 +32,7 @@ from repro.memory import MemoryHierarchy
 from repro.predictor.stride import StridePredictor
 from repro.workloads import build_workload, workload_names
 
+from ..predictor.test_predictor_properties import _state
 from .reference_executor import ReferenceExecutor, record
 
 HOOK_SETS = ("none", "calls", "trainers", "all")
@@ -87,8 +88,9 @@ class _Warm:
 
         "calls": the predictors' decode and fetch calls
         (``predict_update``, ``update``) pre-bound to the site, plus
-        both caches.  "trainers": the predictors' trainers alone.
-        "all": those trainers and every other hook.
+        both caches.  "trainers": the predictors' trainers alone, with
+        the value predictor's ``settle``.  "all": those and every other
+        hook.
         """
         if kind == "none":
             return {}
@@ -98,7 +100,8 @@ class _Warm:
                          branch=lambda pc: functools.partial(self.bp.update,
                                                              pc))
         else:
-            hooks = dict(value=self.vp.trainer, branch=self.bp.trainer)
+            hooks = dict(value=self.vp.trainer, branch=self.bp.trainer,
+                         settle=self.vp.settle)
         if kind in ("calls", "all"):
             hooks.update(mem=self.memory.l1d.access,
                          code=self.memory.l1i.access)
@@ -118,9 +121,8 @@ class _Warm:
     def state(self) -> dict:
         caches = (self.memory.l1i, self.memory.l1d, self.memory.l2)
         return {
-            "stride": (self.vp._last, self.vp._stride, self.vp._prev_stride,
-                       self.vp._counter),
             # Trainers record no stats, so compare tables only.
+            "stride": _state(self.vp, stats=False),
             "branch": (self.bp.bimodal, self.bp.gshare, self.bp.chooser,
                        self.bp.history),
             "btb": (self.btb._tags, self.btb._targets),

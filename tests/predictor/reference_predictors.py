@@ -5,7 +5,7 @@ replaces the per-operand factories with the rules written out plainly:
 ``predict(pc, slot, actual) -> (value, confident)`` looks up and counts
 the stats, and ``update(pc, slot, actual)`` trains.  Decode's order is
 ``predict`` then ``update``.  Tests hold ``bind``, ``predict_update``
-and ``trainer`` to these forms, table for table.
+and ``trainer`` (then ``settle``) to these forms, table for table.
 """
 
 from repro.predictor import (ContextPredictor, HybridPredictor,
@@ -19,6 +19,14 @@ def _wrap(value):
     return (value + _EDGE) % (1 << 64) - _EDGE
 
 
+def stride_entry(predictor, pc, slot):
+    """``(last, stride, prev_stride, counter)`` of the stride record
+    that *(pc, slot)* indexes, zeros where none was made.  Values still
+    queued for it are left out: ``settle()`` trains them."""
+    return tuple(predictor._records.get(predictor._index(pc, slot),
+                                        (0, 0, 0, 0)))
+
+
 def _count(stats, value, confident, actual):
     stats.lookups += 1
     if confident:
@@ -30,27 +38,26 @@ def _count(stats, value, confident, actual):
 
 class ReferenceStride(StridePredictor):
     def lookup(self, pc, slot):
-        index = self._index(pc, slot)
-        return (_wrap(self._last[index] + self._stride[index]),
-                self._counter[index] > self.confidence_threshold)
+        last, stride, _, counter = stride_entry(self, pc, slot)
+        return _wrap(last + stride), counter > self.confidence_threshold
 
     def predict(self, pc, slot, actual):
         return _count(self.stats, *self.lookup(pc, slot), actual)
 
     def update(self, pc, slot, actual):
-        index = self._index(pc, slot)
-        new_stride = _wrap(actual - self._last[index])
-        if new_stride == self._stride[index]:
-            self._counter[index] = min(self._counter[index] + 1, 3)
-        elif self.two_delta and new_stride == self._prev_stride[index]:
-            self._stride[index] = new_stride
-            self._counter[index] = 1
+        last, stride, prev_stride, counter = stride_entry(self, pc, slot)
+        new_stride = _wrap(actual - last)
+        if new_stride == stride:
+            counter = min(counter + 1, 3)
+        elif self.two_delta and new_stride == prev_stride:
+            stride = new_stride
+            counter = 1
         else:
             if not self.two_delta:
-                self._stride[index] = new_stride
-            self._counter[index] = max(self._counter[index] - 1, 0)
-        self._prev_stride[index] = new_stride
-        self._last[index] = actual
+                stride = new_stride
+            counter = max(counter - 1, 0)
+        self._records[self._index(pc, slot)] = [actual, stride, new_stride,
+                                                counter]
 
 
 class ReferenceContext(ContextPredictor):
@@ -81,7 +88,7 @@ class ReferenceHybrid(HybridPredictor):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.stride = ReferenceStride(len(self.stride._last))
+        self.stride = ReferenceStride(self.stride.entries)
         self.context = ReferenceContext(len(self.context._history),
                                         len(self.context._value))
 

@@ -1,10 +1,12 @@
 """Unit tests for the stride value predictor."""
 
+import tracemalloc
+
 import pytest
 
 from repro.predictor import StridePredictor
 
-from .test_predictor_properties import entry
+from .reference_predictors import stride_entry
 
 
 def feed(predictor, pc, slot, values):
@@ -56,10 +58,10 @@ class TestTwoDelta:
         predictor = StridePredictor(1024, two_delta=True)
         # stride 4 with one reset, then stride 4 continues
         feed(predictor, 0x1000, 0, [0, 4, 8, 12, 16])
-        _, stride, _ = entry(predictor, 0x1000, 0)
+        _, stride, _, _ = stride_entry(predictor, 0x1000, 0)
         assert stride == 4
         feed(predictor, 0x1000, 0, [0])     # break (delta -16)
-        _, stride, _ = entry(predictor, 0x1000, 0)
+        _, stride, _, _ = stride_entry(predictor, 0x1000, 0)
         assert stride == 4                   # kept
         preds = feed(predictor, 0x1000, 0, [4, 8, 12])
         assert [value for value, _ in preds] == [4, 8, 12]
@@ -68,14 +70,15 @@ class TestTwoDelta:
         predictor = StridePredictor(1024, two_delta=True)
         feed(predictor, 0x1000, 0, [0, 4, 8, 12])     # stride 4
         feed(predictor, 0x1000, 0, [20, 28, 36, 44])  # stride 8 twice+
-        _, stride, _ = entry(predictor, 0x1000, 0)
+        _, stride, _, _ = stride_entry(predictor, 0x1000, 0)
         assert stride == 8
 
     def test_naive_mode_replaces_immediately(self):
         predictor = StridePredictor(1024, two_delta=False)
         feed(predictor, 0x1000, 0, [0, 4, 8, 12])
         predictor.trainer(0x1000, 0)(100)     # delta 88
-        _, stride, _ = entry(predictor, 0x1000, 0)
+        predictor.settle()
+        _, stride, _, _ = stride_entry(predictor, 0x1000, 0)
         assert stride == 88
 
     def test_periodic_loop_restart_hit_rates(self):
@@ -93,6 +96,26 @@ class TestTableMechanics:
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
             StridePredictor(1000)
+
+    def test_construction_allocates_no_table(self):
+        # The default 128K-entry table makes a record per index asked
+        # about, not 128K entries up front.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            predictor = StridePredictor()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert predictor.entries == 128 * 1024
+        assert held < 64 * 1024
+
+    def test_records_are_made_per_index_asked_about(self):
+        predictor = StridePredictor(1024)
+        predictor.bind(0x1000, 0)
+        predictor.trainer(0x1000, 1)
+        predictor.bind(0x1000 + 4 * 512, 0)   # aliases (0x1000, 0)
+        assert len(predictor._records) == 2
 
     def test_aliasing_in_tiny_table(self):
         predictor = StridePredictor(2)

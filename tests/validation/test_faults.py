@@ -7,7 +7,7 @@ fault-free run.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_config, simulate
@@ -34,6 +34,8 @@ class TestDetectionProperty:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000),
            rate=st.sampled_from([0.02, 0.1, 0.3]))
+    # Injects no value fault into these 1,200 instructions.
+    @example(seed=1608, rate=0.02)
     def test_every_injected_corruption_is_detected(self, seed, rate):
         # The golden model co-runs, so this also proves the committed
         # stream stayed architecturally correct despite the faults.
@@ -41,12 +43,19 @@ class TestDetectionProperty:
         plan = FaultPlan.single("value", rate=rate, seed=seed)
         result = simulate(trace, _config(), check=True, fault_plan=plan)
         report = result.validation["fault_report"]
-        assert report.injected_values > 0
+        assume(report.injected_values > 0)
         assert report.detected_values == report.injected_values
         assert report.undetected_values == 0
         assert report.detection_rate == 1.0
         assert result.stats.injected_faults == report.total_injected
         assert result.stats.detected_faults == report.detected_values
+
+    @pytest.mark.parametrize("rate", [0.02, 0.1, 0.3])
+    def test_injection_happens(self, trace, rate):
+        # At a fixed seed, so the property above has faults to check.
+        plan = FaultPlan.single("value", rate=rate, seed=0)
+        result = simulate(trace, _config(), check=True, fault_plan=plan)
+        assert result.validation["fault_report"].injected_values > 0
 
     def test_final_state_matches_functional_executor(self, trace):
         program = build_workload("rawcaudio")
